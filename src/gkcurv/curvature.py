@@ -23,7 +23,7 @@ from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
 from .linalg import (mat_inverse, mat_mul, mat_sub, mat_trace, mat_vec)
-from .scalars import QQi, Point, ScalarExpr, TrigPoly
+from .scalars import QQi, ScalarExpr, TrigPoly
 from .spinor import FrameGCS, GCStruct, eta_N_extract, _hat_matrix
 
 
@@ -316,54 +316,6 @@ def scalar_torus_mean_certified(c: ScalarExpr, tol=Fraction(1, 10 ** 12),
             return acc, Fraction(tail)
         power = (power * e_poly).scale(QQi(-1))
     raise NotExactlyIntegrable("series mean did not reach tolerance")
-
-
-def gauss_legendre_nodes(order: int):
-    """Nodes and weights on [-1, 1] by Newton iteration on Legendre P_n."""
-    nodes, weights = [], []
-    for k in range(order):
-        x = math.cos(math.pi * (k + 0.75) / (order + 0.5))
-        for _ in range(60):
-            p0, p1 = 1.0, x
-            for j in range(2, order + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = order * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return nodes, weights
-
-
-def integrate_box(top: Form, bounds, order=8) -> complex:
-    """Float quadrature of a top form over a box, product Gauss rule."""
-    chart = top.chart
-    c = top.coefficient(tuple(range(chart.dim)))
-    nodes, weights = gauss_legendre_nodes(order)
-    dims = chart.dim
-    total = 0j
-    scale = 1.0
-    mapped = []
-    for (lo, hi) in bounds:
-        mapped.append([(0.5 * (hi - lo) * x + 0.5 * (hi + lo)) for x in nodes])
-        scale *= 0.5 * (hi - lo)
-
-    def rec(depth, coords, wacc):
-        nonlocal total
-        if depth == dims:
-            v = c.eval(Point(coords))
-            if isinstance(v, QQi):
-                v = v.to_complex()
-            total += wacc * v
-            return
-        for x, w in zip(mapped[depth], weights):
-            rec(depth + 1, coords + [Fraction(x).limit_denominator(10 ** 12)],
-                wacc * w)
-
-    rec(0, [], 1.0)
-    return total * scale
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ pointwise trace pairing used by the deformation symplectic form.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
@@ -120,25 +121,29 @@ def _sylvester_positive(m) -> bool:
     return True
 
 
-def _jacobi_min_eigenvalue(a, sweeps=12):
+def _jacobi_min_eigenvalue(a):
+    """Smallest eigenvalue of a real symmetric matrix: cyclic Jacobi sweeps
+    until the off-diagonal part is below 1e-15 relative to the whole matrix."""
     n = len(a)
     a = [row[:] for row in a]
-    for _ in range(sweeps):
-        off = max((abs(a[i][j]), i, j) for i in range(n) for j in range(n) if i != j)
-        if off[0] < 1e-13:
+    tol = 1e-30 * sum(x * x for row in a for x in row)
+    for _ in range(50):
+        if sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j) <= tol:
             break
-        _, p, q = off
-        import math
-        theta = 0.5 * math.atan2(2 * a[p][q], a[q][q] - a[p][p])
-        c, s = math.cos(theta), math.sin(theta)
-        for k in range(n):
-            apk, aqk = a[p][k], a[q][k]
-            a[p][k] = c * apk - s * aqk
-            a[q][k] = s * apk + c * aqk
-        for k in range(n):
-            akp, akq = a[k][p], a[k][q]
-            a[k][p] = c * akp - s * akq
-            a[k][q] = s * akp + c * akq
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p][q] == 0:
+                    continue
+                theta = 0.5 * math.atan2(2 * a[p][q], a[q][q] - a[p][p])
+                c, s = math.cos(theta), math.sin(theta)
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
     return min(a[i][i] for i in range(n))
 
 

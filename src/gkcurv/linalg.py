@@ -7,7 +7,8 @@ symbolic elimination from inflating fractions.
 
 from __future__ import annotations
 
-from .scalars import QQi, ScalarExpr
+from .errors import EngineLimit
+from .scalars import ScalarExpr
 
 
 def complexity(x) -> int:
@@ -49,20 +50,12 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_trace(a):
     return sum_entries([a[i][i] for i in range(len(a))])
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_commutator(a, b):
@@ -126,40 +119,18 @@ def mat_inverse(a, one, zero):
     return inv
 
 
-def mat_det(a):
-    """Determinant by fraction-based elimination (small exact matrices)."""
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = None
-    sign = 1
-    for c in range(n):
-        p = _pivot(rows, c, c)
-        if p < 0:
-            return rows[0][0] - rows[0][0] if n else None  # zero of the right type
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        det = piv if det is None else det * piv
-        for q in range(c + 1, n):
-            if not rows[q][c].is_zero():
-                f = rows[q][c] / piv
-                rows[q] = [x - f * y for x, y in zip(rows[q], rows[c])]
-    if sign < 0:
-        det = -det
-    return det
-
-
 def solve_exact(mat, rhs):
-    """Solve mat @ x = rhs exactly.
+    """Solve mat @ x = rhs exactly; rhs is a flat list.
 
-    Returns the unique solution on the pivot columns with free columns set to
-    zero, or None if inconsistent.  rhs is a flat list.  ScalarExpr systems
-    go through fraction-free Bareiss elimination; other field entries use
-    plain reduced row echelon form.
+    Returns the solution on the pivot columns with free columns set to zero,
+    or None if and only if the system is inconsistent.  ScalarExpr systems
+    are split into the connected blocks of their row/column nonzero graph,
+    and each block goes through fraction-free Bareiss elimination alone, so
+    the pivots of one block never multiply into another's entries; the
+    result equals the monolithic elimination's.  Other entry types use rref.
     """
     if mat and isinstance(mat[0][0], ScalarExpr):
-        return _solve_bareiss(mat, rhs)
+        return _solve_blocks(mat, rhs)
     rows, rs, pivots = rref(mat, [[x] for x in rhs])
     ncol = len(mat[0])
     zero = rhs[0] - rhs[0]
@@ -173,8 +144,49 @@ def solve_exact(mat, rhs):
     return sol
 
 
+def _solve_blocks(mat, rhs):
+    """_solve_bareiss on each block.  A zero row is dropped, or makes the
+    system inconsistent if its rhs is not zero; a column in no block is 0."""
+    parent = list(range(len(mat[0])))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    row_cols = []
+    for i, row in enumerate(mat):
+        cols = [c for c, x in enumerate(row) if not x.is_zero()]
+        if cols:
+            for c in cols[1:]:
+                parent[find(c)] = find(cols[0])
+            row_cols.append((i, cols[0]))
+        elif not rhs[i].is_zero():
+            return None
+    blocks = {}
+    for c in range(len(parent)):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for i, c in row_cols:
+        blocks[find(c)][1].append(i)
+    sol = [ScalarExpr.zero(mat[0][0].nvars)] * len(parent)
+    for cols, rows in blocks.values():
+        if not rows:
+            continue
+        part = _solve_bareiss([[mat[i][c] for c in cols] for i in rows],
+                              [rhs[i] for i in rows])
+        if part is None:
+            return None
+        for c, x in zip(cols, part):
+            sol[c] = x
+    return sol
+
+
 def _solve_bareiss(mat, rhs):
-    """Fraction-free elimination over the trig-polynomial ring."""
+    """Fraction-free elimination over the trig-polynomial ring.
+
+    Returns None only for an inconsistent system; a step that exact
+    arithmetic guarantees but the engine fails raises EngineLimit.
+    """
     from .scalars import TrigPoly, trig_div_exact
     nvars = mat[0][0].nvars
     nrow, ncol = len(mat), len(mat[0])
@@ -190,7 +202,7 @@ def _solve_bareiss(mat, rhs):
             scaled = x * ScalarExpr(nvars, den, TrigPoly.const(nvars, 1),
                                     _normalized=True)
             if not scaled.den.is_const():
-                return None  # denominators did not clear; fall back
+                raise EngineLimit("row denominators did not clear")
             row.append(scaled.num.scale(scaled.den.const_value().inverse()))
         rows.append(row)
     prev = TrigPoly.const(nvars, 1)
@@ -218,7 +230,7 @@ def _solve_bareiss(mat, rhs):
                 val = rows[q][j] * piv - qc * rows[r][j]
                 div = trig_div_exact(val, prev)
                 if div is None:
-                    return None
+                    raise EngineLimit("Bareiss step did not divide exactly")
                 new.append(div)
             rows[q] = new
         pivots.append((r, c))

@@ -205,9 +205,6 @@ class TrigPoly:
             return QQI_ZERO
         return next(iter(self.terms.values()))
 
-    def has_trig(self):
-        return any(any(freq) for (_, freq) in self.terms)
-
     def has_mono(self):
         return any(any(mono) for (mono, _) in self.terms)
 
@@ -299,9 +296,6 @@ class TrigPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]), reverse=True)
-
 
 def _term_sort_key(key):
     mono, freq = key
@@ -351,18 +345,6 @@ def _p_scale(d, c: QQi):
     if c.is_zero():
         return {}
     return {k: v * c for k, v in d.items()}
-
-
-def _p_add_scaled(a, b, c: QQi):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = v * c if s is None else s + v * c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
 
 
 def _p_mul(a, b):
@@ -985,8 +967,9 @@ def trig_div_exact(a: TrigPoly, b: TrigPoly):
     if b.is_const():
         return a.scale(b.const_value().inverse())
     m = a.nvars
-    sa = _freq_min([a], m)
-    sb = _freq_min([b], m)
+    # true minima: _freq_min caps at 0 and would miss exp-monomial factors
+    sa, sb = (tuple(min(f[j] for _, f in p.terms) for j in range(m))
+              for p in (a, b))
     q = _p_div_exact(_to_poly(a, sa), _to_poly(b, sb))
     if q is None:
         return None

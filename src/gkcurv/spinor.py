@@ -16,8 +16,8 @@ from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      ZeroSpinor)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, interior)
-from .linalg import (kernel_basis, mat_det, mat_identity, mat_inverse,
-                     mat_mul, mat_vec, solve_exact)
+from .linalg import (kernel_basis, mat_identity, mat_inverse, mat_mul,
+                     mat_vec, solve_exact)
 from .scalars import QQI_ONE, QQI_ZERO, QQi, Point, ScalarExpr
 
 

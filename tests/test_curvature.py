@@ -5,14 +5,16 @@ import pytest
 
 from gkcurv.curvature import (TorusIntegral, gr_complex, gr_two_term_forms,
                               gric_gr, integrate_torus, ipow,
-                              kahler_oracle_dJdlog, moment_pairing,
+                              kahler_oracle_dJdlog, moment_derivative_check,
+                              moment_pairing,
                               proportionality, rho, scalar_torus_mean,
                               type00_gric)
 from gkcurv.errors import NotExactlyIntegrable, NotMeanZero
+from gkcurv.examples import flat_kahler
 from gkcurv.forms import Form
 from gkcurv.genalg import GenVec, clifford_act
 from gkcurv.gkpair import GKPair
-from gkcurv.scalars import Point, QQi
+from gkcurv.scalars import Point, QQi, ScalarExpr
 from gkcurv.spinor import (ComplexVolumeGCS, GenericGCS, SymplecticGCS,
                            eta_N_extract)
 
@@ -205,3 +207,15 @@ def test_moment_pairing_flat():
     assert val.is_zero()
     with pytest.raises(NotMeanZero):
         moment_pairing(pair, chart.sc("1 + cos(x1)"))
+
+
+@pytest.mark.parametrize("n, rhs", [(1, -8), (2, -16)])
+def test_moment_identity_flat_torus(n, rhs):
+    """d<mu, f> = Omega(L_e J, Jdot) along h = c e+ ^ e- + conj, f = c = cos x1."""
+    pair = flat_kahler(n, periodic=True).pair()
+    frame = pair.epm_frame()
+    c = ScalarExpr.cos(2 * n, (1,) + (0,) * (2 * n - 1))
+    res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
+                                              frame.eminus[0])])
+    assert res["rhs"] == rhs and res["rhs"] != 0
+    assert res["relative_error"] <= 1e-10

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import DimensionMismatch, WrongBidegree
+from gkcurv.examples import CATALOG
 from gkcurv.genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
-from gkcurv.gkpair import (GKPair, bidegree_split, compatibility_check,
+from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
+                           compatibility_check,
                            ddbar_pm, epm_split, frame_bivector,
                            hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
@@ -40,6 +42,30 @@ def test_flat_kahler_compatibility():
     rep = compatibility_check(pair, pts)
     assert rep["commute"] and rep["positive"]
     assert rep["min_eigenvalue"] > 0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_jacobi_min_eigenvalue_matches_numpy(n):
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + 0.1 * np.eye(n)
+        want = np.linalg.eigvalsh(a)[0]
+        got = _jacobi_min_eigenvalue(a.tolist())
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_compatibility_min_eigenvalue_t4_nonintegrable():
+    np = pytest.importorskip("numpy")
+    pair = CATALOG["t4_nonintegrable"]().pair()
+    origin = Point([0, 0, 0, 0])
+    rep = compatibility_check(pair, [origin])
+    gram = [[float(x.eval(origin).re) for x in row]
+            for row in pair.metric_gram()]
+    want = np.linalg.eigvalsh(np.array(gram))[0]
+    assert rep["positive"]
+    assert abs(rep["min_eigenvalue"] - want) <= 1e-9 * want
 
 
 def test_reversed_omega_not_positive():
