@@ -16,15 +16,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .forms import Chart, Form
-from .genalg import GenVec, clifford_act, genvec_wedge, pair_tt
-from .scalars import QQi, ScalarExpr
+from .examples import flat_kahler
+from .forms import Chart
+from .genalg import GenVec, clifford_act, pair_tt
+from .scalars import QQi
 
 FIXTURE_PATH = Path(__file__).with_name("data") / "calibration.json"
-
-
-def _chart(n):
-    return Chart(n, tuple(f"x{j+1}" for j in range(2 * n)), (False,) * (2 * n))
 
 
 def _basis_forms(chart):
@@ -37,7 +34,7 @@ def _basis_forms(chart):
 
 def mukai_swap_table(n: int) -> dict:
     """Signs eps(a, b) with <alpha, beta> = eps <beta, alpha>, exhaustively."""
-    chart = _chart(n)
+    chart = Chart.flat(n)
     forms = _basis_forms(chart)
     table = {}
     for (da, alpha) in forms:
@@ -61,7 +58,7 @@ def mukai_swap_table(n: int) -> dict:
 
 def mukai_adjoint_sign(n: int) -> int:
     """Sign s with <e.alpha, beta> = s <alpha, e.beta>, exhaustively."""
-    chart = _chart(n)
+    chart = Chart.flat(n)
     forms = _basis_forms(chart)
     sign = None
     for a in range(2 * chart.dim):
@@ -88,8 +85,7 @@ def mukai_adjoint_sign(n: int) -> int:
 
 def polarization_sign(n: int, seed=2024, instances=25) -> int:
     """Sign s in <e1.w1, e2.w2> + <e2.w1, e1.w2> = 2 s <e1,e2><w1,w2>."""
-    from .scalars import ScalarExpr
-    chart = _chart(n)
+    chart = Chart.flat(n)
     rng = random.Random(seed + n)
     sign = None
     checked = 0
@@ -138,7 +134,7 @@ def _random_form(rng, chart):
 
 def flat_volume_pairing_check(n: int) -> bool:
     """<exp(i w), exp(-i w)> = (2i)^n w^n / n! for the flat symplectic form."""
-    chart = _chart(n)
+    chart = Chart.flat(n)
     w = chart.form({(2 * k, 2 * k + 1): 1 for k in range(n)})
     psi = w.scale(QQi(0, 1)).exp()
     top = psi.mukai(psi.conj())
@@ -152,28 +148,17 @@ def flat_volume_pairing_check(n: int) -> bool:
     return top == expect.scale(c * QQi(Fraction(1, fact)))
 
 
-def _flat_structs(n):
-    from .gkpair import GKPair
-    from .spinor import ComplexVolumeGCS
-    chart = _chart(n)
-    forms = [chart.form({(2 * k,): 1, (2 * k + 1,): QQi(0, 1)})
-             for k in range(n)]
-    j1 = ComplexVolumeGCS(chart, forms)
-    w = chart.form({(2 * k, 2 * k + 1): 1 for k in range(n)})
-    return GKPair(j1, chart.zero_form(), w)
-
-
 def flat_rho(n: int) -> str:
     from .curvature import rho
-    value = rho(_flat_structs(n))
-    return value.to_string(_chart(n).coords)
+    pair = flat_kahler(n).pair()
+    return rho(pair).to_string(pair.chart.coords)
 
 
 def saisho_constant(n: int, seed=2024, instances=3) -> str:
     """kappa in tr(J [h1,J] [h2,J]) <psi,psi_bar> = kappa rho^{-1}(<h1.phi, conj(h2.phi)> - <h2.phi, conj(h1.phi)>)."""
     from .curvature import proportionality, rho
     from .gkpair import random_compat_bivector, trace_pairing
-    pair = _flat_structs(n)
+    pair = flat_kahler(n).pair()
     chart = pair.chart
     rng = random.Random(seed + 10 * n)
     phi = pair.j1.spinor()
@@ -236,7 +221,7 @@ def ddbar_oracle_constant(seed=2024) -> str:
     """Ratio between the full algebroid differential of the Hamiltonian
     section and the mixed second derivative (measured on the flat chart)."""
     from .gkpair import ddbar_pm
-    pair = _flat_structs(2)
+    pair = flat_kahler(2).pair()
     out = ddbar_pm(pair, pair.chart.sc("x1*x2"))
     ratios = {out["oracle_full"][k] / v for k, v in out["mixed"].items()}
     if len(ratios) != 1:
@@ -307,8 +292,8 @@ def calibrate(write=False, full=False) -> dict:
     """Recompute constants and compare bit-exactly against the fixture.
 
     The default run covers the exhaustive sign tables and flat-chart
-    constants (the sub-5s set); --full also remeasures the projective-space
-    constants.
+    constants (the sub-5s set); full=True also remeasures the
+    projective-space constants.
     """
     data = compute_calibration(full=full)
     if write:

@@ -22,9 +22,9 @@ from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
-from .linalg import (mat_inverse, mat_mul, mat_sub, mat_trace, mat_vec)
+from .linalg import mat_mul, mat_trace, mat_vec
 from .scalars import QQi, ScalarExpr, TrigPoly
-from .spinor import FrameGCS, GCStruct, eta_N_extract, _hat_matrix
+from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
 
 
 def ipow(k: int) -> QQi:
@@ -202,12 +202,7 @@ def type00_gric(chart: Chart, B: Form, w1: Form, w2: Form) -> dict:
     """
     rho_val = _top_ratio(_wedge_power(w1, chart.n), _wedge_power(w2, chart.n))
     dlog = [rho_val.partial(k) / rho_val for k in range(chart.dim)]
-    w1hat = _hat_matrix(chart, w1)
-    w1inv = mat_inverse(w1hat, chart.one_s(), chart.zero_s())
-    if w1inv is None:
-        from .errors import DegenerateOmega
-        raise DegenerateOmega("w1 is not symplectic")
-    v = mat_vec(w1inv, dlog)
+    v = mat_vec(hat_inverse(chart, w1, "w1"), dlog)
     alpha = interior(chart, v, B)
     dalpha = alpha.ext_d()
     gric = dalpha
@@ -342,11 +337,7 @@ def moment_pairing(pair: GKPair, f: ScalarExpr, report=None) -> TorusIntegral:
     if report is None:
         report = gric_gr(pair)
     integrand = f * report.gr * spinor_volume_scalar(pair) * ipow(-chart.n)
-    if integrand.den.is_const():
-        mean = scalar_torus_mean(integrand)
-        bound = Fraction(0)
-    else:
-        mean, bound = scalar_torus_mean_certified(integrand)
+    mean, bound = scalar_torus_mean_certified(integrand)
     if not mean.is_real():
         raise NotMeanZero("moment pairing did not come out real")
     return TorusIntegral(mean, chart.dim, bound)
@@ -381,21 +372,10 @@ class NilpotentPath:
             out = out + clifford_act(x, clifford_act(y, out)).scale(ct)
         return out
 
-    def ad_matrix_at(self, t: Fraction):
-        chart = self.chart
-        m = None
-        for c, x, y in self.all_pieces:
-            ad = genvec_wedge(x, y).scale(c * QQi(t)).ad_matrix()
-            dim4 = 2 * chart.dim
-            fac = [[ad[r][cc] + (chart.one_s() if r == cc else chart.zero_s())
-                    for cc in range(dim4)] for r in range(dim4)]
-            m = fac if m is None else mat_mul(m, fac)
-        return m
-
     def pair_at(self, t: Fraction) -> GKPair:
         chart = self.chart
-        m = self.ad_matrix_at(t)
-        minv = self.ad_matrix_at_inverse(t)
+        m = self._factor_product(self.all_pieces, t)
+        minv = self._factor_product(reversed(self.all_pieces), -t)
         phi_t = self.spinor_at(t, self.pair.j1.spinor())
         frame_t = [GenVec.from_column(chart, mat_vec(m, e.column()))
                    for e in self.pair.j1.annihilator()]
@@ -403,12 +383,14 @@ class NilpotentPath:
         j_t = FrameGCS(chart, phi_t, frame_t, jmat_t)
         return GKPair(j_t, self.pair.b, self.pair.omega, check_closed=False)
 
-    def ad_matrix_at_inverse(self, t: Fraction):
+    def _factor_product(self, pieces, t: Fraction):
+        """Product of the matrices 1 + ad(t c x ^ y) in the order given;
+        with the reversed pieces and -t it is the inverse."""
         chart = self.chart
+        dim4 = 2 * chart.dim
         m = None
-        for c, x, y in reversed(self.all_pieces):
-            ad = genvec_wedge(x, y).scale(-(c * QQi(t))).ad_matrix()
-            dim4 = 2 * chart.dim
+        for c, x, y in pieces:
+            ad = genvec_wedge(x, y).scale(c * QQi(t)).ad_matrix()
             fac = [[ad[r][cc] + (chart.one_s() if r == cc else chart.zero_s())
                     for cc in range(dim4)] for r in range(dim4)]
             m = fac if m is None else mat_mul(m, fac)

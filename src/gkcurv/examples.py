@@ -15,8 +15,7 @@ from .forms import Chart, Form
 from .genalg import GenVec, PolyVec, genvec_wedge, interior
 from .gkpair import GKPair
 from .scalars import QQi, ScalarExpr
-from .spinor import (BetaDeformGCS, ComplexVolumeGCS, GCStruct, GenericGCS,
-                     SymplecticGCS)
+from .spinor import BetaDeformGCS, ComplexVolumeGCS, GCStruct, GenericGCS
 
 
 @dataclass
@@ -34,11 +33,6 @@ class ExampleScene:
         return GKPair(self.j1, self.b, self.omega)
 
 
-def _chart(n, periodic=False):
-    return Chart(n, tuple(f"x{j+1}" for j in range(2 * n)),
-                 (bool(periodic),) * (2 * n))
-
-
 def flat_volume_forms(chart):
     return [chart.form({(2 * k,): 1, (2 * k + 1,): QQi(0, 1)})
             for k in range(chart.n)]
@@ -52,7 +46,7 @@ def flat_kahler(n: int, periodic=False) -> ExampleScene:
     """Flat Kahler chart: volume-form structure paired with exp(i w0)."""
     if n > 3:
         raise SceneError("flat_kahler supports n <= 3")
-    chart = _chart(n, periodic)
+    chart = Chart.flat(n, periodic)
     j1 = ComplexVolumeGCS(chart, flat_volume_forms(chart))
     return ExampleScene(
         name=f"flat_kahler_c{n}",
@@ -92,7 +86,7 @@ def fubini_study_chart(n: int) -> ExampleScene:
     """Affine chart of complex projective space with its standard metric."""
     if n not in (1, 2):
         raise SceneError("fubini_study_chart supports n in {1, 2}")
-    chart = _chart(n)
+    chart = Chart.flat(n)
     j1 = ComplexVolumeGCS(chart, flat_volume_forms(chart))
     return ExampleScene(
         name=f"fubini_study_cp{n}",
@@ -119,7 +113,7 @@ def hyperkahler_forms(chart):
 
 def hyperkahler_t4() -> ExampleScene:
     """Flat 4-torus with the quaternionic triple arranged as a type-(0,0) pair."""
-    chart = _chart(2, periodic=True)
+    chart = Chart.flat(2, periodic=True)
     w_i, w_j, w_k = hyperkahler_forms(chart)
     B = w_j
     w1 = (w_i + w_k).scale(Fraction(1, 2))
@@ -259,7 +253,7 @@ def t4_nonintegrable(amp=Fraction(1, 4)) -> ExampleScene:
     anti-self-dual directions; the pointwise pair conditions survive while
     d(phi) acquires a Lambda^3 component.
     """
-    chart = _chart(2, periodic=True)
+    chart = Chart.flat(2, periodic=True)
     w_i, w_j, w_k = hyperkahler_forms(chart)
     asd1 = chart.form({(0, 1): 1, (2, 3): -1})
     asd2 = chart.form({(0, 2): 1, (1, 3): 1})
@@ -282,7 +276,7 @@ def t4_nonintegrable(amp=Fraction(1, 4)) -> ExampleScene:
 
 def type00_perturbed() -> ExampleScene:
     """Type-(0,0) pair with nonconstant volume ratio (nonzero curvature)."""
-    chart = _chart(2)
+    chart = Chart.flat(2)
     dz1 = chart.form({(0,): 1, (1,): QQi(0, 1)})
     dz2 = chart.form({(2,): 1, (3,): QQi(0, 1)})
     z1 = chart.sc("x1 + i*x2")

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChartMismatch, FieldClosureError, SingularMap
+from .errors import ChartMismatch, FieldClosureError
+from .linalg import rational_inverse
 from .scalars import (QQi, ScalarExpr, TrigPoly, parse_scalar)
 
 
@@ -26,6 +27,12 @@ class Chart:
     def __post_init__(self):
         if len(self.coords) != 2 * self.n or len(self.periodic) != 2 * self.n:
             raise ValueError("chart needs 2n coordinate names and periodic flags")
+
+    @classmethod
+    def flat(cls, n, periodic=False) -> "Chart":
+        """Standard chart x1..x2n, periodic in every coordinate or in none."""
+        return cls(n, tuple(f"x{j+1}" for j in range(2 * n)),
+                   (bool(periodic),) * (2 * n))
 
     @property
     def dim(self):
@@ -153,9 +160,6 @@ class Form:
 
     def degree_part(self, k: int) -> "Form":
         return Form(self.chart, {i: c for i, c in self.terms.items() if len(i) == k})
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
 
     def coefficient(self, idx) -> ScalarExpr:
         idx, sign = _sort_index(tuple(idx))
@@ -301,24 +305,20 @@ class Form:
 
     def pullback_affine(self, A, t=None) -> "Form":
         """Pullback along F(x) = A x + t for rational A and pi-lattice t."""
+        return self.pullback(AffineMap(A, t))
+
+    def pullback(self, F: "AffineMap") -> "Form":
+        """Pullback along an already parsed affine map."""
         chart = self.chart
         dim = chart.dim
-        A = [[Fraction(x) for x in row] for row in A]
-        if t is None:
-            t = [(Fraction(0), Fraction(0))] * dim
-        t = [p if isinstance(p, tuple) else (p, 0) for p in t]
-        t = [(Fraction(a), Fraction(b)) for (a, b) in t]
-        det = _rational_det(A)
-        if det == 0:
-            raise SingularMap("affine map matrix is singular")
         # pullbacks of coordinate differentials: F*(dx_i) = sum_j A[i][j] dx_j
         dxs = []
         for i in range(dim):
-            dxs.append(Form(chart, {(j,): chart.const(A[i][j])
-                                    for j in range(dim) if A[i][j] != 0}))
+            dxs.append(Form(chart, {(j,): chart.const(F.a[i][j])
+                                    for j in range(dim) if F.a[i][j] != 0}))
         out = chart.zero_form()
         for idx, c in self.terms.items():
-            pc = _scalar_affine_sub(c, A, t)
+            pc = _scalar_affine_sub(c, F.a, F.t)
             piece = chart.func(pc)
             for i in idx:
                 piece = piece.wedge(dxs[i])
@@ -346,23 +346,18 @@ class Form:
         return " + ".join(parts)
 
 
-def _rational_det(A):
-    n = len(A)
-    rows = [list(r) for r in A]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for q in range(c + 1, n):
-            if rows[q][c]:
-                f = rows[q][c] / rows[c][c]
-                rows[q] = [x - f * y for x, y in zip(rows[q], rows[c])]
-    return det
+class AffineMap:
+    """F(x) = A x + t: A as Fraction rows, its exact inverse as QQi rows,
+    and t as (a, b) pairs meaning a + b pi.  Raises SingularMap."""
+
+    __slots__ = ("a", "ainv", "t")
+
+    def __init__(self, A, t=None):
+        self.a = [[Fraction(x) for x in row] for row in A]
+        t = [0] * len(self.a) if t is None else t
+        self.t = [(Fraction(p[0]), Fraction(p[1])) if isinstance(p, tuple)
+                  else (Fraction(p), Fraction(0)) for p in t]
+        self.ainv = rational_inverse(self.a)
 
 
 def _scalar_affine_sub(e: ScalarExpr, A, t) -> ScalarExpr:

@@ -15,9 +15,9 @@ import itertools
 from fractions import Fraction
 
 from .errors import ChartMismatch, NotBivector, NotClosed
-from .forms import Chart, Form, _merge_sign
+from .forms import Chart, Form
 from .linalg import mat_vec
-from .scalars import QQi, ScalarExpr
+from .scalars import ScalarExpr
 
 
 class GenVec:

@@ -19,10 +19,10 @@ from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, dorfman, genvec_wedge,
                      interior, pair_tt)
-from .linalg import (kernel_basis, mat_commutator, mat_identity, mat_inverse,
-                     mat_is_zero, mat_mul, mat_sub, mat_trace, mat_vec)
+from .linalg import (kernel_basis, mat_commutator, mat_inverse, mat_is_zero,
+                     mat_mul, mat_sub, mat_trace, mat_vec)
 from .scalars import QQi, Point, ScalarExpr
-from .spinor import (GCStruct, SymplecticGCS, _hat_matrix,
+from .spinor import (GCStruct, SymplecticGCS, hat_inverse,
                      symplectic_block_matrix)
 
 
@@ -293,11 +293,7 @@ def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
     """e = v - i_v b with i_v omega = df; satisfies e.psi = i df.psi exactly."""
     chart = pair.chart
     df = [f.partial(k) for k in range(chart.dim)]
-    W = _hat_matrix(chart, pair.omega)
-    winv = mat_inverse(W, chart.one_s(), chart.zero_s())
-    if winv is None:
-        raise DegenerateOmega("omega is not symplectic")
-    v = mat_vec(winv, df)
+    v = mat_vec(hat_inverse(chart, pair.omega), df)
     ivb = interior(chart, v, pair.b)
     e = GenVec(chart, v, [-ivb.coefficient((k,)) for k in range(chart.dim)])
     psi = pair.psi()

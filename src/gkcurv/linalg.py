@@ -7,8 +7,8 @@ symbolic elimination from inflating fractions.
 
 from __future__ import annotations
 
-from .errors import EngineLimit
-from .scalars import ScalarExpr
+from .errors import EngineLimit, SingularMap
+from .scalars import QQI_ONE, QQI_ZERO, QQi, ScalarExpr
 
 
 def complexity(x) -> int:
@@ -116,6 +116,14 @@ def mat_inverse(a, one, zero):
     rows, inv, pivots = rref(a, mat_identity(n, one, zero))
     if len(pivots) != n:
         return None
+    return inv
+
+
+def rational_inverse(a):
+    """Exact inverse of a rational matrix as QQi rows; raises SingularMap."""
+    inv = mat_inverse([[QQi(x) for x in row] for row in a], QQI_ONE, QQI_ZERO)
+    if inv is None:
+        raise SingularMap("affine map matrix is singular")
     return inv
 
 

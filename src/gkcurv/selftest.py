@@ -2,8 +2,8 @@
 
 Each check runs a batch of randomized instances in dimensions 2 and 4 and
 demands zero canonical difference; the calibrated constants come from the
-committed fixture.  The suite backs both the CLI `selftest` subcommand and
-the acceptance tests.
+committed fixture.  `run_suite` runs every family; the benchmark's
+selftest_suite workload times each one.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from fractions import Fraction
 
 from .calibration import load_fixture
 from .examples import flat_kahler
-from .forms import Chart, Form
+from .forms import Chart
 from .genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
 from .gkpair import GKPair, jdot_matrix, random_compat_bivector, trace_pairing
 from .linalg import mat_vec
 from .scalars import QQi, ScalarExpr, parse_scalar
-from .spinor import GenericGCS, eta_N_extract
-
-
-def _chart(n):
-    return Chart(n, tuple(f"x{j+1}" for j in range(2 * n)), (False,) * (2 * n))
+from .spinor import eta_N_extract
 
 
 def _rand_coeff(rng, chart, trig=True):
@@ -65,7 +61,7 @@ def check_clifford_relation(seed, instances, dims=(1, 2)) -> dict:
     rng = random.Random(seed)
     count = 0
     for n in dims:
-        chart = _chart(n)
+        chart = Chart.flat(n)
         for _ in range(instances):
             e1 = _rand_genvec(rng, chart)
             e2 = _rand_genvec(rng, chart)
@@ -83,7 +79,7 @@ def check_sigma_d(seed, instances, dims=(1, 2)) -> dict:
     rng = random.Random(seed)
     count = 0
     for n in dims:
-        chart = _chart(n)
+        chart = Chart.flat(n)
         for _ in range(instances):
             k = rng.randrange(chart.dim + 1)
             terms = {tuple(sorted(rng.sample(range(chart.dim), k))):
@@ -176,7 +172,7 @@ def check_psi_lemma(seed, instances, dims=(1, 2)) -> dict:
 def _nonintegrable_pair(rng) -> GKPair:
     """Almost GK pair on a flat chart whose obstruction tensor is nonzero."""
     from .spinor import FrameGCS, _exp_frame
-    chart = _chart(2)
+    chart = Chart.flat(2)
     w_i = chart.form({(0, 1): 1, (2, 3): 1})
     w_j = chart.form({(0, 2): 1, (1, 3): -1})
     w_k = chart.form({(0, 3): 1, (1, 2): 1})

@@ -10,15 +10,14 @@ d(phi), whose Lambda^3 part is the integrability obstruction.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      ZeroSpinor)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, interior)
 from .linalg import (kernel_basis, mat_identity, mat_inverse, mat_mul,
-                     mat_vec, solve_exact)
-from .scalars import QQI_ONE, QQI_ZERO, QQi, Point, ScalarExpr
+                     solve_exact)
+from .scalars import QQI_ONE, QQI_ZERO, QQi, Point
 
 
 class GCStruct:
@@ -99,24 +98,34 @@ class SymplecticGCS(GCStruct):
 def symplectic_block_matrix(chart: Chart, b: Form, omega: Form):
     """Ad_{e^b} (0, -w^{-1}; w, 0) Ad_{e^{-b}}: +i on ker exp(b + i omega)."""
     dim = chart.dim
-    zero, one = chart.zero_s(), chart.one_s()
     W = _hat_matrix(chart, omega)
-    Winv = mat_inverse(W, one, zero)
-    if Winv is None:
-        raise DegenerateOmega("omega is not symplectic")
-    B = _hat_matrix(chart, b)
-    j0 = [[zero] * (2 * dim) for _ in range(2 * dim)]
+    Winv = hat_inverse(chart, omega)
+    j0 = [[chart.zero_s()] * (2 * dim) for _ in range(2 * dim)]
     for r in range(dim):
         for c in range(dim):
             j0[r][dim + c] = -Winv[r][c]
             j0[dim + r][c] = W[r][c]
-    mb = mat_identity(2 * dim, one, zero)
-    mbi = mat_identity(2 * dim, one, zero)
+    return mat_mul(mat_mul(b_transport_matrix(chart, b), j0),
+                   b_transport_matrix(chart, -b))
+
+
+def b_transport_matrix(chart: Chart, b: Form):
+    """Matrix of v + xi -> v + xi - i_v b on coordinate columns."""
+    dim = chart.dim
+    B = _hat_matrix(chart, b)
+    m = mat_identity(2 * dim, chart.one_s(), chart.zero_s())
     for r in range(dim):
         for c in range(dim):
-            mb[dim + r][c] = -B[r][c]
-            mbi[dim + r][c] = B[r][c]
-    return mat_mul(mat_mul(mb, j0), mbi)
+            m[dim + r][c] = -B[r][c]
+    return m
+
+
+def hat_inverse(chart: Chart, w: Form, name="omega"):
+    """Inverse of the matrix of v -> i_v w; raises DegenerateOmega if none."""
+    winv = mat_inverse(_hat_matrix(chart, w), chart.one_s(), chart.zero_s())
+    if winv is None:
+        raise DegenerateOmega(f"{name} is not symplectic")
+    return winv
 
 
 class ComplexVolumeGCS(GCStruct):
@@ -193,12 +202,8 @@ class GenericGCS(GCStruct):
 
     def _build_frame(self):
         chart = self.chart
-        cols = [clifford_act(GenVec.basis(chart, a), self.phi)
-                for a in range(2 * chart.dim)]
-        idxs = sorted({i for c in cols for i in c.terms},
-                      key=lambda i: (len(i), i))
-        mat = [[c.coefficient(i) for c in cols] for i in idxs]
-        kers = kernel_basis(mat, chart.one_s(), chart.zero_s())
+        kers = kernel_basis(clifford_matrix(self.phi), chart.one_s(),
+                            chart.zero_s())
         if len(kers) != chart.dim:
             raise ImpureSpinor(
                 f"annihilator has rank {len(kers)}, expected {chart.dim}")
@@ -272,45 +277,23 @@ def _eval_form(phi: Form, p: Point):
     return out
 
 
-def _point_clifford(dim, a, terms):
-    """Coordinate basis element acting on a QQi-coefficient form dict."""
-    out = {}
-    if a < dim:
-        for idx, c in terms.items():
-            if a in idx:
-                pos = idx.index(a)
-                rest = idx[:pos] + idx[pos + 1:]
-                add = c if pos % 2 == 0 else -c
-                s = out.get(rest, QQI_ZERO) + add
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
-    else:
-        k = a - dim
-        for idx, c in terms.items():
-            if k in idx:
-                continue
-            pos = sum(1 for i in idx if i < k)
-            new = tuple(sorted(idx + (k,)))
-            add = c if pos % 2 == 0 else -c
-            s = out.get(new, QQI_ZERO) + add
-            if s.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = s
-    return out
+def clifford_matrix(phi: Form):
+    """Matrix of a -> E_a . phi over the 4n coordinate basis; its rows are
+    the multi-indices occurring in some image, in (degree, index) order."""
+    chart = phi.chart
+    cols = [clifford_act(GenVec.basis(chart, a), phi)
+            for a in range(2 * chart.dim)]
+    idxs = sorted({i for c in cols for i in c.terms}, key=lambda i: (len(i), i))
+    return [[c.coefficient(i) for c in cols] for i in idxs]
 
 
 def purity_nondeg(phi: Form, p: Point) -> dict:
     """Pointwise purity and nondegeneracy of a spinor by exact rank counts."""
     dim = phi.chart.dim
-    terms = _eval_form(phi, p)
-    if not terms:
+    if not _eval_form(phi, p):
         raise ZeroSpinor("spinor vanishes at the point")
-    cols = [_point_clifford(dim, a, terms) for a in range(2 * dim)]
-    idxs = sorted({i for c in cols for i in c}, key=lambda i: (len(i), i))
-    mat = [[c.get(i, QQI_ZERO) for c in cols] for i in idxs]
+    mat = [[x.eval(p, float_fallback=False) for x in row]
+           for row in clifford_matrix(phi)]
     kers = kernel_basis(mat, QQI_ONE, QQI_ZERO)
     pure = len(kers) == dim
     nondeg = False

@@ -7,26 +7,11 @@ tested by recomputing on the moved pair.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import SingularMap
-from .forms import Chart, Form, _scalar_affine_sub
+from .forms import AffineMap, Chart, Form, _scalar_affine_sub
 from .genalg import GenVec, ad_b
 from .gkpair import GKPair
-from .linalg import mat_identity, mat_mul, mat_vec
-from .scalars import QQi
-from .spinor import FrameGCS, _hat_matrix
-
-
-def b_transport_matrix(chart: Chart, b: Form):
-    """Matrix of v + xi -> v + xi - i_v b on coordinate columns."""
-    dim = chart.dim
-    B = _hat_matrix(chart, b)
-    m = mat_identity(2 * dim, chart.one_s(), chart.zero_s())
-    for r in range(dim):
-        for c in range(dim):
-            m[dim + r][c] = -B[r][c]
-    return m
+from .linalg import mat_mul, mat_vec
+from .spinor import FrameGCS, b_transport_matrix
 
 
 def transport_b(pair: GKPair, b2: Form) -> GKPair:
@@ -40,66 +25,34 @@ def transport_b(pair: GKPair, b2: Form) -> GKPair:
     return GKPair(FrameGCS(chart, phi, frame, jmat), pair.b + b2, pair.omega)
 
 
-def _rational_inverse(A):
-    n = len(A)
-    rows = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0)
-                                        for j in range(n)]
-            for i, r in enumerate(A)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if p is None:
-            raise SingularMap("affine map matrix is singular")
-        rows[c], rows[p] = rows[p], rows[c]
-        piv = rows[c][c]
-        rows[c] = [x / piv for x in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return [r[n:] for r in rows]
-
-
-def genvec_pullback(e: GenVec, A, t) -> GenVec:
-    """Bundle map over F(x) = Ax + t: v -> A^{-1} v(F), xi -> A^T xi(F)."""
-    chart = e.chart
-    ainv = _rational_inverse(A)
-    afr = [[Fraction(x) for x in row] for row in A]
-    tt = [p if isinstance(p, tuple) else (p, 0) for p in t]
-    tt = [(Fraction(a), Fraction(b)) for a, b in tt]
-    vsub = [_scalar_affine_sub(c, afr, tt) for c in e.v]
-    xsub = [_scalar_affine_sub(c, afr, tt) for c in e.xi]
-    v = [sum((chart.const(QQi(ainv[r][c])) * vsub[c] for c in range(chart.dim)),
-             chart.zero_s()) for r in range(chart.dim)]
-    xi = [sum((chart.const(QQi(afr[c][r])) * xsub[c] for c in range(chart.dim)),
-              chart.zero_s()) for r in range(chart.dim)]
-    return GenVec(chart, v, xi)
+def _block_diag(chart: Chart, p, q):
+    """diag(p, q^T) as a 4n x 4n matrix of constants."""
+    dim = chart.dim
+    out = [[chart.zero_s() for _ in range(2 * dim)] for _ in range(2 * dim)]
+    for r in range(dim):
+        for c in range(dim):
+            out[r][c] = chart.const(p[r][c])
+            out[dim + r][dim + c] = chart.const(q[c][r])
+    return out
 
 
 def transport_affine(pair: GKPair, A, t=None) -> GKPair:
-    """Pull the whole pair back along the affine map F(x) = Ax + t."""
+    """Pull the whole pair back along the affine map F(x) = Ax + t.
+
+    Sections move by v -> A^{-1} v(F), xi -> A^T xi(F).
+    """
     chart = pair.chart
-    if t is None:
-        t = [0] * chart.dim
-    phi = pair.j1.spinor().pullback_affine(A, t)
-    frame = [genvec_pullback(e, A, t) for e in pair.j1.annihilator()]
-    ainv = _rational_inverse(A)
-    afr = [[Fraction(x) for x in row] for row in A]
-    tt = [p if isinstance(p, tuple) else (p, 0) for p in t]
-    tt = [(Fraction(a), Fraction(b)) for a, b in tt]
-    dim = chart.dim
-    tmat = [[chart.zero_s() for _ in range(2 * dim)] for _ in range(2 * dim)]
-    for r in range(dim):
-        for c in range(dim):
-            tmat[r][c] = chart.const(QQi(ainv[r][c]))
-            tmat[dim + r][dim + c] = chart.const(QQi(afr[c][r]))
-    tinv = [[chart.zero_s() for _ in range(2 * dim)] for _ in range(2 * dim)]
-    for r in range(dim):
-        for c in range(dim):
-            tinv[r][c] = chart.const(QQi(afr[r][c]))
-            tinv[dim + r][dim + c] = chart.const(QQi(ainv[c][r]))
-    jsub = [[_scalar_affine_sub(x, afr, tt) for x in row]
-            for row in pair.j1.j_matrix()]
+    F = AffineMap(A, t)
+    tmat = _block_diag(chart, F.ainv, F.a)
+    tinv = _block_diag(chart, F.a, F.ainv)
+
+    def sub(x):
+        return _scalar_affine_sub(x, F.a, F.t)
+
+    phi = pair.j1.spinor().pullback(F)
+    frame = [GenVec.from_column(chart, mat_vec(tmat, [sub(x) for x in e.column()]))
+             for e in pair.j1.annihilator()]
+    jsub = [[sub(x) for x in row] for row in pair.j1.j_matrix()]
     jmat = mat_mul(mat_mul(tmat, jsub), tinv)
     j1 = FrameGCS(chart, phi, frame, jmat)
-    return GKPair(j1, pair.b.pullback_affine(A, t),
-                  pair.omega.pullback_affine(A, t))
+    return GKPair(j1, pair.b.pullback(F), pair.omega.pullback(F))

@@ -7,9 +7,7 @@ from gkcurv.forms import Chart, Form
 from gkcurv.scalars import QQi, ScalarExpr
 
 
-def chart_flat(n, periodic=False):
-    return Chart(n, tuple(f"x{j+1}" for j in range(2 * n)),
-                 tuple(bool(periodic) for _ in range(2 * n)))
+chart_flat = Chart.flat
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import ChartMismatch, FieldClosureError, SingularMap
+from gkcurv.linalg import rational_inverse
 from gkcurv.scalars import QQi
 
 from conftest import chart_flat, random_form
@@ -168,9 +169,11 @@ def test_chart_mismatch(chart2, chart4):
 def _random_invertible(rng, n):
     while True:
         A = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        from gkcurv.forms import _rational_det
-        if _rational_det(A) != 0:
-            return A
+        try:
+            rational_inverse(A)
+        except SingularMap:
+            continue
+        return A
 
 
 def _random_unimodular(rng, n):

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import DimensionMismatch, WrongBidegree
-from gkcurv.examples import CATALOG
+from gkcurv.examples import CATALOG, flat_kahler
 from gkcurv.genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
 from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
                            compatibility_check,
                            ddbar_pm, epm_split, frame_bivector,
                            hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
-from gkcurv.linalg import mat_is_zero, mat_mul, mat_add, mat_identity
+from gkcurv.linalg import (mat_add, mat_commutator, mat_identity, mat_is_zero,
+                           mat_mul)
 from gkcurv.scalars import Point, QQi
 from gkcurv.spinor import GenericGCS, SymplecticGCS
 
@@ -117,6 +118,17 @@ def test_epm_failure_on_bad_pair():
     w = flat_omega(chart)
     j1 = SymplecticGCS(chart, chart.zero_form(), w)
     pair = GKPair(j1, chart.zero_form(), -w)
+    with pytest.raises(DimensionMismatch):
+        epm_split(pair)
+
+
+def test_epm_failure_on_noncommuting_pair():
+    scene = flat_kahler(2)
+    chart = scene.chart
+    w = chart.form({(0, 1): 1, (2, 3): 1, (0, 2): Fraction(1, 3)})
+    pair = GKPair(scene.j1, chart.zero_form(), w)
+    assert not mat_is_zero(mat_commutator(pair.j1.j_matrix(),
+                                          pair.jpsi_matrix()))
     with pytest.raises(DimensionMismatch):
         epm_split(pair)
 
