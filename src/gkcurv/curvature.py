@@ -275,13 +275,17 @@ def _trig_mean(p: TrigPoly) -> QQi:
     return p.terms.get(((0,) * p.nvars, (0,) * p.nvars), QQi(0))
 
 
-def scalar_torus_mean_certified(c: ScalarExpr, tol=Fraction(1, 10 ** 12),
-                                max_order=24):
+SERIES_MEAN_TOL = Fraction(1, 10 ** 12)
+SERIES_MEAN_MAX_ORDER = 24
+
+
+def scalar_torus_mean_certified(c: ScalarExpr):
     """Mean of a trig-rational function with a certified truncation bound.
 
     Writes den = c0 (1 + E) and integrates num * sum (-E)^k / c0 exactly;
     the geometric tail gives |error| <= |num|_1 |E|_1^{K+1} / (c0-ish gap).
-    Returns (mean, bound); requires |E|_1 < 1.
+    Returns (mean, bound) once the bound is below SERIES_MEAN_TOL, within
+    SERIES_MEAN_MAX_ORDER terms; requires |E|_1 < 1.
     """
     if c.num.has_mono() or c.den.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
@@ -304,10 +308,10 @@ def scalar_torus_mean_certified(c: ScalarExpr, tol=Fraction(1, 10 ** 12),
     c0_norm = Fraction(1)
     acc = QQi(0)
     power = num  # num * (-E)^k
-    for k in range(max_order + 1):
+    for k in range(SERIES_MEAN_MAX_ORDER + 1):
         acc = acc + _trig_mean(power)
         tail = num_norm * e_norm ** (k + 1) / (1 - e_norm) / c0_norm
-        if tail < tol:
+        if tail < SERIES_MEAN_TOL:
             return acc, Fraction(tail)
         power = (power * e_poly).scale(QQi(-1))
     raise NotExactlyIntegrable("series mean did not reach tolerance")

@@ -79,7 +79,3 @@ class StepTooSmall(GKCurvError):
 
 class SceneError(GKCurvError):
     """Scene file failed validation; message carries the offending field."""
-
-
-class EngineLimit(GKCurvError):
-    """An exact step that must succeed in the math failed in the engine."""

@@ -89,10 +89,6 @@ class Chart:
                 out[idx] = c
         return Form(self, out)
 
-    def two_form(self, entries) -> "Form":
-        """Build a 2-form from [(i, j, coeff), ...] with 0-based indices."""
-        return self.form({(i, j): c for i, j, c in entries})
-
     def volume(self) -> "Form":
         return Form(self, {tuple(range(self.dim)): self.one_s()})
 

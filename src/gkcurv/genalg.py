@@ -425,8 +425,12 @@ def ad_beta(beta: PolyVec, x):
     raise TypeError("ad_beta acts on sections and forms")
 
 
-def exp_spin(h: PolyVec, form: Form, max_steps=64) -> Form:
-    """exp(h) . form as a terminating Clifford series; raises if divergent."""
+EXP_SPIN_MAX_STEPS = 64
+
+
+def exp_spin(h: PolyVec, form: Form) -> Form:
+    """exp(h) . form as a terminating Clifford series; raises if it has not
+    terminated after EXP_SPIN_MAX_STEPS terms."""
     out = form
     term = form
     k = 1
@@ -436,7 +440,7 @@ def exp_spin(h: PolyVec, form: Form, max_steps=64) -> Form:
             return out
         out = out + term
         k += 1
-        if k > max_steps:
+        if k > EXP_SPIN_MAX_STEPS:
             raise ValueError("spin exponential did not terminate")
 
 

@@ -180,8 +180,7 @@ def _intersect_eigen(chart, j1, j2, s1: QQi, s2: QQi):
             row = [block[r][c] - (chart.const(s) if r == c else chart.zero_s())
                    for c in range(dim4)]
             rows.append(row)
-    return [GenVec.from_column(chart, k)
-            for k in kernel_basis(rows, chart.one_s(), chart.zero_s())]
+    return [GenVec.from_column(chart, k) for k in kernel_basis(rows)]
 
 
 def epm_split(pair: GKPair) -> EpmFrame:
@@ -207,7 +206,7 @@ def _dual_frame(chart, es):
     ebars = [e.conj() for e in es]
     n = len(es)
     p = [[pair_tt(ebars[i], es[j]) * 2 for j in range(n)] for i in range(n)]
-    pinv = mat_inverse(p, chart.one_s(), chart.zero_s())
+    pinv = mat_inverse(p)
     if pinv is None:
         raise DimensionMismatch("degenerate pairing between frame and conjugate")
     duals = []
@@ -244,7 +243,7 @@ def type00_check(chart: Chart, B: Form, w1: Form, w2: Form, points=()) -> dict:
         for sign in (1, -1):
             wc = B + (w1 + w2.scale(-sign)).scale(QQi(0, 1))
             mat = _eval_two_form_matrix(chart, wc, p)
-            ker = kernel_basis(mat, QQi(1), QQi(0))
+            ker = kernel_basis(mat)
             if len(ker) != chart.n:
                 kernel_ok = False
                 continue
@@ -389,7 +388,7 @@ def frame_bivector(pair: GKPair, coeff_pairs) -> PolyVec:
     return h + h.conj()
 
 
-def random_compat_bivector(pair: GKPair, rng, trig=False) -> PolyVec:
+def random_compat_bivector(pair: GKPair, rng) -> PolyVec:
     """Random real direction in Lambda^2 E + Lambda^2 conj(E) of J1."""
     fr = pair.epm_frame()
     es = fr.es
@@ -409,7 +408,7 @@ def bidegree_split(pair: GKPair, h: PolyVec):
     frame = fr.es + fr.conj_frame()
     cols = [e.column() for e in frame]
     smat = [[cols[c][r] for c in range(len(cols))] for r in range(2 * chart.dim)]
-    sinv = mat_inverse(smat, chart.one_s(), chart.zero_s())
+    sinv = mat_inverse(smat)
     m = 2 * chart.dim
     hmat = [[chart.zero_s() for _ in range(m)] for _ in range(m)]
     for (a, b), c in h.coef.items():

@@ -953,30 +953,6 @@ def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
     return _unit_normalize(pn, pd, m)
 
 
-def trig_div_exact(a: TrigPoly, b: TrigPoly):
-    """Exact quotient a/b of trig-polynomials, or None if it does not divide.
-
-    The exp-frequency shifts are independent per argument: a Laurent
-    quotient exists exactly when the min-exponent-zero representatives
-    divide in the plain ring, with the shift difference restored after.
-    """
-    if b.is_zero():
-        raise DivisionByZero("division by the zero polynomial")
-    if a.is_zero():
-        return TrigPoly.zero(a.nvars)
-    if b.is_const():
-        return a.scale(b.const_value().inverse())
-    m = a.nvars
-    # true minima: _freq_min caps at 0 and would miss exp-monomial factors
-    sa, sb = (tuple(min(f[j] for _, f in p.terms) for j in range(m))
-              for p in (a, b))
-    q = _p_div_exact(_to_poly(a, sa), _to_poly(b, sb))
-    if q is None:
-        return None
-    back = tuple(sa[j] - sb[j] for j in range(m))
-    return TrigPoly(m, _from_poly(q, m, back))
-
-
 def _cross_reduce(a: TrigPoly, b: TrigPoly):
     """Divide out the gcd of two trig-polynomials (pairwise reduction)."""
     if a.is_const() or b.is_const():

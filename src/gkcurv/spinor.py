@@ -17,7 +17,7 @@ from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, interior)
 from .linalg import (kernel_basis, mat_identity, mat_inverse, mat_mul,
                      solve_exact)
-from .scalars import QQI_ONE, QQI_ZERO, QQi, Point
+from .scalars import QQi, Point
 
 
 class GCStruct:
@@ -60,10 +60,6 @@ class GCStruct:
         if self._jmat is None:
             self._jmat = self._build_jmat()
         return self._jmat
-
-
-def spinor_of(J: GCStruct) -> Form:
-    return J.spinor()
 
 
 class SymplecticGCS(GCStruct):
@@ -122,7 +118,7 @@ def b_transport_matrix(chart: Chart, b: Form):
 
 def hat_inverse(chart: Chart, w: Form, name="omega"):
     """Inverse of the matrix of v -> i_v w; raises DegenerateOmega if none."""
-    winv = mat_inverse(_hat_matrix(chart, w), chart.one_s(), chart.zero_s())
+    winv = mat_inverse(_hat_matrix(chart, w))
     if winv is None:
         raise DegenerateOmega(f"{name} is not symplectic")
     return winv
@@ -150,7 +146,7 @@ class ComplexVolumeGCS(GCStruct):
         chart = self.chart
         dim = chart.dim
         amat = [[f.coefficient((j,)) for j in range(dim)] for f in self.one_forms]
-        kers = kernel_basis(amat, chart.one_s(), chart.zero_s())
+        kers = kernel_basis(amat)
         if len(kers) != dim - chart.n:
             raise ImpureSpinor("volume form is degenerate")
         frame = [GenVec.vector(chart, k) for k in kers]
@@ -202,8 +198,7 @@ class GenericGCS(GCStruct):
 
     def _build_frame(self):
         chart = self.chart
-        kers = kernel_basis(clifford_matrix(self.phi), chart.one_s(),
-                            chart.zero_s())
+        kers = kernel_basis(clifford_matrix(self.phi))
         if len(kers) != chart.dim:
             raise ImpureSpinor(
                 f"annihilator has rank {len(kers)}, expected {chart.dim}")
@@ -253,7 +248,7 @@ def _jmat_from_frame(chart: Chart, frame):
     dim4 = 2 * chart.dim
     cols = [e.column() for e in frame] + [e.conj().column() for e in frame]
     smat = [[cols[c][r] for c in range(dim4)] for r in range(dim4)]
-    sinv = mat_inverse(smat, chart.one_s(), chart.zero_s())
+    sinv = mat_inverse(smat)
     if sinv is None:
         raise ImpureSpinor("frame and its conjugate do not span")
     mi = chart.const(QQi(0, -1))
@@ -294,13 +289,13 @@ def purity_nondeg(phi: Form, p: Point) -> dict:
         raise ZeroSpinor("spinor vanishes at the point")
     mat = [[x.eval(p, float_fallback=False) for x in row]
            for row in clifford_matrix(phi)]
-    kers = kernel_basis(mat, QQI_ONE, QQI_ZERO)
+    kers = kernel_basis(mat)
     pure = len(kers) == dim
     nondeg = False
     if pure:
         both = [list(k) for k in kers] + [[c.conj() for c in k] for k in kers]
         gram = [[b[c] for b in both] for c in range(2 * dim)]
-        nondeg = len(kernel_basis(gram, QQI_ONE, QQI_ZERO)) == 0
+        nondeg = len(kernel_basis(gram)) == 0
     return {
         "pure": pure,
         "nondegenerate": nondeg,

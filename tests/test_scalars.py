@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import DivisionByZero, EvaluationPole
-from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, parse_scalar,
-                            trig_div_exact)
+from gkcurv.scalars import Point, QQi, ScalarExpr, parse_scalar
 
 NAMES = ("x1", "x2", "x3", "x4")
 
@@ -157,11 +156,3 @@ def test_real_imag_parts():
     assert f.real() == S("x1")
     assert f.imag() == S("x2")
 
-
-def test_trig_div_exact_laurent_quotient():
-    e = lambda *freq: TrigPoly.expi(2, freq)
-    one = TrigPoly.const(2, 1)
-    # every exp-exponent of the divisor is positive: the quotient is e^{-i x1}
-    assert trig_div_exact(one + e(1, 0), e(2, 0) + e(1, 0)) == e(-1, 0)
-    assert trig_div_exact(e(0, 1) * (one + e(1, 1)), e(1, 2) + e(0, 1)) == one
-    assert trig_div_exact(one + e(1, 0), one + e(0, 1)) is None

@@ -10,7 +10,7 @@ from gkcurv.linalg import mat_mul, mat_vec
 from gkcurv.scalars import Point, QQi
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
                            SymplecticGCS, eta_N_extract, integrability,
-                           purity_nondeg, spinor_of, type_number)
+                           purity_nondeg, type_number)
 
 from conftest import chart_flat, random_form
 
@@ -41,13 +41,13 @@ def _check_j_squared(chart, jmat):
 
 def test_symplectic_spinor(chart2):
     J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega(chart2))
-    psi = spinor_of(J)
+    psi = J.spinor()
     assert psi == chart2.form({(): 1, (0, 1): QQi(0, 1)})
 
 
 def test_complex_volume_spinor(chart4):
     J = flat_volume_struct(chart4)
-    omega = spinor_of(J)
+    omega = J.spinor()
     # dz1^dz2 expanded
     expect = chart4.form({(0, 2): 1, (0, 3): QQi(0, 1),
                           (1, 2): QQi(0, 1), (1, 3): -1})
@@ -99,7 +99,7 @@ def test_annihilator_kills_spinor(chart4):
         flat_volume_struct(chart4),
     ]
     for J in structs:
-        phi = spinor_of(J)
+        phi = J.spinor()
         for e in J.annihilator():
             assert clifford_act(e, phi).is_zero()
 
@@ -119,8 +119,8 @@ def test_beta_deform_spinor(chart4):
     d3 = GenVec.basis(chart4, 2)
     beta = genvec_wedge(d1, d3)
     J = BetaDeformGCS(chart4, beta, base)
-    phi = spinor_of(J)
-    assert phi.degree_part(2) == spinor_of(base)
+    phi = J.spinor()
+    assert phi.degree_part(2) == base.spinor()
     assert not phi.degree_part(0).is_zero()
     for e in J.annihilator():
         assert clifford_act(e, phi).is_zero()
@@ -136,7 +136,7 @@ def test_beta_zero_is_base(chart4):
 
 def test_purity_nondeg(chart2):
     J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega(chart2))
-    rep = purity_nondeg(spinor_of(J), Point([0, 0]))
+    rep = purity_nondeg(J.spinor(), Point([0, 0]))
     assert rep["pure"] and rep["nondegenerate"]
     dx1 = chart2.dx(0)
     rep2 = purity_nondeg(dx1, Point([0, 0]))
@@ -154,7 +154,7 @@ def test_generic_frame_matches(chart4):
     z = chart4.form({(0, 1): 1, (2, 3): 1}).scale(QQi(0, 1)) + \
         chart4.form({(0, 2): "x4"})
     J = GenericGCS(chart4, z.exp())
-    phi = spinor_of(J)
+    phi = J.spinor()
     frame = J.annihilator()
     assert len(frame) == 4
     for e in frame:
@@ -198,7 +198,7 @@ def test_eta_n_nonintegrable(chart4):
     z = flat_omega(chart4).scale(QQi(0, 1)) + chart4.form({(0, 1): "x3"})
     J = GenericGCS(chart4, z.exp())
     res = eta_N_extract(J)
-    phi = spinor_of(J)
+    phi = J.spinor()
     check = clifford_act(res.eta, phi) + res.n3.spin_act(phi)
     assert (check - phi.ext_d()).is_zero()
     assert res.eta.is_real()
