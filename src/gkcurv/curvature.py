@@ -23,7 +23,7 @@ from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
 from .linalg import mat_mul, mat_trace, mat_vec
-from .scalars import QQi, ScalarExpr, TrigPoly
+from .scalars import QQi, ScalarExpr, TrigPoly, zi_mul, zi_split
 from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
 
 
@@ -271,10 +271,6 @@ def _trig_one_norm(p: TrigPoly) -> Fraction:
     return total
 
 
-def _trig_mean(p: TrigPoly) -> QQi:
-    return p.terms.get(((0,) * p.nvars, (0,) * p.nvars), QQi(0))
-
-
 SERIES_MEAN_TOL = Fraction(1, 10 ** 12)
 SERIES_MEAN_MAX_ORDER = 24
 
@@ -282,19 +278,26 @@ SERIES_MEAN_MAX_ORDER = 24
 def scalar_torus_mean_certified(c: ScalarExpr):
     """Mean of a trig-rational function with a certified truncation bound.
 
-    Writes den = c0 (1 + E) and integrates num * sum (-E)^k / c0 exactly;
-    the geometric tail gives |error| <= |num|_1 |E|_1^{K+1} / (c0-ish gap).
-    Returns (mean, bound) once the bound is below SERIES_MEAN_TOL, within
-    SERIES_MEAN_MAX_ORDER terms; requires |E|_1 < 1.
+    Writes den = c0 (1 + E) and integrates num * sum_{k <= K} (-E)^k / c0
+    exactly; the geometric tail gives |error| <= |num|_1 |E|_1^{K+1} /
+    (1 - |E|_1).  K is the first order at which that bound is below
+    SERIES_MEAN_TOL, at most SERIES_MEAN_MAX_ORDER; requires |E|_1 < 1.
+    Returns (mean, bound).
+
+    The K + 1 terms num * E^k run on Gaussian integers over the running
+    denominator dn de^k.  Each factor E moves a frequency by at most E's
+    per-variable range, so term k keeps only the frequencies that can still
+    reach 0 within the K - k factors left: no other one reaches the mean.
     """
     if c.num.has_mono() or c.den.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
     if c.den.is_const():
         return scalar_torus_mean(c), Fraction(0)
     # recentre on the dominant denominator term: the canonical unit may hide
-    # a dominated shape behind an exp factor, which the series needs exposed
-    dom_key = max(c.den.terms, key=lambda k: abs(c.den.terms[k].re)
-                  + abs(c.den.terms[k].im))
+    # a dominated shape behind an exp factor, which the series needs exposed;
+    # ties go to the larger frequency, not to the dict order
+    dom_key = max(c.den.terms, key=lambda k: (abs(c.den.terms[k].re)
+                                              + abs(c.den.terms[k].im), k[1]))
     c0 = c.den.terms[dom_key]
     shift = tuple(-f for f in dom_key[1])
     unit = TrigPoly.expi(c.nvars, shift)
@@ -305,16 +308,34 @@ def scalar_torus_mean_certified(c: ScalarExpr):
     if e_norm >= 1:
         raise NotExactlyIntegrable("denominator oscillation too large for series")
     num_norm = _trig_one_norm(num)
-    c0_norm = Fraction(1)
-    acc = QQi(0)
-    power = num  # num * (-E)^k
-    for k in range(SERIES_MEAN_MAX_ORDER + 1):
-        acc = acc + _trig_mean(power)
-        tail = num_norm * e_norm ** (k + 1) / (1 - e_norm) / c0_norm
+    for last in range(SERIES_MEAN_MAX_ORDER + 1):
+        tail = num_norm * e_norm ** (last + 1) / (1 - e_norm)
         if tail < SERIES_MEAN_TOL:
-            return acc, Fraction(tail)
-        power = (power * e_poly).scale(QQi(-1))
-    raise NotExactlyIntegrable("series mean did not reach tolerance")
+            break
+    else:
+        raise NotExactlyIntegrable("series mean did not reach tolerance")
+    e_int, de = zi_split({freq: v for (_, freq), v in e_poly.terms.items()})
+    power, dn = zi_split({freq: v for (_, freq), v in num.terms.items()})
+    lo = [min(0, *(freq[j] for freq in e_int)) for j in range(c.nvars)]
+    hi = [max(0, *(freq[j] for freq in e_int)) for j in range(c.nvars)]
+
+    def window(p, left):
+        return {freq: v for freq, v in p.items()
+                if all(-left * h <= f <= -left * l
+                       for f, l, h in zip(freq, lo, hi))}
+
+    zero = (0,) * c.nvars
+    acc_re = acc_im = 0
+    power = window(power, last)  # num * E^k over dn de^k
+    for k in range(last + 1):
+        re, im = power.get(zero, (0, 0))
+        weight = (-1) ** k * de ** (last - k)
+        acc_re += re * weight
+        acc_im += im * weight
+        if k < last:
+            power = window(zi_mul(power, e_int), last - k - 1)
+    total = dn * de ** last
+    return QQi(Fraction(acc_re, total), Fraction(acc_im, total)), tail
 
 
 # ---------------------------------------------------------------------------

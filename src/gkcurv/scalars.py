@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import DivisionByZero, EvaluationPole, FieldClosureError
 
@@ -149,8 +150,6 @@ def format_qqi(c: QQi) -> str:
 # Trig-polynomials: dict[(mono, freq)] -> QQi
 # ---------------------------------------------------------------------------
 
-Key = tuple  # ((int,)*m, (int,)*m)
-
 
 class TrigPoly:
     """Sparse Laurent-trig polynomial: sum of c * x^mono * exp(i freq.x)."""
@@ -234,21 +233,10 @@ class TrigPoly:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        if not self.terms or not other.terms:
-            return TrigPoly(self.nvars)
-        out = {}
-        for (m1, f1), c1 in self.terms.items():
-            for (m2, f2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(m1, m2)),
-                       tuple(a + b for a, b in zip(f1, f2)))
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return TrigPoly(self.nvars, out)
+        m = self.nvars
+        prod = _p_mul({mono + freq: c for (mono, freq), c in self.terms.items()},
+                      {mono + freq: c for (mono, freq), c in other.terms.items()})
+        return TrigPoly(m, {(k[:m], k[m:]): c for k, c in prod.items()})
 
     def scale(self, c: QQi):
         c = as_qqi(c)
@@ -347,19 +335,53 @@ def _p_scale(d, c: QQi):
     return {k: v * c for k, v in d.items()}
 
 
-def _p_mul(a, b):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
-            c = c1 * c2
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
+def zi_split(d):
+    """{key: QQi} -> ({key: (re, im)} Gaussian integers, common denominator)."""
+    den = 1
+    for c in d.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    if den == 1:
+        return {k: (c.re.numerator, c.im.numerator) for k, c in d.items()}, 1
+    return {k: (c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator))
+            for k, c in d.items()}, den
+
+
+def zi_join(d, den):
+    """Gaussian-integer terms over den back to {key: QQi}."""
+    zero = Fraction(0)
+    if den == 1:
+        return {k: _mk(Fraction(r), Fraction(i) if i else zero)
+                for k, (r, i) in d.items()}
+    return {k: _mk(Fraction(r, den), Fraction(i, den) if i else zero)
+            for k, (r, i) in d.items()}
+
+
+def zi_mul(a, b):
+    """Sparse product of {exponent tuple: (re, im)} Gaussian-integer
+    polynomials in int arithmetic; cancelled terms are dropped."""
+    re, im = {}, {}
+    get_re, get_im = re.get, im.get
+    for k1, (r1, i1) in a.items():
+        for k2, (r2, i2) in b.items():
+            key = tuple(map(_add, k1, k2))
+            if i1 or i2:
+                re[key] = get_re(key, 0) + r1 * r2 - i1 * i2
+                im[key] = get_im(key, 0) + r1 * i2 + i1 * r2
             else:
-                out[key] = s
+                re[key] = get_re(key, 0) + r1 * r2
+    out = {}
+    for key, r in re.items():
+        i = get_im(key, 0)
+        if r or i:
+            out[key] = (r, i)
     return out
+
+
+def _p_mul(a, b):
+    ia, da = zi_split(a)
+    ib, db = zi_split(b)
+    return zi_join(zi_mul(ia, ib), da * db)
 
 
 def _p_div_exact(a, b):
@@ -617,8 +639,13 @@ _REGISTRY = _FactorRegistry()
 
 
 def poly_gcd(a, b):
-    """Monic gcd in QQi[vars]: registry peeling, evaluation bounds, then
-    primitive pseudo-remainder sequences."""
+    """Monic gcd in QQi[vars].
+
+    The paths in order: the common monomial content; a mod-p proof that the
+    rest is coprime (`_gcd_known_trivial`); exact division of one operand by
+    the other; peeling registered factors; then primitive pseudo-remainder
+    sequences in one variable.
+    """
     if not a:
         return _monic(dict(b))
     if not b:
@@ -627,9 +654,13 @@ def poly_gcd(a, b):
     common = tuple(min(x, y) for x, y in zip(ma, mb))
     a = _shift_down(a, ma)
     b = _shift_down(b, mb)
-    # quick exits
     g_mono = {common: QQI_ONE}
     if len(a) == 1 or len(b) == 1:
+        return g_mono
+    # a coprime pair can neither divide nor be peeled: prove coprimality first
+    nv = len(next(iter(a)))
+    shared = [v for v in range(nv) if _deg_in(a, v) > 0 and _deg_in(b, v) > 0]
+    if not shared or _gcd_known_trivial(a, b, shared):
         return g_mono
     qa = _p_div_exact(a, b)
     if qa is not None:
@@ -637,7 +668,6 @@ def poly_gcd(a, b):
     qb = _p_div_exact(b, a)
     if qb is not None:
         return _p_mul(_monic(a), g_mono)
-    nv = len(next(iter(a)))
     deg_cap = min(max(sum(k) for k in a), max(sum(k) for k in b))
     g_peel = None
     for f in _REGISTRY.candidates(nv):
@@ -659,11 +689,6 @@ def poly_gcd(a, b):
     if g_peel is not None:
         inner = poly_gcd(a, b)
         return _monic(_p_mul(_p_mul(g_peel, inner), g_mono))
-    shared = [v for v in range(nv) if _deg_in(a, v) > 0 and _deg_in(b, v) > 0]
-    if not shared:
-        return g_mono
-    if _gcd_known_trivial(a, b, shared):
-        return g_mono
     v = min(shared, key=lambda w: min(_deg_in(a, w), _deg_in(b, w)))
     ua, ub = _uni_view(a, v), _uni_view(b, v)
     ca = _content_list(list(ua.values()))

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv.curvature import (TorusIntegral, gr_complex, gr_two_term_forms,
+from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
+                              TorusIntegral, gr_complex, gr_two_term_forms,
                               gric_gr, integrate_torus, ipow,
                               kahler_oracle_dJdlog, moment_derivative_check,
                               moment_pairing,
                               proportionality, rho, scalar_torus_mean,
-                              type00_gric)
+                              scalar_torus_mean_certified, type00_gric)
 from gkcurv.errors import NotExactlyIntegrable, NotMeanZero
 from gkcurv.examples import flat_kahler
 from gkcurv.forms import Form
 from gkcurv.genalg import GenVec, clifford_act
 from gkcurv.gkpair import GKPair
-from gkcurv.scalars import Point, QQi, ScalarExpr
+from gkcurv.scalars import Point, QQi, ScalarExpr, parse_scalar
 from gkcurv.spinor import (ComplexVolumeGCS, GenericGCS, SymplecticGCS,
                            eta_N_extract)
 
@@ -209,6 +210,46 @@ def test_moment_pairing_flat():
         moment_pairing(pair, chart.sc("1 + cos(x1)"))
 
 
+# exact lhs and central differences of test_moment_identity_flat_torus, as
+# Fraction strings; the series truncation makes them exact but not round
+MOMENT_PINNED = {
+    1: (
+        '-16907098182428484662379329474715010783206687470468239354851'
+        '583999576242897714350363088022222666663491323796659451782642'
+        '189576662355640166806429193237686320049262957693988903290975'
+        '27138893139275341147/211338727276877367316602001103689657657'
+        '339022789145785696243362667046792708661731279194776332436233'
+        '710023046399193607337758244833478432433024176041224190274062'
+        '016431188461980990716458396194367174610',
+        ['-22797961818744671174613668286782560693164616830182250937023'
+         '77628419591515/284974796036513684266249502518596639067666765'
+         '917962981490083632087344647',
+         '-25120262846200220485373021020214076650612540184769360131960'
+         '69623/314003304414003109462982477392845425635423049909369968'
+         '999092488',
+         '-16794840383838691375569829975867822621007787309283911823394'
+         '62622/209935505585188766120860820139649826645878004598733566'
+         '212362187']),
+    2: (
+        '-84586217278697602811052006825463923359411332165984626649874'
+        '156960230059025144308957337407234050972477470732603692522086'
+        '535254563820264446580231966819924980139936195828491763300755'
+        '569108040164742914140063096/52866385798391782587408500325117'
+        '984418328221410790160129102062614812195201773622709416542487'
+        '480568849105770707103976863444335011468302375297484132074871'
+        '81541946752119204023237175743692855489689164419911915',
+        ['-45595923637489342349227336573565121386329233660364501874047'
+         '55256839183030/284974796036513684266249502518596639067666765'
+         '917962981490083632087344647',
+         '-62838341278012467751681888826856583022563248599192651449055'
+         '727473265295/39273965654606222021105854332278722057691230233'
+         '08732319283626042979366',
+         '-33589680767677382751139659951735645242015574618567823646789'
+         '25244/209935505585188766120860820139649826645878004598733566'
+         '212362187']),
+}
+
+
 @pytest.mark.parametrize("n, rhs", [(1, -8), (2, -16)])
 def test_moment_identity_flat_torus(n, rhs):
     """d<mu, f> = Omega(L_e J, Jdot) along h = c e+ ^ e- + conj, f = c = cos x1."""
@@ -219,3 +260,64 @@ def test_moment_identity_flat_torus(n, rhs):
                                               frame.eminus[0])])
     assert res["rhs"] == rhs and res["rhs"] != 0
     assert res["relative_error"] <= 1e-10
+    lhs, diffs = MOMENT_PINNED[n]
+    assert res["lhs"] == Fraction(lhs)
+    assert res["central_differences"] == [Fraction(d) for d in diffs]
+
+
+def _reference_series_mean(c):
+    """The unpruned loop over QQi: acc += mean(num (-E)^k) until the tail
+    bound drops below the tolerance."""
+    terms = c.den.terms
+    dom_key = max(terms, key=lambda k: (abs(terms[k].re) + abs(terms[k].im), k[1]))
+    inv = terms[dom_key].inverse()
+    zero = (0,) * c.nvars
+
+    def recentre(p):
+        return {tuple(f - g for f, g in zip(freq, dom_key[1])): v * inv
+                for (_, freq), v in p.terms.items()}
+
+    def norm(p):
+        return sum((abs(v.re) + abs(v.im) for v in p.values()), Fraction(0))
+
+    num, e = recentre(c.num), recentre(c.den)
+    e[zero] = e[zero] - 1
+    e = {k: v for k, v in e.items() if not v.is_zero()}
+    e_norm, num_norm = norm(e), norm(num)
+    acc, power = QQi(0), num
+    for k in range(SERIES_MEAN_MAX_ORDER + 1):
+        acc = acc + power.get(zero, QQi(0))
+        tail = num_norm * e_norm ** (k + 1) / (1 - e_norm)
+        if tail < SERIES_MEAN_TOL:
+            return acc, tail
+        nxt = {}
+        for f1, c1 in power.items():
+            for f2, c2 in e.items():
+                key = tuple(a + b for a, b in zip(f1, f2))
+                nxt[key] = nxt.get(key, QQi(0)) - c1 * c2
+        power = {k: v for k, v in nxt.items() if not v.is_zero()}
+    raise AssertionError("reference series did not reach tolerance")
+
+
+@pytest.mark.parametrize("text", [
+    # E = e^{i x1} / 5
+    "(1/2 + cos(2*x1) + sin(x1) + cos(x2))/(5 + cos(x1) + i*sin(x1))",
+    # E = cos(x1) / 4
+    "(1/3 + cos(x1)^2 + sin(2*x1))/(4 + cos(x1))",
+    # E has mixed-sign frequencies in two variables
+    "(cos(x1)*cos(x2) + sin(x1 - x2) + 2*i*cos(x1 + 2*x2))"
+    "/(6 + cos(x1 - x2) + sin(x1 + 2*x2)/2)",
+], ids=["one_sided", "two_sided", "two_variables"])
+def test_series_mean_matches_unpruned_loop(text):
+    c = parse_scalar(text, ("x1", "x2"))
+    mean, bound = scalar_torus_mean_certified(c)
+    assert (mean, bound) == _reference_series_mean(c)
+    assert bound < SERIES_MEAN_TOL and not mean.is_zero()
+
+
+def test_series_mean_errors():
+    names = ("x1", "x2")
+    with pytest.raises(NotExactlyIntegrable, match="oscillation too large"):
+        scalar_torus_mean_certified(parse_scalar("1/(2 + cos(x1) + cos(x2))", names))
+    with pytest.raises(NotExactlyIntegrable, match="did not reach tolerance"):
+        scalar_torus_mean_certified(parse_scalar("1/(100 + 99*cos(x1))", names))

@@ -1,11 +1,15 @@
-"""Every name a gkcurv module imports is referenced in that module."""
+"""Every name a gkcurv module imports is referenced in that module, and
+every name it defines at module level is referenced somewhere."""
 
 import ast
+import collections
 import pathlib
+import re
 
 from gkcurv import linalg
 
 SRC = pathlib.Path(linalg.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def _unused_imports(tree):
@@ -26,3 +30,28 @@ def test_no_unused_imports():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()))
               for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _module_level_names(tree):
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_dead_module_level_names():
+    """A module-level def, class or assignment in src/gkcurv/ must be named
+    once more, outside its definition, in src/, tests/ or perfbench/."""
+    words = collections.Counter(
+        word for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text()))
+    dead = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+            for name in _module_level_names(ast.parse(path.read_text()))
+            if words[name] < 2]
+    assert dead == []

@@ -1,10 +1,14 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from gkcurv import scalars
 from gkcurv.errors import DivisionByZero, EvaluationPole
-from gkcurv.scalars import Point, QQi, ScalarExpr, parse_scalar
+from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _p_mul,
+                            parse_scalar, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
 
@@ -156,3 +160,141 @@ def test_real_imag_parts():
     assert f.real() == S("x1")
     assert f.imag() == S("x2")
 
+
+# ---------------------------------------------------------------------------
+# sympy oracle for the sparse product and the gcd
+# ---------------------------------------------------------------------------
+
+
+def _rand_qqi(rng):
+    re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    im = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.5 else 0
+    return QQi(re, im) if re or im else QQi(1)
+
+
+def _rand_poly(rng, nv, terms, top=3):
+    """Sparse {exponent tuple: QQi} with up to `terms` terms in nv variables."""
+    return {tuple(rng.randint(0, top) for _ in range(nv)): _rand_qqi(rng)
+            for _ in range(terms)}
+
+
+def _sym(c):
+    return (sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+
+def _sym_poly(d, xs):
+    return sympy.Add(*[_sym(c) * sympy.Mul(*[x ** e for x, e in zip(xs, k)])
+                       for k, c in d.items()])
+
+
+def _sym_dict(expr, xs):
+    """Exact {exponent tuple: QQi} of a sympy polynomial."""
+    out = {}
+    for k, c in sympy.Poly(expr, *xs, domain="QQ_I").as_dict().items():
+        re, im = sympy.expand(c).as_real_imag()
+        out[k] = QQi(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+    return out
+
+
+def _product_pairs(rng):
+    for nv in (2, 3, 4):
+        xs = sympy.symbols(f"x1:{nv + 1}")
+        for _ in range(6):
+            yield xs, _rand_poly(rng, nv, rng.randint(1, 6)), _rand_poly(rng, nv, rng.randint(1, 6))
+        # (u + v)(u - v) = u^2 - v^2: every cross term cancels mid-product
+        for _ in range(3):
+            u = _rand_poly(rng, nv, 3)
+            v = {k: c for k, c in _rand_poly(rng, nv, 3).items() if k not in u}
+            minus_v = {k: -c for k, c in v.items()}
+            yield xs, {**u, **v}, {**u, **minus_v}
+
+
+def test_p_mul_matches_sympy_expand():
+    rng = random.Random(31)
+    for xs, a, b in _product_pairs(rng):
+        got = _p_mul(a, b)
+        assert all(not c.is_zero() for c in got.values())
+        want = sympy.expand(_sym_poly(a, xs) * _sym_poly(b, xs))
+        assert got == (_sym_dict(want, xs) if want != 0 else {})
+
+
+def _rand_trigpoly(rng, nv, terms):
+    return TrigPoly(nv, {(tuple(rng.randint(0, 2) for _ in range(nv)),
+                          tuple(rng.randint(-2, 2) for _ in range(nv))):
+                         _rand_qqi(rng) for _ in range(terms)})
+
+
+def _sym_trig(p, xs, zs):
+    return sympy.Add(*[_sym(c) * sympy.Mul(*[x ** e for x, e in zip(xs, mono)])
+                       * sympy.Mul(*[z ** f for z, f in zip(zs, freq)])
+                       for (mono, freq), c in p.terms.items()])
+
+
+def test_trigpoly_mul_matches_sympy_expand():
+    rng = random.Random(37)
+    cases = []
+    for nv in (2, 3, 4):
+        cases += [(_rand_trigpoly(rng, nv, rng.randint(1, 5)),
+                   _rand_trigpoly(rng, nv, rng.randint(1, 5))) for _ in range(6)]
+    # (e^{ix} + e^{-ix})(e^{ix} - e^{-ix}): the constant terms cancel
+    ep, em = TrigPoly.expi(2, (1, 0)), TrigPoly.expi(2, (-1, 0))
+    cases.append((ep + em, ep - em))
+    for a, b in cases:
+        nv = a.nvars
+        xs = sympy.symbols(f"x1:{nv + 1}")
+        zs = sympy.symbols(f"z1:{nv + 1}")
+        got = a * b
+        assert all(not c.is_zero() for c in got.terms.values())
+        diff = sympy.expand(_sym_trig(a, xs, zs) * _sym_trig(b, xs, zs)
+                            - _sym_trig(got, xs, zs))
+        assert diff == 0
+    assert (ep + em) * (ep - em) == TrigPoly.expi(2, (2, 0)) - TrigPoly.expi(2, (-2, 0))
+
+
+def _monic_sympy_gcd(a, b, xs):
+    g = _sym_dict(sympy.Poly(_sym_poly(a, xs), *xs, domain="QQ_I").gcd(
+        sympy.Poly(_sym_poly(b, xs), *xs, domain="QQ_I")).as_expr(), xs)
+    lead = g[max(g, key=lambda k: (sum(k), k))]
+    return {k: c / lead for k, c in g.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _gcd_pairs():
+    """(xs, a, b, monic sympy gcd): planted common factors, then pairs that
+    are drawn at random (most of them coprime)."""
+    rng = random.Random(41)
+    out = []
+    for nv in (2, 3, 4):
+        xs = sympy.symbols(f"x1:{nv + 1}")
+        for planted in (True,) * 4 + (False,) * 5:
+            if planted:
+                g = {**_rand_poly(rng, nv, rng.randint(1, 2), top=2),
+                     (0,) * nv: QQi(1)}
+                a = _p_mul(g, _rand_poly(rng, nv, rng.randint(1, 3), top=2))
+                b = _p_mul(g, _rand_poly(rng, nv, rng.randint(1, 3), top=2))
+            else:
+                a = _rand_poly(rng, nv, rng.randint(2, 4), top=2)
+                b = _rand_poly(rng, nv, rng.randint(2, 4), top=2)
+            out.append((xs, a, b, _monic_sympy_gcd(a, b, xs)))
+    return out
+
+
+def test_poly_gcd_matches_monic_sympy_gcd():
+    pairs = _gcd_pairs()
+    assert sum(len(g) > 1 for *_, g in pairs) >= 12
+    for xs, a, b, want in pairs:
+        assert poly_gcd(a, b) == want
+
+
+def test_coprime_pairs_return_from_the_proof_without_prs(monkeypatch):
+    pairs = [p for p in _gcd_pairs() if len(p[3]) == 1]
+    assert len(pairs) >= 10
+
+    def forbidden(*args):
+        raise AssertionError("coprime pair reached division or PRS")
+
+    monkeypatch.setattr(scalars, "_p_div_exact", forbidden)
+    monkeypatch.setattr(scalars, "_pseudo_rem", forbidden)
+    for xs, a, b, want in pairs:
+        assert poly_gcd(a, b) == want
