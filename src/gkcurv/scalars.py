@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 from .errors import DivisionByZero, EvaluationPole, FieldClosureError
 
@@ -251,31 +251,14 @@ class TrigPoly:
         return TrigPoly(self.nvars, out)
 
     def partial(self, k: int):
-        out = TrigPoly(self.nvars)
         acc = {}
         for (mono, freq), c in self.terms.items():
             if mono[k]:
-                m2 = list(mono)
-                m2[k] -= 1
-                key = (tuple(m2), freq)
-                add = c * QQi(mono[k])
-                s = acc.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                _acc(acc, (mono[:k] + (mono[k] - 1,) + mono[k + 1:], freq),
+                     c * QQi(mono[k]))
             if freq[k]:
-                key = (mono, freq)
-                add = c * QQi(0, freq[k])
-                s = acc.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        out.terms = acc
-        return out
+                _acc(acc, (mono, freq), c * QQi(0, freq[k]))
+        return TrigPoly(self.nvars, acc)
 
     def __eq__(self, other):
         return (isinstance(other, TrigPoly) and self.nvars == other.nvars
@@ -283,6 +266,16 @@ class TrigPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
+
+
+def _acc(d, key, c):
+    """d[key] += c, dropping the key when the sum is zero."""
+    s = d.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = s
 
 
 def _term_sort_key(key):
@@ -321,12 +314,8 @@ def _from_poly(d, m, shift):
     return out
 
 
-def _plex_key(exp):
-    return (sum(exp), exp)
-
-
-def _leading(d):
-    return max(d, key=_plex_key)
+def _leading(d):  # graded order: total degree, then lex
+    return max(d, key=lambda e: (sum(e), e))
 
 
 def _p_scale(d, c: QQi):
@@ -385,31 +374,50 @@ def _p_mul(a, b):
 
 
 def _p_div_exact(a, b):
-    """Exact division a/b in the polynomial ring, or None."""
+    """Exact division a/b in the polynomial ring, or None.
+
+    Runs on Gaussian integers: a = A/da and b = B/db (`zi_split`). Let lc be
+    the leading coefficient of B and n = N(lc) = lc * conj(lc). The
+    Z[i]-content of B divides lc, so by Gauss's lemma B | A over Q(i) iff
+    B | n*A over Z[i], and then every quotient coefficient is a Gaussian
+    integer. Each step divides the remainder's leading coefficient by lc
+    exactly; a nonzero divmod remainder or a negative exponent means a is
+    not a multiple of b. The remainder is keyed by (total degree, exponent),
+    so `max` picks the same leading term as the graded order of `_leading`.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if not a:
         return {}
-    lb = _leading(b)
-    cb = b[lb]
+    ia, da = zi_split(a)
+    ib, db = zi_split(b)
+    terms = [(sum(k), k, u, v) for k, (u, v) in ib.items()]
+    dl, lb, br, bi = max(terms)
+    n = br * br + bi * bi
+    r = {(sum(k), k): (x * n, y * n) for k, (x, y) in ia.items()}
     q = {}
-    r = dict(a)
     while r:
-        lr = _leading(r)
-        exp = tuple(x - y for x, y in zip(lr, lb))
+        lead = max(r)
+        x, y = r[lead]
+        exp = tuple(map(_sub, lead[1], lb))
         if any(e < 0 for e in exp):
             return None
-        c = r[lr] / cb
-        q[exp] = c
-        for k, v in b.items():
-            key = tuple(x + y for x, y in zip(k, exp))
-            s = r.get(key)
-            s = -(v * c) if s is None else s - v * c
-            if s.is_zero():
-                r.pop(key, None)
+        qr, mr = divmod(x * br + y * bi, n)
+        qi, mi = divmod(y * br - x * bi, n)
+        if mr or mi:
+            return None
+        q[exp] = (qr * db, qi * db)
+        dq = lead[0] - dl
+        for d, k, u, v in terms:
+            key = (d + dq, tuple(map(_add, k, exp)))
+            sr, si = r.get(key, (0, 0))
+            sr -= u * qr - v * qi
+            si -= u * qi + v * qr
+            if sr or si:
+                r[key] = (sr, si)
             else:
-                r[key] = s
-    return q
+                r.pop(key, None)
+    return zi_join(q, da * n)
 
 
 def _mono_content(d):
@@ -447,14 +455,7 @@ def _uni_view(d, v):
     out = {}
     for k, c in d.items():
         e = k[v]
-        rest = k[:v] + (0,) + k[v + 1:]
-        slot = out.setdefault(e, {})
-        s = slot.get(rest)
-        s = c if s is None else s + c
-        if s.is_zero():
-            slot.pop(rest, None)
-        else:
-            slot[rest] = s
+        _acc(out.setdefault(e, {}), k[:v] + (0,) + k[v + 1:], c)
     return {e: p for e, p in out.items() if p}
 
 
@@ -480,12 +481,7 @@ def _uni_sub(a, b):
     for e, p in b.items():
         slot = out.setdefault(e, {})
         for k, c in p.items():
-            s = slot.get(k)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                slot.pop(k, None)
-            else:
-                slot[k] = s
+            _acc(slot, k, -c)
         if not slot:
             out.pop(e, None)
     return out
@@ -509,7 +505,7 @@ def _content_list(polys):
     g = {}
     for p in polys:
         g = poly_gcd(g, p)
-        if g and sum(_leading(g)) == 0:  # constant gcd
+        if len(g) == 1 and not any(next(iter(g))):  # constant gcd
             return _monic(g)
     return g
 
@@ -529,20 +525,19 @@ _EVAL_POINTS = ((2, 3, 5, 7, 11, 13, 17, 19), (3, 7, 2, 13, 5, 19, 11, 17),
 _P = (1 << 31) - 1
 
 
-def _modp(fr: Fraction):
-    d = fr.denominator % _P
-    if d == 0:
+def _modp(d):
+    """{exp: QQi} -> {exp: (re, im)} over F_p, or None if p divides a
+    denominator (p is prime, so iff it divides their lcm)."""
+    zd, den = zi_split(d)
+    if den % _P == 0:
         return None
-    return fr.numerator % _P * pow(d, _P - 2, _P) % _P
+    inv = pow(den, _P - 2, _P)
+    return {k: (x * inv % _P, y * inv % _P) for k, (x, y) in zd.items()}
 
 
 def _eval_uni_modp(d, v, point):
     out = {}
-    for exp, c in d.items():
-        re = _modp(c.re)
-        im = _modp(c.im)
-        if re is None or im is None:
-            return None
+    for exp, (re, im) in d.items():
         w = 1
         for j, e in enumerate(exp):
             if j != v and e:
@@ -594,14 +589,15 @@ def _uni_gcd_modp(a, b):
 
 def _gcd_known_trivial(a, b, shared):
     """True if mod-p evaluation proves gcd(a, b) is constant."""
+    a, b = _modp(a), _modp(b)
+    if a is None or b is None:
+        return False  # a denominator vanishes mod p
     for v in shared:
         da, db = _deg_in(a, v), _deg_in(b, v)
         proved = False
         for point in _EVAL_POINTS:
             ua = _eval_uni_modp(a, v, point)
             ub = _eval_uni_modp(b, v, point)
-            if ua is None or ub is None:
-                continue  # a denominator vanished mod p; try another point
             if not ua or not ub or max(ua) != da or max(ub) != db:
                 continue  # degree dropped; point invalid for this argument
             if _uni_gcd_modp(ua, ub) == 0:
@@ -939,11 +935,7 @@ class ScalarExpr:
         return f"<ScalarExpr {self}>"
 
     def __str__(self):
-        num = format_trigpoly(self.num, _default_names(self.nvars))
-        if self.den.is_const() and self.den.const_value() == QQI_ONE:
-            return num
-        den = format_trigpoly(self.den, _default_names(self.nvars))
-        return f"({num})/({den})"
+        return self.to_string(_default_names(self.nvars))
 
     def to_string(self, names):
         num = format_trigpoly(self.num, names)
@@ -972,7 +964,7 @@ def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
     pd = _to_poly(den, shift)
     if not coprime:
         g = poly_gcd(pn, pd)
-        if g and (len(g) > 1 or any(_leading(g))):
+        if g and (len(g) > 1 or any(next(iter(g)))):
             pn = _p_div_exact(pn, g)
             pd = _p_div_exact(pd, g)
     return _unit_normalize(pn, pd, m)
@@ -987,7 +979,7 @@ def _cross_reduce(a: TrigPoly, b: TrigPoly):
     pa = _to_poly(a, shift)
     pb = _to_poly(b, shift)
     g = poly_gcd(pa, pb)
-    if not g or (len(g) == 1 and not any(_leading(g))):
+    if not g or (len(g) == 1 and not any(next(iter(g)))):
         return a, b
     pa = _p_div_exact(pa, g)
     pb = _p_div_exact(pb, g)
@@ -999,16 +991,12 @@ def _unit_normalize(pn, pd, m):
     """Fix the fraction's unit: den has exp-exponent 0 per variable and is monic."""
     # exp-part of den minimal exponents -> shift both
     mins = [min(k[m + j] for k in pd) for j in range(m)]
-    lead = _leading(pd)
-    c = pd[lead]
-    inv = c.inverse()
-    den_terms = {}
-    for k, v in pd.items():
-        den_terms[(k[:m], tuple(k[m + j] - mins[j] for j in range(m)))] = v * inv
-    num_terms = {}
-    for k, v in pn.items():
-        num_terms[(k[:m], tuple(k[m + j] - mins[j] for j in range(m)))] = v * inv
-    return TrigPoly(m, num_terms), TrigPoly(m, den_terms)
+    inv = pd[_leading(pd)].inverse()
+
+    def shifted(p):
+        return TrigPoly(m, {(k[:m], tuple(k[m + j] - mins[j] for j in range(m))):
+                            v * inv for k, v in p.items()})
+    return shifted(pn), shifted(pd)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import sympy
 
 from gkcurv import scalars
 from gkcurv.errors import DivisionByZero, EvaluationPole
-from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _p_mul,
-                            parse_scalar, poly_gcd)
+from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _p_div_exact,
+                            _p_mul, parse_scalar, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
 
@@ -298,3 +298,73 @@ def test_coprime_pairs_return_from_the_proof_without_prs(monkeypatch):
     monkeypatch.setattr(scalars, "_pseudo_rem", forbidden)
     for xs, a, b, want in pairs:
         assert poly_gcd(a, b) == want
+
+
+# ---------------------------------------------------------------------------
+# exact division against sympy and the term-by-term Gaussian-rational loop
+# ---------------------------------------------------------------------------
+
+
+def _qqi_div_exact(a, b):
+    """Long division over QQi Fractions, leading terms in the graded order."""
+    def lead(d):
+        return max(d, key=lambda k: (sum(k), k))
+    lb = lead(b)
+    q, r = {}, dict(a)
+    while r:
+        lr = lead(r)
+        exp = tuple(x - y for x, y in zip(lr, lb))
+        if any(e < 0 for e in exp):
+            return None
+        q[exp] = c = r[lr] / b[lb]
+        for k, v in b.items():
+            key = tuple(x + y for x, y in zip(k, exp))
+            s = r.get(key, QQi(0)) - v * c
+            if s.is_zero():
+                r.pop(key, None)
+            else:
+                r[key] = s
+    return q
+
+
+def _division_cases():
+    """(nv, a, b): planted products b*q, the same with one stray term, and
+    hand-picked divisors whose leading coefficient is not a unit of Z[i]."""
+    rng = random.Random(43)
+    for nv in (2, 3, 4):
+        for _ in range(8):
+            b = _rand_poly(rng, nv, rng.randint(1, 4))
+            a = _p_mul(b, _rand_poly(rng, nv, rng.randint(1, 4)))
+            yield nv, a, b
+            stray = tuple(rng.randint(0, 6) for _ in range(nv))
+            yield nv, {**a, stray: a.get(stray, QQi(0)) + _rand_qqi(rng)}, b
+    x1p1 = {(1, 0): QQi(1), (0, 0): QQi(1)}
+    # divisor with Z[i] content 2 + i: the quotient is (x1 - i x2)/(2 + i)
+    yield 2, _p_mul(x1p1, {(1, 0): QQi(1), (0, 1): QQi(0, -1)}), _p_mul(
+        x1p1, {(0, 0): QQi(2, 1)})
+    # (x1 + 1)/(2 x1 + 2) = 1/2
+    yield 2, x1p1, {(1, 0): QQi(2), (0, 0): QQi(2)}
+    # x1^3 by 2 x1 + 1 and by (1 + i) x1 + 1: every exponent divides, but a
+    # coefficient leaves Z[i] (after scaling by the norm 4, resp. 2)
+    yield 2, {(3, 0): QQi(1)}, {(1, 0): QQi(2), (0, 0): QQi(1)}
+    yield 2, {(3, 0): QQi(1)}, {(1, 0): QQi(1, 1), (0, 0): QQi(1)}
+    # here a step's real part stays in Z, only its imaginary part does not
+    yield 2, {(3, 0): QQi(1), (2, 0): QQi(1, 1), (1, 0): QQi(2, 3),
+              (0, 0): QQi(-3, -1)}, {(1, 0): QQi(3), (0, 0): QQi(1, -2)}
+
+
+def test_p_div_exact_matches_sympy_and_the_qqi_loop():
+    quotients = nones = 0
+    for nv, a, b in _division_cases():
+        xs = sympy.symbols(f"x1:{nv + 1}")
+        q, r = sympy.Poly(_sym_poly(a, xs), *xs, domain="QQ_I").div(
+            sympy.Poly(_sym_poly(b, xs), *xs, domain="QQ_I"))
+        got, ref = _p_div_exact(a, b), _qqi_div_exact(a, b)
+        if r.is_zero:
+            quotients += 1
+            assert got == _sym_dict(q.as_expr(), xs)
+            assert list(got.items()) == list(ref.items())
+        else:
+            nones += 1
+            assert got is None and ref is None
+    assert quotients >= 26 and nones >= 20
