@@ -11,7 +11,9 @@ are handled consistently.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import ChartMismatch, NotBivector, NotClosed
@@ -158,21 +160,20 @@ def clifford_act(e: GenVec, form: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 
-def _basis_pair(chart, a, b) -> ScalarExpr:
-    dim = chart.dim
-    if a < dim <= b and b - dim == a:
-        return chart.const(Fraction(1, 2))
-    if b < dim <= a and a - dim == b:
-        return chart.const(Fraction(1, 2))
-    return chart.zero_s()
-
-
 def _basis_act(chart, a, form: Form) -> Form:
-    dim = chart.dim
-    if a < dim:
-        comps = [chart.one_s() if k == a else chart.zero_s() for k in range(dim)]
-        return interior(chart, comps, form)
-    return Form(chart, {(a - dim,): chart.one_s()}).wedge(form)
+    """E_a . form by index moves: a < dim contracts d/dx_a, else wedges
+    dx_(a-dim) in front. Distinct input indices give distinct outputs, so
+    the result keeps the input's key order and no coefficient is summed."""
+    out = {}
+    k = a - chart.dim
+    for idx, c in form.terms.items():
+        if k < 0 and a in idx:
+            pos = idx.index(a)
+            out[idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
+        elif k >= 0 and k not in idx:
+            pos = bisect.bisect(idx, k)
+            out[idx[:pos] + (k,) + idx[pos:]] = -c if pos % 2 else c
+    return Form(chart, out)
 
 
 class PolyVec:
@@ -235,26 +236,33 @@ class PolyVec:
         return all(all(a < dim for a in idx) for idx in self.coef)
 
     def spin_act(self, form: Form) -> Form:
-        """Canonical antisymmetrized Clifford action on a form."""
+        """Canonical antisymmetrized Clifford action on a form, by Chevalley:
+        E_a ^ E_b = E_a E_b - <E_a, E_b> and E_a ^ E_b ^ E_c = E_a E_b E_c
+        - <E_b, E_c> E_a + <E_a, E_c> E_b - <E_a, E_b> E_c.
+
+        <E_x, E_y> is 1/2 when y = x + dim (d/dx_k with dx_k) and 0 otherwise;
+        index tuples are increasing, so at most one pairing is nonzero."""
         chart = self.chart
+        dim = chart.dim
         out = chart.zero_form()
+        half = Fraction(1, 2)
         if self.grade == 2:
-            # E_a ^ E_b acts as E_a E_b - <E_a, E_b>
             for (a, b), c in self.coef.items():
                 piece = _basis_act(chart, a, _basis_act(chart, b, form))
-                p = _basis_pair(chart, a, b)
-                if not p.is_zero():
-                    piece = piece - form.scale(p)
+                if b - a == dim:
+                    piece = piece - form.scale(half)
                 out = out + piece.scale(c)
             return out
-        for idx, c in self.coef.items():
-            acc = chart.zero_form()
-            for perm in itertools.permutations(idx):
-                piece = form
-                for a in reversed(perm):
-                    piece = _basis_act(chart, a, piece)
-                acc = acc + (piece if _perm_sign(perm) > 0 else -piece)
-            out = out + acc.scale(c * Fraction(1, _factorial(self.grade)))
+        for (a, b, d), c in self.coef.items():
+            piece = _basis_act(chart, d, form)
+            piece = _basis_act(chart, a, _basis_act(chart, b, piece))
+            if d - b == dim:
+                piece = piece - _basis_act(chart, a, form).scale(half)
+            elif d - a == dim:
+                piece = piece + _basis_act(chart, b, form).scale(half)
+            elif b - a == dim:
+                piece = piece - _basis_act(chart, d, form).scale(half)
+            out = out + piece.scale(c)
         return out
 
     def ad(self, e: GenVec) -> GenVec:
@@ -313,36 +321,21 @@ def _perm_sign(idx):
     return sign
 
 
-def _factorial(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
 def genvec_wedge(*vecs) -> PolyVec:
-    """Wedge of 2 or 3 sections into a coordinate PolyVec."""
+    """Wedge of 2 or 3 sections into a coordinate PolyVec.
+
+    Expands the product over the nonzero components of each section, then
+    lists the index tuples in increasing order."""
     chart = vecs[0].chart
-    k = len(vecs)
-    cols = [e.column() for e in vecs]
-    out = PolyVec(chart, k)
-    for idx in itertools.combinations(range(2 * chart.dim), k):
-        c = _minor_det([[cols[r][a] for a in idx] for r in range(k)], chart)
-        out._accum(idx, c)
+    out = PolyVec(chart, len(vecs))
+    nonzero = [[(a, c) for a, c in enumerate(e.column()) if not c.is_zero()]
+               for e in vecs]
+    for comps in itertools.product(*nonzero):
+        idx, cs = zip(*comps)
+        if len(set(idx)) == len(idx):
+            out._accum(idx, math.prod(cs[1:], start=cs[0]))
+    out.coef = dict(sorted(out.coef.items()))
     return out
-
-
-def _minor_det(rows, chart):
-    k = len(rows)
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    s = chart.zero_s()
-    for perm in itertools.permutations(range(k)):
-        term = rows[0][perm[0]]
-        for r in range(1, k):
-            term = term * rows[r][perm[r]]
-        s = s + (term if _perm_sign(perm) > 0 else -term)
-    return s
 
 
 # ---------------------------------------------------------------------------

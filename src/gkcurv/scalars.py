@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import add as _add, sub as _sub
+from operator import add as _add, lt as _lt, sub as _sub
 
 from .errors import DivisionByZero, EvaluationPole, FieldClosureError
 
@@ -382,22 +382,26 @@ def _p_div_exact(a, b):
     B | n*A over Z[i], and then every quotient coefficient is a Gaussian
     integer. Each step divides the remainder's leading coefficient by lc
     exactly; a nonzero divmod remainder or a negative exponent means a is
-    not a multiple of b. The remainder is keyed by (total degree, exponent),
-    so `max` picks the same leading term as the graded order of `_leading`.
+    not a multiple of b; the first step's exponent test runs before the
+    split. The remainder is keyed by (total degree, exponent), so `max`
+    picks the same leading term as the graded order of `_leading`.
     """
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if not a:
         return {}
+    dl, lb = max((sum(k), k) for k in b)
+    lead = max((sum(k), k) for k in a)
+    if any(map(_lt, lead[1], lb)):
+        return None
     ia, da = zi_split(a)
     ib, db = zi_split(b)
     terms = [(sum(k), k, u, v) for k, (u, v) in ib.items()]
-    dl, lb, br, bi = max(terms)
+    br, bi = ib[lb]
     n = br * br + bi * bi
     r = {(sum(k), k): (x * n, y * n) for k, (x, y) in ia.items()}
     q = {}
     while r:
-        lead = max(r)
         x, y = r[lead]
         exp = tuple(map(_sub, lead[1], lb))
         if any(e < 0 for e in exp):
@@ -417,6 +421,7 @@ def _p_div_exact(a, b):
                 r[key] = (sr, si)
             else:
                 r.pop(key, None)
+        lead = max(r, default=None)
     return zi_join(q, da * n)
 
 
@@ -785,9 +790,7 @@ class ScalarExpr:
     def const_value(self) -> QQi:
         if not self.is_const():
             raise ValueError("not a constant")
-        if self.num.is_zero():
-            return QQI_ZERO
-        return self.num.const_value() / self.den.const_value()
+        return self.num.const_value()  # a canonical constant has den == 1
 
     def is_real(self):
         return self.conj() == self
@@ -834,8 +837,11 @@ class ScalarExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return ScalarExpr.zero(self.nvars)
+        # scalars are never mutated, so a zero operand is the product
+        if self.is_zero():
+            return self
+        if o.is_zero():
+            return o
         # scaling by a constant keeps the fraction canonical as-is
         if o.is_const():
             return ScalarExpr(self.nvars, self.num.scale(o.const_value()),
@@ -856,7 +862,7 @@ class ScalarExpr:
         if o.is_zero():
             raise DivisionByZero("division by zero scalar")
         if self.is_zero():
-            return ScalarExpr.zero(self.nvars)
+            return self
         if o.is_const():
             inv = o.const_value().inverse()
             return ScalarExpr(self.nvars, self.num.scale(inv), self.den,

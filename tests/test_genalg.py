@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gkcurv.errors import NotBivector, NotClosed
-from gkcurv.genalg import (GenVec, PolyVec, ad_b, ad_beta, clifford_act,
-                           courant, dorfman, exp_spin, gen_lie_J,
-                           genvec_wedge, interior, lie_form, pair_tt)
+from gkcurv.genalg import (GenVec, PolyVec, _basis_act, _perm_sign, ad_b,
+                           ad_beta, clifford_act, courant, dorfman, exp_spin,
+                           gen_lie_J, genvec_wedge, interior, lie_form, pair_tt)
 from gkcurv.scalars import QQi
 
 from conftest import chart_flat, random_form, random_scalar
@@ -256,6 +257,93 @@ def test_trivec_action_isotropic(chart4):
         lhs = t.spin_act(a)
         rhs = clifford_act(u, clifford_act(w, clifford_act(z, a)))
         assert lhs == rhs
+
+
+def _trivec_act_by_permutations(t, form):
+    """(1/6) sum over the 6 orderings s of sign(s) E_s(1) E_s(2) E_s(3) . form."""
+    chart = t.chart
+    out = chart.zero_form()
+    for idx, c in t.coef.items():
+        acc = chart.zero_form()
+        for perm in itertools.permutations(idx):
+            piece = form
+            for a in reversed(perm):
+                piece = clifford_act(GenVec.basis(chart, a), piece)
+            acc = acc + (piece if _perm_sign(perm) > 0 else -piece)
+        out = out + acc.scale(c * Fraction(1, 6))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trivec_action_with_partner_pairs_matches_permutation_sum(n):
+    """Mixed trivectors whose index triples hold a pair d/dx_k, dx_k in each
+    of the three positions, so every pairing term of the action is used."""
+    chart = chart_flat(n)
+    dim = chart.dim
+    rng = random.Random(31 + n)
+    for _ in range(4 if n == 2 else 2):
+        coef = {}
+        paired = set()  # which of (a, b), (a, c), (b, c) are partners
+        while len(coef) < 5 or len(paired) < 3:
+            k, j = rng.sample(range(dim), 2)
+            idx = tuple(sorted((k, k + dim, rng.choice([j, j + dim]))))
+            coef[idx] = random_scalar(rng, chart, max_terms=1)
+            paired.add(next(p for p, (x, y) in enumerate(
+                itertools.combinations(idx, 2)) if y - x == dim))
+        t = PolyVec(chart, 3, coef)
+        for _ in range(3):
+            a = random_form(rng, chart)
+            got = t.spin_act(a)
+            ref = _trivec_act_by_permutations(t, a)
+            assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def _wedge_by_minors(vecs):
+    chart = vecs[0].chart
+    cols = [e.column() for e in vecs]
+    coef = {}
+    for idx in itertools.combinations(range(2 * chart.dim), len(vecs)):
+        s = chart.zero_s()
+        for perm in itertools.permutations(range(len(vecs))):
+            term = chart.one_s()
+            for r, p in enumerate(perm):
+                term = term * cols[r][idx[p]]
+            s = s + (term if _perm_sign(perm) > 0 else -term)
+        if not s.is_zero():
+            coef[idx] = s
+    return coef
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_genvec_wedge_matches_minor_determinants(n):
+    chart = chart_flat(n)
+    rng = random.Random(41 + n)
+
+    def section():
+        keep = rng.choice([0.3, 0.6, 1.0])
+        return GenVec.from_column(chart, [
+            random_scalar(rng, chart, max_terms=1) if rng.random() < keep else 0
+            for _ in range(2 * chart.dim)])
+
+    for k in (2, 3):
+        for _ in range(6 if n < 3 else 3):
+            vecs = [section() for _ in range(k)]
+            if rng.random() < 0.2:
+                vecs[-1] = vecs[0].scale(random_scalar(rng, chart))
+            got = genvec_wedge(*vecs)
+            assert list(got.coef.items()) == list(_wedge_by_minors(vecs).items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_act_matches_clifford_act(n):
+    chart = chart_flat(n)
+    rng = random.Random(51 + n)
+    for _ in range(4):
+        a = random_form(rng, chart, max_terms=3)
+        for k in range(2 * chart.dim):
+            got = _basis_act(chart, k, a)
+            ref = clifford_act(GenVec.basis(chart, k), a)
+            assert list(got.terms.items()) == list(ref.terms.items())
 
 
 def test_gen_lie_translation_invariance(chart2):

@@ -368,3 +368,36 @@ def test_p_div_exact_matches_sympy_and_the_qqi_loop():
             nones += 1
             assert got is None and ref is None
     assert quotients >= 26 and nones >= 20
+
+
+def _is_canonical_const(s, value):
+    zero = (0,) * s.nvars
+    return (s.is_const() and s.den.terms == {(zero, zero): QQi(1)}
+            and s.const_value() == value)
+
+
+def test_constants_reached_by_cancellation_have_unit_denominator():
+    """`const_value` reads the numerator only, so every constant that
+    arithmetic can produce must carry the denominator 1."""
+    f = S("(x1 + sin(x2))/(1 + x1^2)")
+    c = S("(2 - 3*i)/5")
+    assert _is_canonical_const((f * c) / f, QQi(Fraction(2, 5), Fraction(-3, 5)))
+    assert _is_canonical_const(f - f + c, QQi(Fraction(2, 5), Fraction(-3, 5)))
+    assert _is_canonical_const(S("(3*x1 - 2*x2 + i)/7").partial(0),
+                               QQi(Fraction(3, 7)))
+    assert _is_canonical_const(S("x1*x2/(1 + x1)").partial(1) * S("(1 + x1)/x1"),
+                               QQi(1))
+    assert _is_canonical_const(((f * c) / f).conj(), QQi(Fraction(2, 5), Fraction(3, 5)))
+    assert _is_canonical_const(S("(x1 + 1)/(2*x1 + 2)"), QQi(Fraction(1, 2)))
+    assert _is_canonical_const(S("(sin(x1)^2 + cos(x1)^2)/(3*i)"),
+                               QQi(0, Fraction(-1, 3)))
+    assert _is_canonical_const(S("0/(1 + x1)"), QQi(0))
+
+
+def test_zero_products_and_quotients_are_the_canonical_zero():
+    f = S("(x1 + sin(x2))/(1 + x1^2)")
+    zero = ScalarExpr.zero(len(NAMES))
+    for z in (f * 0, 0 * f, f * zero, zero * f, zero / f, (f - f) * f,
+              S("x1 - x1") / S("2 + x2")):
+        assert z == zero
+        assert z.is_zero() and _is_canonical_const(z, QQi(0))
