@@ -23,7 +23,7 @@ from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
 from .linalg import mat_mul, mat_trace, mat_vec
-from .scalars import QQi, ScalarExpr, TrigPoly, zi_mul, zi_split
+from .scalars import QQI_ZERO, QQi, ScalarExpr, TrigPoly, zi_mul, zi_split
 from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
 
 
@@ -259,16 +259,14 @@ def scalar_torus_mean(c: ScalarExpr) -> QQi:
     if c.num.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
     zero_key = ((0,) * c.nvars, (0,) * c.nvars)
-    mean = c.num.terms.get(zero_key, QQi(0))
+    mean = c.num.terms.get(zero_key, QQI_ZERO)
     return mean / c.den.const_value()
 
 
 def _trig_one_norm(p: TrigPoly) -> Fraction:
     """Sum of coefficient magnitudes: a sup-norm bound on the torus."""
-    total = Fraction(0)
-    for c in p.terms.values():
-        total += abs(c.re) + abs(c.im)
-    return total
+    ints, den = zi_split(p.terms)
+    return Fraction(sum(abs(re) + abs(im) for re, im in ints.values()), den)
 
 
 SERIES_MEAN_TOL = Fraction(1, 10 ** 12)
@@ -296,8 +294,8 @@ def scalar_torus_mean_certified(c: ScalarExpr):
     # recentre on the dominant denominator term: the canonical unit may hide
     # a dominated shape behind an exp factor, which the series needs exposed;
     # ties go to the larger frequency, not to the dict order
-    dom_key = max(c.den.terms, key=lambda k: (abs(c.den.terms[k].re)
-                                              + abs(c.den.terms[k].im), k[1]))
+    dens, _ = zi_split(c.den.terms)
+    dom_key = max(dens, key=lambda k: (abs(dens[k][0]) + abs(dens[k][1]), k[1]))
     c0 = c.den.terms[dom_key]
     shift = tuple(-f for f in dom_key[1])
     unit = TrigPoly.expi(c.nvars, shift)

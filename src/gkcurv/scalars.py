@@ -4,7 +4,9 @@ A scalar is a fraction N/D of "trig-polynomials": finite sums
 
     c * x^a * exp(i k.x),   c a Gaussian rational, a >= 0, k integer,
 
-stored sparsely over the chart coordinates.  sin and cos enter through
+stored sparsely over the chart coordinates.  Each c is a `QQi`, three ints
+(a + b*i)/d in lowest terms, so the kernels read a polynomial as Gaussian
+integers over one common denominator (`zi_split`).  sin and cos enter through
 their exponential combinations, which keeps the product-to-sum rewriting
 implicit and the canonical form unique: fractions are reduced by a true
 multivariate gcd and the denominator is normalised (leading coefficient 1,
@@ -27,47 +29,70 @@ from .errors import DivisionByZero, EvaluationPole, FieldClosureError
 
 
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational (a + b*i)/d stored as three ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(a, b, d) == 1, so two values are
+    equal iff their fields are. Arithmetic runs on the ints and reduces its
+    result with one gcd, skipped when the denominator is 1. `re` and `im`
+    read the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = as_qqi(other)
-        return _mk(self.re + other.re, self.im + other.im)
+        if type(other) is not QQi:
+            other = as_qqi(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _mk(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = as_qqi(other)
-        return _mk(self.re - other.re, self.im - other.im)
+        return self + -as_qqi(other)
 
     def __rsub__(self, other):
         return as_qqi(other) - self
 
     def __mul__(self, other):
-        other = as_qqi(other)
-        b, d = self.im, other.im
-        if not b and not d:
-            return _mk(self.re * other.re, b)
-        return _mk(self.re * other.re - b * d,
-                   self.re * d + b * other.re)
+        if type(other) is not QQi:
+            other = as_qqi(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
+        return _reduced(a * c, 0, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.im:
-            if not self.re:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
                 raise DivisionByZero("inverse of 0")
-            return _mk(1 / self.re, self.im)
-        d = self.re * self.re + self.im * self.im
-        return _mk(self.re / d, -self.im / d)
+            return _raw(d, 0, a) if a > 0 else _raw(-d, 0, -a)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * as_qqi(other).inverse()
@@ -76,28 +101,29 @@ class QQi:
         return as_qqi(other) * self.inverse()
 
     def conj(self):
-        return _mk(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def is_real(self):
-        return self.im == 0
+        return not self.b
 
     def __eq__(self, other):
+        if isinstance(other, QQi):
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, QQi):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
@@ -106,10 +132,21 @@ class QQi:
         return format_qqi(self)
 
 
-def _mk(re, im) -> QQi:
-    q = QQi.__new__(QQi)
-    q.re = re
-    q.im = im
+def _raw(a, b, d) -> QQi:
+    """QQi from ints already in canonical form."""
+    q = object.__new__(QQi)
+    q.a, q.b, q.d = a, b, d
+    return q
+
+
+def _reduced(a, b, d) -> QQi:
+    """QQi (a + b*i)/d for d > 0, reduced by one gcd unless d == 1."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    q = object.__new__(QQi)
+    q.a, q.b, q.d = a, b, d
     return q
 
 
@@ -121,29 +158,28 @@ QQI_I = QQi(0, 1)
 def as_qqi(x) -> QQi:
     if isinstance(x, QQi):
         return x
+    if type(x) is int:
+        return _raw(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return QQi(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
 
-def format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_str(n, d) -> str:
+    if d != 1:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_qqi(c: QQi) -> str:
-    if c.im == 0:
-        return format_fraction(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{format_fraction(c.im)}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    im_abs = -im if im < 0 else im
-    im_str = "i" if im_abs == 1 else f"{format_fraction(im_abs)}*i"
-    return f"({format_fraction(c.re)}{sign}{im_str})"
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _ratio_str(a, d)
+    im = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+    if not a:
+        return im if b > 0 else f"-{im}"
+    return f"({_ratio_str(a, d)}{'+' if b > 0 else '-'}{im})"
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +364,17 @@ def zi_split(d):
     """{key: QQi} -> ({key: (re, im)} Gaussian integers, common denominator)."""
     den = 1
     for c in d.values():
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
+        if c.d != 1:
+            den = math.lcm(den, c.d)
     if den == 1:
-        return {k: (c.re.numerator, c.im.numerator) for k, c in d.items()}, 1
-    return {k: (c.re.numerator * (den // c.re.denominator),
-                c.im.numerator * (den // c.im.denominator))
+        return {k: (c.a, c.b) for k, c in d.items()}, 1
+    return {k: (c.a * (den // c.d), c.b * (den // c.d))
             for k, c in d.items()}, den
 
 
 def zi_join(d, den):
-    """Gaussian-integer terms over den back to {key: QQi}."""
-    zero = Fraction(0)
-    if den == 1:
-        return {k: _mk(Fraction(r), Fraction(i) if i else zero)
-                for k, (r, i) in d.items()}
-    return {k: _mk(Fraction(r, den), Fraction(i, den) if i else zero)
-            for k, (r, i) in d.items()}
+    """Gaussian-integer terms over den > 0 back to {key: QQi}."""
+    return {k: _reduced(r, i, den) for k, (r, i) in d.items()}
 
 
 def zi_mul(a, b):
@@ -1305,9 +1336,9 @@ def _integer_linear(e: ScalarExpr, nvars):
         if any(fr) or sum(mono) != 1:
             raise ValueError("trig argument must be an integer-linear combination of coordinates")
         j = mono.index(1)
-        if not (c.is_real() and c.re.denominator == 1):
+        if c.b or c.d != 1:
             raise ValueError("trig argument coefficients must be integers")
-        freq[j] = int(c.re)
+        freq[j] = c.a
     return tuple(freq)
 
 

@@ -1,14 +1,18 @@
 import functools
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gkcurv import scalars
 from gkcurv.errors import DivisionByZero, EvaluationPole
-from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _p_div_exact,
-                            _p_mul, parse_scalar, poly_gcd)
+from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
+                            _p_div_exact, _p_mul, parse_scalar, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
 
@@ -401,3 +405,189 @@ def test_zero_products_and_quotients_are_the_canonical_zero():
               S("x1 - x1") / S("2 + x2")):
         assert z == zero
         assert z.is_zero() and _is_canonical_const(z, QQi(0))
+
+
+# ---------------------------------------------------------------------------
+# QQi against a reference on Fraction pairs
+# ---------------------------------------------------------------------------
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+_PAIR_OPS = (
+    (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    (operator.mul, _pair_mul),
+    (operator.truediv, lambda x, y: _pair_mul(x, _pair_inverse(y))),
+)
+
+
+def _format_pair(re, im):
+    """The printer of the Fraction-pair QQi, kept as the string reference."""
+    def frac(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if im == 0:
+        return frac(re)
+    if re == 0:
+        return "i" if im == 1 else "-i" if im == -1 else f"{frac(im)}*i"
+    im_abs = abs(im)
+    im_str = "i" if im_abs == 1 else f"{frac(im_abs)}*i"
+    return f"({frac(re)}{'+' if im > 0 else '-'}{im_str})"
+
+
+def _assert_matches_pair(q, pair):
+    re, im = pair
+    assert all(type(v) is int for v in (q.a, q.b, q.d))
+    assert q.d > 0 and math.gcd(q.a, q.b, q.d) == 1
+    assert (q.re, q.im) == (re, im)
+    assert q == QQi(re, im) and hash(q) == hash(QQi(re, im))
+    assert str(q) == _format_pair(re, im)
+    assert q.is_zero() == (re == 0 and im == 0) and q.is_real() == (im == 0)
+    if im == 0:
+        assert q == re and hash(q) == hash(re)
+        assert (q == int(re)) == (re.denominator == 1)
+        if re.denominator == 1:
+            assert hash(q) == hash(int(re))
+    else:
+        assert q != re and q != re.numerator
+        assert hash(q) == hash((re, im))
+
+
+def _qqi_operands():
+    """(re, im) Fraction pairs: parts over different denominators, pure
+    reals and imaginaries, and pairs whose products cancel to integers."""
+    rng = random.Random(47)
+    out = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2)),
+           (Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)),
+           (Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(-1, 6)),
+           (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)),
+           (Fraction(-4), Fraction(6)), (Fraction(10 ** 20, 3), Fraction(-7, 10 ** 9))]
+    for _ in range(40):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else 0
+        out.append((re, Fraction(im)))
+    return out
+
+
+def test_qqi_matches_fraction_pair_oracle():
+    operands = _qqi_operands()
+    for x in operands:
+        q = QQi(*x)
+        _assert_matches_pair(q, x)
+        _assert_matches_pair(-q, (-x[0], -x[1]))
+        _assert_matches_pair(q.conj(), (x[0], -x[1]))
+        if x == (0, 0):
+            with pytest.raises(DivisionByZero):
+                q.inverse()
+        else:
+            _assert_matches_pair(q.inverse(), _pair_inverse(x))
+        for y in operands:
+            for op, ref in _PAIR_OPS:
+                if op is not operator.truediv or y != (0, 0):
+                    _assert_matches_pair(op(q, QQi(*y)), ref(x, y))
+        # mixed operands: int and Fraction on either side
+        for k in (Fraction(-3, 4), 2):
+            _assert_matches_pair(q * k, _pair_mul(x, (Fraction(k), Fraction(0))))
+            _assert_matches_pair(k + q, (x[0] + k, x[1]))
+            _assert_matches_pair(k - q, (k - x[0], -x[1]))
+    # products that cancel to integers
+    _assert_matches_pair(QQi(Fraction(1, 2), Fraction(1, 2)) * QQi(1, -1),
+                         (Fraction(1), Fraction(0)))
+    _assert_matches_pair(QQi(Fraction(2, 3)) * Fraction(3, 2), (Fraction(1), Fraction(0)))
+    _assert_matches_pair(QQi(Fraction(1, 2), Fraction(1, 3)) * QQi(6),
+                         (Fraction(3), Fraction(2)))
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle for _normalize and _cross_reduce on generated expressions
+# ---------------------------------------------------------------------------
+
+
+def _leaves(nv):
+    freqs = st.tuples(*[st.integers(-2, 2)] * nv).map(lambda f: f if any(f) else (1,) * nv)
+    return st.one_of(
+        st.tuples(st.just("x"), st.integers(0, nv - 1)),
+        st.tuples(st.sampled_from(("sin", "cos")), freqs),
+        st.tuples(st.just("c"), st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3)))
+
+
+def _trees(nv):
+    return st.recursive(
+        _leaves(nv), lambda kids: st.tuples(st.sampled_from("+*/"), kids, kids),
+        max_leaves=5)
+
+
+def _build(tree, xs, zs):
+    """(ScalarExpr, sympy expression in xs and zs = exp(i xs)) of a tree;
+    None where a division by zero occurs."""
+    nv = len(xs)
+    kind = tree[0]
+    if kind == "x":
+        return ScalarExpr.coord(nv, tree[1]), xs[tree[1]]
+    if kind == "c":
+        c = QQi(Fraction(tree[1], tree[3]), tree[2])
+        return ScalarExpr.from_qqi(nv, c), _sym(c)
+    if kind in ("sin", "cos"):
+        z = sympy.Mul(*[w ** f for w, f in zip(zs, tree[1])])
+        if kind == "sin":
+            return ScalarExpr.sin(nv, tree[1]), (z - 1 / z) / (2 * sympy.I)
+        return ScalarExpr.cos(nv, tree[1]), (z + 1 / z) / 2
+    left, right = _build(tree[1], xs, zs), _build(tree[2], xs, zs)
+    if left is None or right is None or (kind == "/" and right[0].is_zero()):
+        return None
+    op = {"+": operator.add, "*": operator.mul, "/": operator.truediv}[kind]
+    return op(left[0], right[0]), op(left[1], right[1])
+
+
+def _laurent_polys(pairs, xs, zs):
+    """sympy Polys of TrigPolys, shifted together into non-negative exponents."""
+    keys = [k for p in pairs for k in p.terms]
+    unit = sympy.Mul(*[z ** -min(k[1][j] for k in keys) for j, z in enumerate(zs)])
+    return [sympy.Poly(sympy.expand(_sym_trig(p, xs, zs) * unit), *xs, *zs,
+                       domain="QQ_I") for p in pairs]
+
+
+def _assert_canonical(r, want, xs, zs):
+    """r equals want, its num and den are coprime, and den carries the unit
+    of the canonical form: exp exponents from 0 and leading coefficient 1."""
+    num, den = _laurent_polys([r.num, r.den], xs, zs)
+    assert sympy.cancel(_sym_trig(r.num, xs, zs) / _sym_trig(r.den, xs, zs) - want) == 0
+    assert r.num.is_zero() or num.gcd(den).is_ground
+    nv = len(xs)
+    assert all(min(k[1][j] for k in r.den.terms) == 0 for j in range(nv))
+    lead = max(r.den.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1]))
+    assert r.den.terms[lead] == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 2).flatmap(lambda nv: st.tuples(st.just(nv), _trees(nv), _trees(nv))))
+def test_normalize_and_cross_reduce_match_sympy_cancel(case):
+    nv, t1, t2 = case
+    xs, zs = sympy.symbols(f"x1:{nv + 1}"), sympy.symbols(f"z1:{nv + 1}")
+    built = _build(t1, xs, zs), _build(t2, xs, zs)
+    assume(None not in built)
+    (f, fs), (g, gs) = built
+    for op in (operator.add, operator.mul, operator.truediv):
+        if op is not operator.truediv or not g.is_zero():
+            _assert_canonical(op(f, g), op(fs, gs), xs, zs)
+    # the sum's denominator cancels against g's: only the gcd recovers f
+    _assert_canonical((f + g) - g, fs, xs, zs)
+    if not (f.is_zero() or g.is_zero()):
+        a, b = _cross_reduce(f.num, g.num)
+        pa, pb, pf, pg = _laurent_polys([a, b, f.num, g.num], xs, zs)
+        assert pa.gcd(pb).is_ground and (pa * pg - pb * pf).is_zero
+        # built in another order, the same function has the same terms. Their
+        # key order follows the operand order (f + g lists f's terms first),
+        # except where both orders form the same products in the same order
+        assert f * g == g * f and f + g == g + f
+        for x, y in ((f / g, f * (1 / g)), (g / f, g * f ** -1)):
+            assert list(x.num.terms.items()) == list(y.num.terms.items())
+            assert list(x.den.terms.items()) == list(y.den.terms.items())
