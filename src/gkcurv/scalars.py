@@ -847,8 +847,10 @@ class ScalarExpr:
             return self
         if self.den == o.den:
             return ScalarExpr(self.nvars, self.num + o.num, self.den)
-        return ScalarExpr(self.nvars, self.num * o.den + o.num * self.den,
-                          self.den * o.den)
+        # over lcm = D1 (D2/g), g = gcd(D1, D2) (Henrici, J. ACM 3, 1956);
+        # the new numerator may still share a factor with g, so normalize
+        d1, d2 = _cross_reduce(self.den, o.den)
+        return ScalarExpr(self.nvars, self.num * d2 + o.num * d1, self.den * d2)
 
     __radd__ = __add__
 
@@ -873,12 +875,12 @@ class ScalarExpr:
             return self
         if o.is_zero():
             return o
-        # scaling by a constant keeps the fraction canonical as-is
+        # a canonical constant is num/1, and scaling by it keeps canonical form
         if o.is_const():
-            return ScalarExpr(self.nvars, self.num.scale(o.const_value()),
+            return ScalarExpr(self.nvars, self.num.scale(o.num.const_value()),
                               self.den, _normalized=True)
         if self.is_const():
-            return ScalarExpr(self.nvars, o.num.scale(self.const_value()),
+            return ScalarExpr(self.nvars, o.num.scale(self.num.const_value()),
                               o.den, _normalized=True)
         n1, d2 = _cross_reduce(self.num, o.den)
         n2, d1 = _cross_reduce(o.num, self.den)
@@ -895,7 +897,7 @@ class ScalarExpr:
         if self.is_zero():
             return self
         if o.is_const():
-            inv = o.const_value().inverse()
+            inv = o.num.const_value().inverse()
             return ScalarExpr(self.nvars, self.num.scale(inv), self.den,
                               _normalized=True)
         n1, n2 = _cross_reduce(self.num, o.num)

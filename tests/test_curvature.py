@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv import scalars
 from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
                               TorusIntegral, gr_complex, gr_two_term_forms,
                               gric_gr, integrate_torus, ipow,
@@ -103,17 +102,17 @@ def test_gric_fs_cp2():
     assert rep.gr == pair.chart.const(12)
 
 
-def test_cp2_three_lines_is_einstein(monkeypatch):
+def test_cp2_three_lines_is_einstein():
     """The paper's generalized Kahler-Einstein structure from three lines on
-    CP^2: gric is closed, gric = -6 omega and gr = 12. It runs `gric_gr`
-    only, not `epm_frame`; about 3 s on a 2-core VM with CPython 3.11.7.
+    CP^2: E+- have dims (2, 2), gric is closed, gric = -6 omega and gr = 12.
 
-    It starts from an empty gcd factor registry, as a cold process does. The
-    registry is process-global: with the factors that `test_gric_fs_cp2`
-    leaves in it, `rho` of this scene falls into the pseudo-remainder gcd
-    and runs for more than 5 minutes."""
-    monkeypatch.setattr(scalars, "_REGISTRY", scalars._FactorRegistry())
+    It runs after `test_gric_fs_cp2`, with the factors that test leaves in
+    the process-global gcd registry. In that order, sums taken over the
+    product of their denominators instead of the lcm send `rho` of this
+    scene into the pseudo-remainder gcd for more than 5 minutes."""
     pair = cp2_three_lines().pair()
+    frame = pair.epm_frame()
+    assert (len(frame.eplus), len(frame.eminus)) == (2, 2)
     rep = gric_gr(pair)
     assert rep.flags["gric_closed"]
     assert rep.gric == pair.omega.scale(-6)
@@ -281,6 +280,21 @@ def test_moment_identity_flat_torus(n, rhs):
     lhs, diffs = MOMENT_PINNED[n]
     assert res["lhs"] == Fraction(lhs)
     assert res["central_differences"] == [Fraction(d) for d in diffs]
+
+
+def test_moment_identity_two_mode_flat_t2():
+    """f = c = cos(x1)/2 + sin(x2)/3 on flat T^2: rhs = -10/9. With sums
+    taken over the product of their denominators instead of the lcm, the
+    gcds of the first `pair_at` run in the pseudo-remainder sequence for
+    over 5 minutes."""
+    pair = flat_kahler(1, periodic=True).pair()
+    frame = pair.epm_frame()
+    c = (ScalarExpr.cos(2, (1, 0)) * Fraction(1, 2)
+         + ScalarExpr.sin(2, (0, 1)) * Fraction(1, 3))
+    res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
+                                              frame.eminus[0])])
+    assert res["rhs"] == Fraction(-10, 9)
+    assert res["relative_error"] <= 1e-10
 
 
 def _reference_series_mean(c):

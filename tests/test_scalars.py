@@ -27,6 +27,7 @@ def test_pythagorean_identity():
 
 def test_factor_cancellation():
     assert S("(x1^2 - 1)/(x1 - 1)") == S("x1 + 1")
+    assert S("1/(x1*(x1+1)) + 1/(x1*(x1-1))") == S("2/(x1^2-1)")
 
 
 def test_complex_arithmetic():
@@ -591,3 +592,37 @@ def test_normalize_and_cross_reduce_match_sympy_cancel(case):
         for x, y in ((f / g, f * (1 / g)), (g / f, g * f ** -1)):
             assert list(x.num.terms.items()) == list(y.num.terms.items())
             assert list(x.den.terms.items()) == list(y.den.terms.items())
+
+
+# Sums whose denominators share a factor g: the sum is taken over
+# lcm = D1 (D2/g), and its numerator may still share a factor with g
+LCM_SUMS = [
+    ("1/(x1*(x1+1))", "1/(x1*(x1-1))"),
+    ("(1+x1^2)^-1", "(1+x1^2)^-2"),
+    ("(1+x1^2)^-3", "(1+x1^2)^-1"),
+    ("x1*(1+x1^2)^-2", "(x1+1)*(1+x1^2)^-3"),
+    ("sin(x1)/((2+cos(x1))*(1+x2))", "cos(x2)/((2+cos(x1))*(3+sin(x2)))"),
+    # the two cofactors sum to 2 (2 + cos x1), which cancels against g
+    ("1/((2+cos(x1))*(1+cos(x1)+sin(x2)))",
+     "1/((2+cos(x1))*(3+cos(x1)-sin(x2)))"),
+]
+
+
+@pytest.mark.parametrize("left, right", LCM_SUMS)
+def test_add_over_lcm_matches_sympy(left, right):
+    names = ("x1", "x2")
+    xs, zs = sympy.symbols("x1:3"), sympy.symbols("z1:3")
+    trig = {}
+    for x, z in zip(xs, zs):
+        trig[sympy.cos(x)] = (z + 1 / z) / 2
+        trig[sympy.sin(x)] = (z - 1 / z) / (2 * sympy.I)
+
+    def sym(text):
+        return sympy.sympify(text.replace("^", "**"),
+                             locals=dict(zip(names, xs))).subs(trig)
+
+    f, g = S(left, names), S(right, names)
+    assert f.den != g.den and not f.den.is_const() and not g.den.is_const()
+    _assert_canonical(f + g, sym(left) + sym(right), xs, zs)
+    _assert_canonical(g + f, sym(left) + sym(right), xs, zs)
+    _assert_canonical(f - g, sym(left) - sym(right), xs, zs)
