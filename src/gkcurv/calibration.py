@@ -236,8 +236,8 @@ def gr_complex_constant() -> str:
 
 def moment_form_constant() -> str:
     """Normalizer of the deformation 2-form against the quoted trace
-    integral; measured by the finite-difference experiment and asserted by
-    the acceptance suite."""
+    integral; confirmed by the exact moment-map identity lhs == rhs and
+    asserted by the acceptance suite."""
     from .curvature import MOMENT_FORM_CONSTANT
     from .scalars import format_qqi
     return format_qqi(MOMENT_FORM_CONSTANT)

@@ -6,24 +6,25 @@ spinor exponential to expose the pair of real closed 2-forms hiding in
 Theta, and read off the Ricci-type 2-form and the scalar invariant as a
 top-form ratio against omega^n.  Exact torus integration then yields the
 moment-map pairing, and a nilpotent-factor transport gives an exact
-polynomial path of deformed structures for the finite-difference check of
-the moment-map identity.
+polynomial path of deformed structures in a symbolic time t, whose exact
+t-derivative checks the moment-map identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import (ExtractionResidue, NotExactlyIntegrable, NotMeanZero,
-                     StepTooSmall, VanishingVolume)
+from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
+                     NotMeanZero, VanishingVolume)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
-from .linalg import mat_mul, mat_trace, mat_vec
-from .scalars import QQI_ZERO, QQi, ScalarExpr, TrigPoly, zi_mul, zi_split
+from .linalg import mat_add, mat_identity, mat_mul, mat_sub, mat_trace, mat_vec
+from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, zi_mul,
+                      zi_split)
 from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
 
 
@@ -388,41 +389,60 @@ class NilpotentPath:
             h = h + genvec_wedge(x, y).scale(c)
         return h
 
-    def spinor_at(self, t: Fraction, phi: Form) -> Form:
-        out = phi
-        for c, x, y in reversed(self.all_pieces):
-            ct = c * QQi(t)
-            out = out + clifford_act(x, clifford_act(y, out)).scale(ct)
-        return out
+    def pair_at(self) -> GKPair:
+        """The pair moved to the symbolic time t, the chart's parameter."""
+        chart = replace(self.chart, params=("t",))
+        t = chart.coord_s(self.chart.dim)
+        j1 = self.pair.j1
+        pieces = [(_pad(chart, c) * t, _pad(chart, x), _pad(chart, y))
+                  for c, x, y in self.all_pieces]
+        # each factor 1 + ad(t c x ^ y) has the inverse 1 - ad(t c x ^ y)
+        m = minv = one = mat_identity(2 * chart.dim, chart.one_s(), chart.zero_s())
+        for ct, x, y in pieces:
+            ad = genvec_wedge(x, y).scale(ct).ad_matrix()
+            m = mat_mul(m, mat_add(one, ad))
+            minv = mat_mul(mat_sub(one, ad), minv)
+        phi = _pad(chart, j1.spinor())
+        for ct, x, y in reversed(pieces):
+            phi = phi + clifford_act(x, clifford_act(y, phi)).scale(ct)
+        frame = [GenVec.from_column(chart, mat_vec(m, _pad(chart, e).column()))
+                 for e in j1.annihilator()]
+        jmat = [[_pad(chart, s) for s in row] for row in j1.j_matrix()]
+        return GKPair(FrameGCS(chart, phi, frame, mat_mul(mat_mul(m, jmat), minv)),
+                      _pad(chart, self.pair.b), _pad(chart, self.pair.omega))
 
-    def pair_at(self, t: Fraction) -> GKPair:
-        chart = self.chart
-        m = self._factor_product(self.all_pieces, t)
-        minv = self._factor_product(reversed(self.all_pieces), -t)
-        phi_t = self.spinor_at(t, self.pair.j1.spinor())
-        frame_t = [GenVec.from_column(chart, mat_vec(m, e.column()))
-                   for e in self.pair.j1.annihilator()]
-        jmat_t = mat_mul(mat_mul(m, self.pair.j1.j_matrix()), minv)
-        j_t = FrameGCS(chart, phi_t, frame_t, jmat_t)
-        return GKPair(j_t, self.pair.b, self.pair.omega, check_closed=False)
 
-    def _factor_product(self, pieces, t: Fraction):
-        """Product of the matrices 1 + ad(t c x ^ y) in the order given;
-        with the reversed pieces and -t it is the inverse."""
-        chart = self.chart
-        dim4 = 2 * chart.dim
-        m = None
-        for c, x, y in pieces:
-            ad = genvec_wedge(x, y).scale(c * QQi(t)).ad_matrix()
-            fac = [[ad[r][cc] + (chart.one_s() if r == cc else chart.zero_s())
-                    for cc in range(dim4)] for r in range(dim4)]
-            m = fac if m is None else mat_mul(m, fac)
-        return m
+def _pad(chart: Chart, x):
+    """A scalar, form or section put on `chart`, constant in its one extra
+    trailing variable; a zero exponent changes neither the gcd nor the
+    leading term, so a padded canonical scalar is canonical."""
+    if isinstance(x, Form):
+        return Form(chart, {i: _pad(chart, c) for i, c in x.terms.items()})
+    if isinstance(x, GenVec):
+        return GenVec.from_column(chart, [_pad(chart, c) for c in x.column()])
+    num, den = (TrigPoly(chart.nvars, {(mono + (0,), freq + (0,)): c
+                                       for (mono, freq), c in p.terms.items()})
+                for p in (x.num, x.den))
+    return ScalarExpr(chart.nvars, num, den, _normalized=True)
+
+
+def _at_zero(s: ScalarExpr) -> ScalarExpr:
+    """s with its trailing variable set to 0; raises EvaluationPole if the
+    denominator vanishes there."""
+    m = s.nvars - 1
+    num, den = {}, {}
+    for p, out in ((s.num, num), (s.den, den)):
+        for (mono, freq), c in p.terms.items():
+            if not mono[m]:
+                _acc(out, (mono[:m], freq[:m]), c)
+    if not den:
+        raise EvaluationPole("denominator vanishes at t = 0")
+    return ScalarExpr(m, TrigPoly(m, num), TrigPoly(m, den))
 
 
 # Normalisation of the deformation 2-form relative to the quoted trace
-# integral, measured once against the exact finite-difference derivative on
-# the flat torus and frozen in the calibration fixture (the same -1/4 that
+# integral, confirmed by exact equality with the t-derivative of the pairing
+# on flat tori and frozen in the calibration fixture (the same -1/4 that
 # relates every pairing-derived engine constant to its quoted counterpart).
 MOMENT_FORM_CONSTANT = QQi(Fraction(-1, 4))
 
@@ -437,45 +457,27 @@ def moment_form(pair: GKPair, jdot1, jdot2) -> TorusIntegral:
     return TorusIntegral(mean, chart.dim)
 
 
-def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces,
-                            steps=(Fraction(1, 100), Fraction(1, 200),
-                                   Fraction(1, 400))) -> dict:
-    """Finite-difference check of the moment-map identity.
+def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
+    """Exact check of the moment-map identity d<mu, f> = Omega(L_e J, Jdot).
 
-    lhs: Richardson-extrapolated central difference of <mu(J_t), f> along the
-    nilpotent-factor path with velocity h.  rhs: the calibrated deformation
-    2-form applied to (L_e J, [h, J]).  Everything except the final float
-    division is exact rational arithmetic.
+    lhs: i^{-n} mean(f * d/dt gr|_{t=0} * <psi, conj psi>) along the
+    nilpotent-factor path with velocity h; psi does not move.  rhs: the
+    calibrated deformation 2-form applied to (L_e J, [h, J]).
     """
     chart = pair.chart
-    steps = [Fraction(s) for s in steps]
-    if any(s <= 0 for s in steps):
-        raise StepTooSmall("steps must be positive rationals")
     path = NilpotentPath(pair, pieces)
-    h = path.bivector()
-    e = hamiltonian_element(pair, f)
     check_mean_zero(pair, f)
 
-    def pairing_at(t: Fraction) -> Fraction:
-        p = path.pair_at(t)
-        val = moment_pairing(p, f)
-        return val.mean.re
+    gr_t = gric_gr(path.pair_at()).gr
+    dgr = _at_zero(gr_t.partial(chart.dim))
+    integrand = f * dgr * spinor_volume_scalar(pair) * ipow(-chart.n)
+    mean, _ = scalar_torus_mean_certified(integrand)
+    if not mean.is_real():
+        raise NotMeanZero("derivative of the moment pairing is not real")
+    lhs = mean.re
 
-    diffs = []
-    for s in steps:
-        d = (pairing_at(s) - pairing_at(-s)) / (2 * s)
-        diffs.append(d)
-    rich = list(diffs)
-    level = 1
-    while len(rich) > 1:
-        factor = 4 ** level
-        rich = [(factor * rich[i + 1] - rich[i]) / (factor - 1)
-                for i in range(len(rich) - 1)]
-        level += 1
-    lhs = rich[0]
-
-    lej = gen_lie_J(e, pair.j1.j_matrix())
-    jd = jdot_matrix(pair, h)
+    lej = gen_lie_J(hamiltonian_element(pair, f), pair.j1.j_matrix())
+    jd = jdot_matrix(pair, path.bivector())
     rhs_val = moment_form(pair, lej, jd)
     if not rhs_val.mean.is_real():
         raise NotMeanZero("deformation pairing did not come out real")
@@ -483,9 +485,4 @@ def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces,
 
     denom = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
     rel = abs(float(lhs) - float(rhs)) / denom
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "central_differences": diffs,
-        "relative_error": rel,
-    }
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel}

@@ -73,9 +73,5 @@ class WrongBidegree(GKCurvError):
     """Deformation direction has components outside the allowed bidegrees."""
 
 
-class StepTooSmall(GKCurvError):
-    """Finite-difference step underflow."""
-
-
 class SceneError(GKCurvError):
     """Scene file failed validation; message carries the offending field."""

@@ -18,11 +18,13 @@ from .scalars import (QQi, ScalarExpr, TrigPoly, parse_scalar)
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate chart of real dimension 2n."""
+    """Coordinate chart of real dimension 2n; its scalars also carry the
+    trailing parameters (a path's time t), which d and integrals do not see."""
 
     n: int
     coords: tuple
     periodic: tuple
+    params: tuple = ()
 
     def __post_init__(self):
         if len(self.coords) != 2 * self.n or len(self.periodic) != 2 * self.n:
@@ -38,25 +40,29 @@ class Chart:
     def dim(self):
         return 2 * self.n
 
+    @property
+    def nvars(self):
+        return 2 * self.n + len(self.params)
+
     # scalar helpers ---------------------------------------------------------
 
     def sc(self, text: str) -> ScalarExpr:
-        return parse_scalar(text, self.coords)
+        return parse_scalar(text, self.coords + self.params)
 
     def const(self, c) -> ScalarExpr:
-        return ScalarExpr.from_qqi(self.dim, c)
+        return ScalarExpr.from_qqi(self.nvars, c)
 
     def zero_s(self) -> ScalarExpr:
-        return ScalarExpr.zero(self.dim)
+        return ScalarExpr.zero(self.nvars)
 
     def one_s(self) -> ScalarExpr:
-        return ScalarExpr.one(self.dim)
+        return ScalarExpr.one(self.nvars)
 
     def i_s(self) -> ScalarExpr:
-        return ScalarExpr.i(self.dim)
+        return ScalarExpr.i(self.nvars)
 
     def coord_s(self, k) -> ScalarExpr:
-        return ScalarExpr.coord(self.dim, k)
+        return ScalarExpr.coord(self.nvars, k)
 
     # form helpers -----------------------------------------------------------
 
@@ -94,7 +100,7 @@ class Chart:
 
     def _as_scalar(self, c) -> ScalarExpr:
         if isinstance(c, ScalarExpr):
-            if c.nvars != self.dim:
+            if c.nvars != self.nvars:
                 raise ChartMismatch("scalar built on a different chart")
             return c
         if isinstance(c, str):
@@ -329,7 +335,7 @@ class Form:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self.chart.coords
+        names = self.chart.coords + self.chart.params
         parts = []
         for idx in sorted(self.terms, key=lambda i: (len(i), i)):
             c = self.terms[idx]

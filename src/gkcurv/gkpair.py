@@ -35,11 +35,11 @@ class GKPair:
     pairs.
     """
 
-    def __init__(self, j1: GCStruct, b: Form, omega: Form, check_closed=True):
+    def __init__(self, j1: GCStruct, b: Form, omega: Form):
         self.chart = j1.chart
         if b.chart != self.chart or omega.chart != self.chart:
             raise ChartMismatch("spinor data on a different chart")
-        if check_closed and not (b.ext_d().is_zero() and omega.ext_d().is_zero()):
+        if not (b.ext_d().is_zero() and omega.ext_d().is_zero()):
             raise NotClosed("the symplectic-type spinor must be d-closed")
         self.j1 = j1
         self.b = b

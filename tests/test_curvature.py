@@ -1,16 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
-                              TorusIntegral, gr_complex, gr_two_term_forms,
+                              TorusIntegral, _at_zero, _pad, gr_complex,
+                              gr_two_term_forms,
                               gric_gr, integrate_torus, ipow,
                               kahler_oracle_dJdlog, moment_derivative_check,
                               moment_pairing,
                               proportionality, rho, scalar_torus_mean,
                               scalar_torus_mean_certified, type00_gric)
-from gkcurv.errors import NotExactlyIntegrable, NotMeanZero
+from gkcurv.errors import EvaluationPole, NotExactlyIntegrable, NotMeanZero
 from gkcurv.examples import cp2_three_lines, flat_kahler
 from gkcurv.forms import Form
 from gkcurv.genalg import GenVec, clifford_act
@@ -22,6 +25,7 @@ from gkcurv.spinor import (ComplexVolumeGCS, GenericGCS, SymplecticGCS,
 from conftest import chart_flat
 from test_spinor import flat_omega, flat_volume_struct
 from test_gkpair import flat_kahler_pair, hk_t4_data
+from test_scalars import _sym_trig
 
 
 def fs_chart(n):
@@ -227,74 +231,69 @@ def test_moment_pairing_flat():
         moment_pairing(pair, chart.sc("1 + cos(x1)"))
 
 
-# exact lhs and central differences of test_moment_identity_flat_torus, as
-# Fraction strings; the series truncation makes them exact but not round
-MOMENT_PINNED = {
-    1: (
-        '-16907098182428484662379329474715010783206687470468239354851'
-        '583999576242897714350363088022222666663491323796659451782642'
-        '189576662355640166806429193237686320049262957693988903290975'
-        '27138893139275341147/211338727276877367316602001103689657657'
-        '339022789145785696243362667046792708661731279194776332436233'
-        '710023046399193607337758244833478432433024176041224190274062'
-        '016431188461980990716458396194367174610',
-        ['-22797961818744671174613668286782560693164616830182250937023'
-         '77628419591515/284974796036513684266249502518596639067666765'
-         '917962981490083632087344647',
-         '-25120262846200220485373021020214076650612540184769360131960'
-         '69623/314003304414003109462982477392845425635423049909369968'
-         '999092488',
-         '-16794840383838691375569829975867822621007787309283911823394'
-         '62622/209935505585188766120860820139649826645878004598733566'
-         '212362187']),
-    2: (
-        '-84586217278697602811052006825463923359411332165984626649874'
-        '156960230059025144308957337407234050972477470732603692522086'
-        '535254563820264446580231966819924980139936195828491763300755'
-        '569108040164742914140063096/52866385798391782587408500325117'
-        '984418328221410790160129102062614812195201773622709416542487'
-        '480568849105770707103976863444335011468302375297484132074871'
-        '81541946752119204023237175743692855489689164419911915',
-        ['-45595923637489342349227336573565121386329233660364501874047'
-         '55256839183030/284974796036513684266249502518596639067666765'
-         '917962981490083632087344647',
-         '-62838341278012467751681888826856583022563248599192651449055'
-         '727473265295/39273965654606222021105854332278722057691230233'
-         '08732319283626042979366',
-         '-33589680767677382751139659951735645242015574618567823646789'
-         '25244/209935505585188766120860820139649826645878004598733566'
-         '212362187']),
-}
-
-
-@pytest.mark.parametrize("n, rhs", [(1, -8), (2, -16)])
-def test_moment_identity_flat_torus(n, rhs):
-    """d<mu, f> = Omega(L_e J, Jdot) along h = c e+ ^ e- + conj, f = c = cos x1."""
+@pytest.mark.parametrize("n, text, rhs", [
+    (1, "cos(x1)", -8), (2, "cos(x1)", -16), (1, "sin(2*x2)", 32)],
+    ids=["1--8", "2--16", "1-sin2x2-32"])
+def test_moment_identity_flat_torus(n, text, rhs):
+    """d<mu, f> = Omega(L_e J, Jdot) along h = c e+ ^ e- + conj, f = c."""
     pair = flat_kahler(n, periodic=True).pair()
     frame = pair.epm_frame()
-    c = ScalarExpr.cos(2 * n, (1,) + (0,) * (2 * n - 1))
+    c = pair.chart.sc(text)
     res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
                                               frame.eminus[0])])
-    assert res["rhs"] == rhs and res["rhs"] != 0
-    assert res["relative_error"] <= 1e-10
-    lhs, diffs = MOMENT_PINNED[n]
-    assert res["lhs"] == Fraction(lhs)
-    assert res["central_differences"] == [Fraction(d) for d in diffs]
+    assert res["lhs"] == res["rhs"] == rhs
+    assert res["relative_error"] == 0.0
 
 
 def test_moment_identity_two_mode_flat_t2():
-    """f = c = cos(x1)/2 + sin(x2)/3 on flat T^2: rhs = -10/9. With sums
-    taken over the product of their denominators instead of the lcm, the
-    gcds of the first `pair_at` run in the pseudo-remainder sequence for
-    over 5 minutes."""
+    """f = c = cos(x1)/2 + sin(x2)/3 on flat T^2: both sides are -10/9."""
     pair = flat_kahler(1, periodic=True).pair()
     frame = pair.epm_frame()
     c = (ScalarExpr.cos(2, (1, 0)) * Fraction(1, 2)
          + ScalarExpr.sin(2, (0, 1)) * Fraction(1, 3))
     res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
                                               frame.eminus[0])])
-    assert res["rhs"] == Fraction(-10, 9)
-    assert res["relative_error"] <= 1e-10
+    assert res["lhs"] == res["rhs"] == Fraction(-10, 9)
+    assert res["relative_error"] == 0.0
+
+
+T_CHART = dataclasses.replace(chart_flat(1, periodic=True), params=("t",))
+
+
+@pytest.mark.parametrize("text", ["(x1 + cos(x2))/(3 + sin(x1))",
+                                  "(x1^2 - 1)/(x1*cos(x2) - cos(x2))",
+                                  "sin(x1)^2/(1 - cos(x1)) + x2/2"])
+def test_pad_is_canonical_and_t0_undoes_it(text):
+    """Padding a canonical scalar equals normalizing it on the t-chart."""
+    s = chart_flat(1, periodic=True).sc(text)
+    padded = _pad(T_CHART, s)
+    want = T_CHART.sc(text)
+    assert padded.num.terms == want.num.terms
+    assert padded.den.terms == want.den.terms
+    back = _at_zero(padded)
+    assert (back.num.terms, back.den.terms) == (s.num.terms, s.den.terms)
+
+
+@pytest.mark.parametrize("text", [
+    "(t*cos(x1) + x2)/(2 + t*sin(x2) + t^2*x1)",
+    "(1 + t*x1*sin(x1 + x2))/(3 + cos(x1) + t*cos(x2))",
+    "t^2*sin(2*x2)/(x1^2 + 1 + t*x2)", "x1*t^3 + cos(x2)/(1 + t)"])
+def test_t_derivative_at_zero_matches_sympy(text):
+    """d/dt at t = 0, with exp(i x_j) written as z_j for sympy."""
+    xs = sympy.symbols("x1 x2 t")
+    zs = sympy.symbols("z1 z2 zt")
+    s = T_CHART.sc(text)
+    got = _at_zero(s.partial(2))
+    want = sympy.diff(_sym_trig(s.num, xs, zs) / _sym_trig(s.den, xs, zs),
+                      xs[2]).subs(xs[2], 0)
+    got_sym = (_sym_trig(got.num, xs[:2], zs[:2])
+               / _sym_trig(got.den, xs[:2], zs[:2]))
+    assert sympy.cancel(got_sym - want) == 0
+
+
+def test_t0_pole_raises():
+    with pytest.raises(EvaluationPole):
+        _at_zero(T_CHART.sc("cos(x1)/(t*x1 + t^2*sin(x2))"))
 
 
 def _reference_series_mean(c):

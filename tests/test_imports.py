@@ -1,5 +1,6 @@
-"""Every name a gkcurv module imports is referenced in that module, and
-every name it defines at module level is referenced somewhere."""
+"""Every name a gkcurv module imports is referenced in that module, every
+name it defines at module level is referenced somewhere, and every error
+type it defines is raised somewhere."""
 
 import ast
 import collections
@@ -55,3 +56,15 @@ def test_no_dead_module_level_names():
             for name in _module_level_names(ast.parse(path.read_text()))
             if words[name] < 2]
     assert dead == []
+
+
+def test_every_error_type_is_raised():
+    """Each GKCurvError subclass in errors.py is raised somewhere in src/."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    types = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = {node.exc.func.id
+              for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    assert sorted(types - raised - {"GKCurvError"}) == []

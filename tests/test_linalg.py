@@ -92,8 +92,7 @@ def test_real_t4_system(monkeypatch):
     pair = flat_kahler(2, periodic=True).pair()
     frame = pair.epm_frame()
     c = ScalarExpr.cos(4, (1, 0, 0, 0))
-    moved = NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]) \
-        .pair_at(Fraction(1, 100))
+    moved = NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]).pair_at()
     systems = []
 
     def capture(mat, rhs):
