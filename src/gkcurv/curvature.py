@@ -20,7 +20,7 @@ from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
                      NotMeanZero, VanishingVolume)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
-                     interior)
+                     interior, wedge_sum)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
 from .linalg import mat_add, mat_identity, mat_mul, mat_sub, mat_trace, mat_vec
 from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, zi_mul,
@@ -384,13 +384,15 @@ class NilpotentPath:
             (c.conj(), x.conj(), y.conj()) for (c, x, y) in self.pieces]
 
     def bivector(self) -> PolyVec:
-        h = PolyVec(self.chart, 2)
-        for c, x, y in self.all_pieces:
-            h = h + genvec_wedge(x, y).scale(c)
-        return h
+        return wedge_sum(self.chart, 2, self.all_pieces)
 
     def pair_at(self) -> GKPair:
-        """The pair moved to the symbolic time t, the chart's parameter."""
+        """The pair moved to the symbolic time t, the chart's parameter.
+
+        Valid at t = 0 only (its value and t-derivative there): the factors
+        and their conjugates do not make a real path.  On flat T^2 with
+        c = cos x1, J at t = 1/100 has J[0][0] = -i(cos 3x1 + 3 cos x1)/62500,
+        so a moved pair must never serve as a base point."""
         chart = replace(self.chart, params=("t",))
         t = chart.coord_s(self.chart.dim)
         j1 = self.pair.j1
@@ -461,8 +463,9 @@ def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
     """Exact check of the moment-map identity d<mu, f> = Omega(L_e J, Jdot).
 
     lhs: i^{-n} mean(f * d/dt gr|_{t=0} * <psi, conj psi>) along the
-    nilpotent-factor path with velocity h; psi does not move.  rhs: the
-    calibrated deformation 2-form applied to (L_e J, [h, J]).
+    nilpotent-factor path with velocity h; psi does not move; lhs_bound
+    certifies its mean.  rhs: the calibrated deformation 2-form applied to
+    (L_e J, [h, J]).
     """
     chart = pair.chart
     path = NilpotentPath(pair, pieces)
@@ -471,7 +474,7 @@ def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
     gr_t = gric_gr(path.pair_at()).gr
     dgr = _at_zero(gr_t.partial(chart.dim))
     integrand = f * dgr * spinor_volume_scalar(pair) * ipow(-chart.n)
-    mean, _ = scalar_torus_mean_certified(integrand)
+    mean, lhs_bound = scalar_torus_mean_certified(integrand)
     if not mean.is_real():
         raise NotMeanZero("derivative of the moment pairing is not real")
     lhs = mean.re
@@ -485,4 +488,4 @@ def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
 
     denom = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
     rel = abs(float(lhs) - float(rhs)) / denom
-    return {"lhs": lhs, "rhs": rhs, "relative_error": rel}
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "lhs_bound": lhs_bound}

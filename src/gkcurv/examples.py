@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import SceneError
 from .forms import Chart, Form
-from .genalg import GenVec, PolyVec, genvec_wedge, interior
+from .genalg import GenVec, interior, wedge_sum
 from .gkpair import GKPair
 from .scalars import QQi, ScalarExpr
 from .spinor import BetaDeformGCS, ComplexVolumeGCS, GCStruct, GenericGCS
@@ -153,7 +153,7 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
     """
     chart = base.chart
     m = len(fields)
-    beta = PolyVec(chart, 2)
+    pieces = []
     bshift = chart.zero_form()
     for i in range(m):
         iv = interior(chart, fields[i].v, base.omega)
@@ -168,12 +168,13 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
             lij = Fraction(lam[i][j])
             if lij == 0:
                 continue
-            beta = beta + genvec_wedge(fields[i], fields[j]).scale(lij)
+            pieces.append((lij, fields[i], fields[j]))
             dmu_i = chart.form({(k,): moments[i].partial(k)
                                 for k in range(chart.dim)})
             dmu_j = chart.form({(k,): moments[j].partial(k)
                                 for k in range(chart.dim)})
             bshift = bshift - dmu_i.wedge(dmu_j).scale(lij)
+    beta = wedge_sum(chart, 2, pieces)
     j1 = BetaDeformGCS(chart, beta, base.j1)
     scene = ExampleScene(
         name=base.name + "_poisson",

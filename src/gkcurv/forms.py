@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .errors import ChartMismatch, FieldClosureError
 from .linalg import rational_inverse
-from .scalars import (QQi, ScalarExpr, TrigPoly, parse_scalar)
+from .parsing import parse_scalar
+from .scalars import QQi, ScalarExpr, TrigPoly
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ class Form:
         return Form(self.chart, {i: c.conj() for i, c in self.terms.items()})
 
     def is_real(self):
-        return self.conj() == self
+        return all(c.is_real() for c in self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, Form):

@@ -210,12 +210,6 @@ class PolyVec:
             out._accum(idx, c)
         return out
 
-    def __neg__(self):
-        return PolyVec(self.chart, self.grade, {i: -c for i, c in self.coef.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         c = self.chart._as_scalar(c)
         return PolyVec(self.chart, self.grade,
@@ -241,29 +235,32 @@ class PolyVec:
         - <E_b, E_c> E_a + <E_a, E_c> E_b - <E_a, E_b> E_c.
 
         <E_x, E_y> is 1/2 when y = x + dim (d/dx_k with dx_k) and 0 otherwise;
-        index tuples are increasing, so at most one pairing is nonzero."""
+        index tuples are increasing, so at most one pairing is nonzero.  The
+        pieces c * E_idx . form are summed once per output index."""
         chart = self.chart
         dim = chart.dim
-        out = chart.zero_form()
         half = Fraction(1, 2)
+        pieces = []
         if self.grade == 2:
             for (a, b), c in self.coef.items():
                 piece = _basis_act(chart, a, _basis_act(chart, b, form))
                 if b - a == dim:
                     piece = piece - form.scale(half)
-                out = out + piece.scale(c)
-            return out
-        for (a, b, d), c in self.coef.items():
-            piece = _basis_act(chart, d, form)
-            piece = _basis_act(chart, a, _basis_act(chart, b, piece))
-            if d - b == dim:
-                piece = piece - _basis_act(chart, a, form).scale(half)
-            elif d - a == dim:
-                piece = piece + _basis_act(chart, b, form).scale(half)
-            elif b - a == dim:
-                piece = piece - _basis_act(chart, d, form).scale(half)
-            out = out + piece.scale(c)
-        return out
+                pieces.append((c, piece))
+        else:
+            for (a, b, d), c in self.coef.items():
+                piece = _basis_act(chart, d, form)
+                piece = _basis_act(chart, a, _basis_act(chart, b, piece))
+                if d - b == dim:
+                    piece = piece - _basis_act(chart, a, form).scale(half)
+                elif d - a == dim:
+                    piece = piece + _basis_act(chart, b, form).scale(half)
+                elif b - a == dim:
+                    piece = piece - _basis_act(chart, d, form).scale(half)
+                pieces.append((c, piece))
+        return Form(chart, keyed_sum(chart.nvars, (
+            (idx, v.num * c.num, v.den * c.den)
+            for c, piece in pieces for idx, v in piece.terms.items())))
 
     def ad(self, e: GenVec) -> GenVec:
         """Adjoint action [self, e] for grade 2 (so(T+T*) element)."""
@@ -336,6 +333,40 @@ def genvec_wedge(*vecs) -> PolyVec:
             out._accum(idx, math.prod(cs[1:], start=cs[0]))
     out.coef = dict(sorted(out.coef.items()))
     return out
+
+
+def keyed_sum(nvars, contribs) -> dict:
+    """Sum (key, num, den) fractions, reduced or not, into {key: ScalarExpr}
+    with the key order of adding them one at a time: a key whose sum reaches
+    0 is dropped and re-enters at the end.  Numerators over an equal
+    denominator add with no gcd; a new denominator first normalizes the
+    running sum, then adds over the lcm.  Each key is normalized once, last.
+    """
+    acc = {}  # key -> (num, den, reduced)
+    for key, num, den in contribs:
+        run = acc.get(key)
+        if run is None:
+            run = (num, den, False)
+        elif run[1] == den:
+            run = (run[0] + num, den, False)
+        else:
+            s = ScalarExpr(nvars, *run) + ScalarExpr(nvars, num, den)
+            run = (s.num, s.den, True)
+        if run[0].is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = run
+    return {key: ScalarExpr(nvars, n, d, _normalized=reduced)
+            for key, (n, d, reduced) in acc.items()}
+
+
+def wedge_sum(chart, grade, terms) -> PolyVec:
+    """Sum of c * (x ^ y [^ z]) over (c, x, y[, z]) terms. Each coefficient
+    is summed once, in the key order that adding term by term gives."""
+    terms = [(chart._as_scalar(c), vecs) for c, *vecs in terms]
+    return PolyVec(chart, grade, keyed_sum(chart.nvars, (
+        (idx, w.num * c.num, w.den * c.den) for c, vecs in terms
+        if not c.is_zero() for idx, w in genvec_wedge(*vecs).coef.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, WrongBidegree)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, clifford_act, dorfman, genvec_wedge,
-                     interior, pair_tt)
+from .genalg import (GenVec, PolyVec, clifford_act, dorfman, interior,
+                     pair_tt, wedge_sum)
 from .linalg import (kernel_basis, mat_commutator, mat_inverse, mat_is_zero,
                      mat_mul, mat_sub, mat_trace, mat_vec)
 from .scalars import QQi, Point, ScalarExpr
@@ -360,9 +360,8 @@ def ddbar_pm(pair: GKPair, f: ScalarExpr) -> dict:
     w = dbar_section(pair, sminus)
     mixed = {k: v for k, v in w.items() if k[0] < n <= k[1]}
     pure_minus = {k: v for k, v in w.items() if k[0] >= n}
-    poly = PolyVec(chart, 2)
-    for (i, j), c in mixed.items():
-        poly = poly + genvec_wedge(fr.duals[i], fr.duals[j]).scale(c)
+    poly = wedge_sum(chart, 2, ((c, fr.duals[i], fr.duals[j])
+                                for (i, j), c in mixed.items()))
     e = hamiltonian_element(pair, f)
     e01 = [pair_tt(e, x) * 2 for x in fr.es]
     oracle = dbar_section(pair, e01)
@@ -381,10 +380,7 @@ def ddbar_pm(pair: GKPair, f: ScalarExpr) -> dict:
 
 def frame_bivector(pair: GKPair, coeff_pairs) -> PolyVec:
     """Real h = sum c * x ^ y + conj over frame sections given as triples."""
-    chart = pair.chart
-    h = PolyVec(chart, 2)
-    for c, x, y in coeff_pairs:
-        h = h + genvec_wedge(x, y).scale(c)
+    h = wedge_sum(pair.chart, 2, coeff_pairs)
     return h + h.conj()
 
 

@@ -16,10 +16,11 @@ from fractions import Fraction
 from .calibration import load_fixture
 from .examples import flat_kahler
 from .forms import Chart
-from .genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
+from .genalg import GenVec, clifford_act, pair_tt, wedge_sum
 from .gkpair import GKPair, jdot_matrix, random_compat_bivector, trace_pairing
 from .linalg import mat_vec
-from .scalars import QQi, ScalarExpr, parse_scalar
+from .parsing import parse_scalar
+from .scalars import QQi, ScalarExpr
 from .spinor import eta_N_extract
 
 
@@ -120,9 +121,7 @@ def check_hjtheta(seed, instances, dims=(1, 2)) -> dict:
             for i, j in itertools.combinations(range(len(es)), 2):
                 if rng.random() < 0.5:
                     pieces.append((_rand_coeff(rng, chart), es[i], es[j]))
-            h20 = PolyVec(chart, 2)
-            for c, x, y in pieces:
-                h20 = h20 + genvec_wedge(x, y).scale(c)
+            h20 = wedge_sum(chart, 2, pieces)
             h = h20 + h20.conj()
             theta = _rand_real_genvec(rng, chart)
             t10, t01 = _e_projections(pair, theta)

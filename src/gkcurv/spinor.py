@@ -14,7 +14,8 @@ import itertools
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, interior)
+from .genalg import (GenVec, PolyVec, clifford_act, interior, keyed_sum,
+                     wedge_sum)
 from .linalg import (kernel_basis, mat_identity, mat_inverse, mat_mul,
                      solve_exact)
 from .scalars import QQi, Point
@@ -358,12 +359,11 @@ def eta_N_extract(J: GCStruct) -> EtaN:
     for i in range(m):
         eta01 = eta01 + ebar[i].scale(sol[i])
     eta = eta01 + eta01.conj()
-    n03 = PolyVec(chart, 3)
-    for t, (i, j, k) in enumerate(triples):
-        c = sol[m + t]
-        if not c.is_zero():
-            n03 = n03 + genvec_wedge(ebar[i], ebar[j], ebar[k]).scale(c)
-    n3 = n03 + n03.conj()
+    n03 = wedge_sum(chart, 3, ((c, ebar[i], ebar[j], ebar[k])
+                               for (i, j, k), c in zip(triples, sol[m:])))
+    n3 = PolyVec(chart, 3, keyed_sum(chart.nvars, itertools.chain(
+        ((idx, c.num, c.den) for idx, c in n03.coef.items()),
+        ((idx, c.num.conj(), c.den.conj()) for idx, c in n03.coef.items()))))
     check = clifford_act(eta, phi) + n3.spin_act(phi)
     if not (check - dphi).is_zero():
         raise DecompositionFailed("residual in the (eta, N) splitting")

@@ -14,11 +14,12 @@ from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
                               proportionality, rho, scalar_torus_mean,
                               scalar_torus_mean_certified, type00_gric)
 from gkcurv.errors import EvaluationPole, NotExactlyIntegrable, NotMeanZero
-from gkcurv.examples import cp2_three_lines, flat_kahler
+from gkcurv.examples import CATALOG, cp2_three_lines, flat_kahler
 from gkcurv.forms import Form
 from gkcurv.genalg import GenVec, clifford_act
 from gkcurv.gkpair import GKPair
-from gkcurv.scalars import Point, QQi, ScalarExpr, parse_scalar
+from gkcurv.parsing import parse_scalar
+from gkcurv.scalars import Point, QQi, ScalarExpr
 from gkcurv.spinor import (ComplexVolumeGCS, GenericGCS, SymplecticGCS,
                            eta_N_extract)
 
@@ -148,7 +149,6 @@ def test_gr_two_term_identity():
 def _expected_two_term(n):
     # frozen by the calibration fixture; see tests/test_calibration.py
     from gkcurv.calibration import load_fixture
-    from gkcurv.scalars import parse_scalar
     value = load_fixture()["two_term_constant"][str(n)]
     return parse_scalar(value, tuple(f"x{j+1}" for j in range(2 * n))).const_value()
 
@@ -243,6 +243,7 @@ def test_moment_identity_flat_torus(n, text, rhs):
                                               frame.eminus[0])])
     assert res["lhs"] == res["rhs"] == rhs
     assert res["relative_error"] == 0.0
+    assert res["lhs_bound"] == 0
 
 
 def test_moment_identity_two_mode_flat_t2():
@@ -255,6 +256,21 @@ def test_moment_identity_two_mode_flat_t2():
                                               frame.eminus[0])])
     assert res["lhs"] == res["rhs"] == Fraction(-10, 9)
     assert res["relative_error"] == 0.0
+    assert res["lhs_bound"] == 0
+
+
+@pytest.mark.parametrize("text, rhs", [
+    ("cos(x1)", -16), ("cos(x2)", 16), ("sin(x1+x4)", -16)])
+def test_moment_identity_t4_translation_poisson(text, rhs):
+    """b != 0 and gr = 0 at the base: d<mu, f> = Omega(L_e J, Jdot) exactly."""
+    pair = CATALOG["t4_translation_poisson"]().pair()
+    frame = pair.epm_frame()
+    c = pair.chart.sc(text)
+    res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
+                                              frame.eminus[0])])
+    assert not pair.b.is_zero() and gric_gr(pair).gr.is_zero()
+    assert res["lhs"] == res["rhs"] == rhs
+    assert res["lhs_bound"] == 0
 
 
 T_CHART = dataclasses.replace(chart_flat(1, periodic=True), params=("t",))

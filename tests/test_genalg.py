@@ -7,8 +7,9 @@ import pytest
 from gkcurv.errors import NotBivector, NotClosed
 from gkcurv.genalg import (GenVec, PolyVec, _basis_act, _perm_sign, ad_b,
                            ad_beta, clifford_act, courant, dorfman, exp_spin,
-                           gen_lie_J, genvec_wedge, interior, lie_form, pair_tt)
-from gkcurv.scalars import QQi
+                           gen_lie_J, genvec_wedge, interior, keyed_sum, lie_form,
+                           pair_tt, wedge_sum)
+from gkcurv.scalars import QQi, ScalarExpr
 
 from conftest import chart_flat, random_form, random_scalar
 
@@ -344,6 +345,142 @@ def test_basis_act_matches_clifford_act(n):
             got = _basis_act(chart, k, a)
             ref = clifford_act(GenVec.basis(chart, k), a)
             assert list(got.terms.items()) == list(ref.terms.items())
+
+
+# ---------------------------------------------------------------------------
+# Keyed sums against the sequential sums they replace
+# ---------------------------------------------------------------------------
+
+# Denominators that are equal (D), nested (D, D^2) and coprime (D, E), with
+# D and E trig-rational so the sums need real gcds
+COEFF_TEXTS = ["x1/(2 + cos(x3))", "(x2 - 1)/(2 + cos(x3))",
+               "sin(x4)/(2 + cos(x3))^2", "1/(2 + cos(x3))^2",
+               "x3/(1 + x4^2)", "cos(x1)/(1 + x4^2)", "3/7", "i*x2"]
+
+
+def _spin_act_sequential(h, form):
+    """The spin action as each piece scaled, then added to the running form."""
+    chart = h.chart
+    dim = chart.dim
+    half = Fraction(1, 2)
+    out = chart.zero_form()
+    for idx, c in h.coef.items():
+        if h.grade == 2:
+            a, b = idx
+            piece = _basis_act(chart, a, _basis_act(chart, b, form))
+            if b - a == dim:
+                piece = piece - form.scale(half)
+        else:
+            a, b, d = idx
+            piece = _basis_act(chart, a, _basis_act(chart, b,
+                                                    _basis_act(chart, d, form)))
+            if d - b == dim:
+                piece = piece - _basis_act(chart, a, form).scale(half)
+            elif d - a == dim:
+                piece = piece + _basis_act(chart, b, form).scale(half)
+            elif b - a == dim:
+                piece = piece - _basis_act(chart, d, form).scale(half)
+        out = out + piece.scale(c)
+    return out
+
+
+def test_spin_act_cancel_and_reenter_keeps_sequential_order(chart4):
+    """The constant term gets c/2, then -c/2 (dropped), then re-enters after
+    the dx1^dx2 term, as in the sequential sum."""
+    c = chart4.sc(COEFF_TEXTS[0])
+    h = PolyVec(chart4, 2, {(0, 4): c, (4, 5): chart4.sc(COEFF_TEXTS[2]),
+                            (1, 5): -c, (2, 6): chart4.sc(COEFF_TEXTS[4])})
+    one = chart4.func(1)
+    got = h.spin_act(one)
+    assert list(got.terms) == [(0, 1), ()]
+    assert list(got.terms.items()) == list(_spin_act_sequential(h, one).terms.items())
+
+
+@pytest.mark.parametrize("grade", [2, 3])
+def test_spin_act_keyed_sum_matches_sequential_sum(chart4, grade):
+    rng = random.Random(61 + grade)
+    coeffs = [chart4.sc(t) for t in COEFF_TEXTS]
+    idxs = list(itertools.combinations(range(2 * chart4.dim), grade))
+    for _ in range(6):
+        h = PolyVec(chart4, grade, {idx: rng.choice(coeffs)
+                                    for idx in rng.sample(idxs, 6)})
+        for _ in range(2):
+            a = random_form(rng, chart4, max_terms=3)
+            got = h.spin_act(a)
+            assert list(got.terms.items()) == \
+                list(_spin_act_sequential(h, a).terms.items())
+
+
+def test_wedge_sum_matches_sequential_sum(chart4):
+    """Terms with zero, equal-, nested- and coprime-denominator coefficients,
+    one of them cancelling an earlier term."""
+    rng = random.Random(67)
+    coeffs = [chart4.sc(t) for t in COEFF_TEXTS] + [0]
+    for grade in (2, 3):
+        for _ in range(4):
+            vecs = [GenVec.from_column(chart4, [
+                random_scalar(rng, chart4, max_terms=1) if rng.random() < 0.5
+                else 0 for _ in range(2 * chart4.dim)]) for _ in range(grade + 1)]
+            terms = [(rng.choice(coeffs), *rng.sample(vecs, grade))
+                     for _ in range(4)]
+            terms.insert(2, (-chart4._as_scalar(terms[0][0]), *terms[0][1:]))
+            ref = PolyVec(chart4, grade)
+            for c, *xs in terms:
+                ref = ref + genvec_wedge(*xs).scale(c)
+            got = wedge_sum(chart4, grade, terms)
+            assert list(got.coef.items()) == list(ref.coef.items())
+
+
+# ---------------------------------------------------------------------------
+# Keyed sums: one normalization per key, the key order of adding one by one
+# ---------------------------------------------------------------------------
+
+
+def _sequential_sum(nvars, contribs):
+    """Each contribution normalized, then added to its key's running sum."""
+    out = {}
+    for key, num, den in contribs:
+        s = out.get(key)
+        s = ScalarExpr(nvars, num, den) if s is None else s + ScalarExpr(nvars, num, den)
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def test_keyed_sum_drops_a_cancelled_key_and_appends_it_again(chart4):
+    f, g = chart4.sc("x1/(1 + x2^2)"), chart4.sc("cos(x1)/(2 + sin(x2))")
+    contribs = [("a", f.num, f.den), ("b", g.num, g.den), ("a", -f.num, f.den),
+                ("c", f.num * g.num, f.den * g.den), ("a", g.num, g.den)]
+    got = keyed_sum(4, contribs)
+    assert list(got) == ["b", "c", "a"]
+    assert got == {"a": g, "b": g, "c": f * g}
+    assert list(got.items()) == list(_sequential_sum(4, contribs).items())
+
+
+def test_keyed_sum_matches_sequential_sums(chart4):
+    """Unreduced products over equal, nested (D, D^2) and coprime
+    denominators; some contributions cancel a key's running sum."""
+    rng = random.Random(11)
+    pool = [chart4.sc(t) for t in ("x1/(2 + cos(x2))", "(x1 - 1)/(2 + cos(x2))",
+                                   "sin(x1)/(2 + cos(x2))^2", "x2/(1 + x1^2)",
+                                   "(1 + x1^2)/(2 + cos(x2))", "2/3", "i*x1 + cos(x2)")]
+    cancelled = 0
+    for _ in range(12):
+        contribs, running = [], {}
+        for _ in range(14):
+            key = rng.choice("abcd")
+            f, g = rng.choice(pool), rng.choice(pool)
+            if key in running and rng.random() < 0.2:
+                f, g = -running[key], ScalarExpr.one(4)
+                cancelled += 1
+            contribs.append((key, f.num * g.num, f.den * g.den))
+            running[key] = running.get(key, ScalarExpr.zero(4)) + f * g
+        got = keyed_sum(4, contribs)
+        assert list(got.items()) == list(_sequential_sum(4, contribs).items())
+        assert got == {k: v for k, v in running.items() if not v.is_zero()}
+    assert cancelled >= 10
 
 
 def test_gen_lie_translation_invariance(chart2):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gkcurv import scalars
 from gkcurv.errors import DivisionByZero, EvaluationPole
+from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
-                            _p_div_exact, _p_mul, parse_scalar, poly_gcd)
+                            _p_div_exact, _p_mul, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
 
@@ -80,6 +81,24 @@ def test_is_real_conj():
     assert S("x1 + cos(x2)").is_real() is True
     assert S("x1 + i*x2").conj() == S("x1 - i*x2")
     assert S("sin(x1)").conj() == S("sin(x1)")
+
+
+def test_is_real_matches_conj_equality():
+    """The cross-multiplied test agrees with conj() == self, also where the
+    conjugated denominator is not in canonical form."""
+    rng = random.Random(5)
+    pool = [S(t) for t in ("1/(3 + cos(x1) + i*sin(x1))", "x2/(2 + sin(x1))",
+                           "(x1 + i)/(1 + x2^2)", "cos(x2)/(5 + cos(2*x1) + i*sin(x1))",
+                           "i*x1 + sin(x2)", "x1^2 - 3")]
+    uncanonical_real = 0
+    for _ in range(30):
+        g, h = rng.sample(pool, 2)
+        for x in (g, g + h, g + g.conj(), g * g.conj(), (g - g.conj()) * QQi(0, 1),
+                  g + h.conj(), (g + h) * (g + h).conj() + h):
+            assert x.is_real() == (x.conj() == x)
+            if x.is_real() and x.den.conj() != x.den:
+                uncanonical_real += 1
+    assert uncanonical_real >= 10
 
 
 def test_product_to_sum_canonical():
@@ -608,7 +627,14 @@ LCM_SUMS = [
 ]
 
 
-@pytest.mark.parametrize("left, right", LCM_SUMS)
+# Coprime denominators: the sum over D1 D2 is already reduced
+COPRIME_SUMS = [
+    ("1/(1+x1^2)", "x2/(2+cos(x2))"),
+    ("(x1+1)/(x1-1)", "sin(x1)/(3+cos(x1)+sin(x2))"),
+]
+
+
+@pytest.mark.parametrize("left, right", LCM_SUMS + COPRIME_SUMS)
 def test_add_over_lcm_matches_sympy(left, right):
     names = ("x1", "x2")
     xs, zs = sympy.symbols("x1:3"), sympy.symbols("z1:3")

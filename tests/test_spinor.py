@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from gkcurv import scalars
 from gkcurv.errors import DecompositionFailed, ImpureSpinor
+from gkcurv.examples import CATALOG
 from gkcurv.forms import Form
-from gkcurv.genalg import (GenVec, clifford_act, genvec_wedge, pair_tt)
+from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_mul, mat_vec
 from gkcurv.scalars import Point, QQi
+from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
                            SymplecticGCS, eta_N_extract, integrability,
                            purity_nondeg, type_number)
@@ -222,3 +226,51 @@ def test_eta_n_beta_weights(chart4):
     jv1 = _jmat_apply(jm, v1)
     jv2 = _jmat_apply(jm, v2)
     assert res.eta == (jv1 - jv2).scale(lam) or res.eta == (jv2 - jv1).scale(lam)
+
+
+def test_obstruction_assembly_matches_sequential_sums():
+    """n03 and n3 of the keyed sums equal the PolyVec sums term by term, key
+    order included, on polynomial and trig-rational (D, D^2) coefficients."""
+    rng = random.Random(1)
+    pairs = [CATALOG["t4_nonintegrable"]().pair()]
+    pairs += [_nonintegrable_pair(rng) for _ in range(4)]
+    trig_dens = 0
+    for pair in pairs:
+        res = eta_N_extract(pair.j1)
+        ebar = pair.j1.conj_annihilator()
+        m = len(ebar)
+        n03 = PolyVec(pair.chart, 3)
+        for (i, j, k), c in zip(itertools.combinations(range(m), 3), res.coeffs[m:]):
+            if not c.is_zero():
+                n03 = n03 + genvec_wedge(ebar[i], ebar[j], ebar[k]).scale(c)
+        n3 = n03 + n03.conj()
+        assert list(res.n03.coef.items()) == list(n03.coef.items())
+        assert list(res.n3.coef.items()) == list(n3.coef.items())
+        trig_dens += any(any(any(f) for _, f in c.den.terms) for c in n03.coef.values())
+    assert trig_dens >= 2
+
+
+# poly_gcd calls of eta_N_extract(j1) plus n3.spin_act(psi) on t4_nonintegrable
+# with an empty factor registry: 357 with one normalization per output
+# coefficient, 680 when every partial product and sum was normalized
+T4_NONINTEGRABLE_GCD_CALLS = 357
+
+
+def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
+    """A count repeats exactly, so this catches a return to per-term
+    normalization without timing."""
+    pair = CATALOG["t4_nonintegrable"]().pair()
+    psi = pair.psi()
+    calls = []
+    gcd = scalars.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalars, "_REGISTRY", scalars._FactorRegistry())
+    monkeypatch.setattr(scalars, "poly_gcd", counted)
+    res = eta_N_extract(pair.j1)
+    assert not res.n3.is_zero()
+    assert res.n3.spin_act(psi).is_zero()
+    assert len(calls) <= T4_NONINTEGRABLE_GCD_CALLS
