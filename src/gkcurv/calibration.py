@@ -16,10 +16,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .examples import flat_kahler
+from .examples import flat_kahler, fubini_study_chart
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt
-from .scalars import QQi
+from .scalars import QQi, format_qqi, ipow
 
 FIXTURE_PATH = Path(__file__).with_name("data") / "calibration.json"
 
@@ -191,8 +191,8 @@ def saisho_constant(n: int, seed=2024, instances=3) -> str:
 
 def two_term_constant(n: int) -> str:
     """c with c (A - B) = i^{-n} gr <psi, psi_bar> on the projective chart."""
-    from .curvature import (gr_two_term_forms, gric_gr, ipow, proportionality)
-    pair = _fs_pair(n)
+    from .curvature import gr_two_term_forms, gric_gr, proportionality
+    pair = fubini_study_chart(n).pair()
     rep = gric_gr(pair)
     a, b, vol = gr_two_term_forms(pair)
     target = vol.scale(rep.gr * ipow(-n))
@@ -202,14 +202,9 @@ def two_term_constant(n: int) -> str:
     return lam.to_string(pair.chart.coords)
 
 
-def _fs_pair(n):
-    from .examples import fubini_study_chart
-    return fubini_study_chart(n).pair()
-
-
 def fs_einstein_constant(n: int) -> str:
     from .curvature import gric_gr, proportionality
-    pair = _fs_pair(n)
+    pair = fubini_study_chart(n).pair()
     rep = gric_gr(pair)
     lam = proportionality(rep.gric, pair.omega)
     if lam is None:
@@ -239,21 +234,11 @@ def moment_form_constant() -> str:
     integral; confirmed by the exact moment-map identity lhs == rhs and
     asserted by the acceptance suite."""
     from .curvature import MOMENT_FORM_CONSTANT
-    from .scalars import format_qqi
     return format_qqi(MOMENT_FORM_CONSTANT)
 
 
-# The fast set is the exhaustive sign brute force plus flat-chart constants;
-# the slow set needs the projective-space curvature pipeline.
-FAST_KEYS = (
-    "mukai_swap_signs", "mukai_adjoint_sign", "polarization_sign",
-    "volume_pairing_is_(2i)^n_w^n/n!", "flat_rho", "saisho_constant",
-    "ddbar_oracle_constant", "gr_complex_constant", "moment_form_constant",
-)
-
-
-def compute_calibration(full=True) -> dict:
-    data = {
+def compute_calibration() -> dict:
+    return {
         "mukai_swap_signs": {str(2 * n): mukai_swap_table(n) for n in (1, 2)},
         "mukai_adjoint_sign": {str(2 * n): mukai_adjoint_sign(n) for n in (1, 2)},
         "polarization_sign": {str(2 * n): polarization_sign(n) for n in (1, 2)},
@@ -264,13 +249,10 @@ def compute_calibration(full=True) -> dict:
         "ddbar_oracle_constant": ddbar_oracle_constant(),
         "gr_complex_constant": gr_complex_constant(),
         "moment_form_constant": moment_form_constant(),
+        "two_term_constant": {str(n): two_term_constant(n) for n in (1, 2)},
+        "fs_einstein_constant": {str(n): fs_einstein_constant(n)
+                                 for n in (1, 2)},
     }
-    if full:
-        data["two_term_constant"] = {str(n): two_term_constant(n)
-                                     for n in (1, 2)}
-        data["fs_einstein_constant"] = {str(n): fs_einstein_constant(n)
-                                        for n in (1, 2)}
-    return data
 
 
 def fixture_bytes(data: dict) -> bytes:
@@ -288,23 +270,13 @@ def write_fixture(data: dict):
         fh.write(fixture_bytes(data))
 
 
-def calibrate(write=False, full=False) -> dict:
-    """Recompute constants and compare bit-exactly against the fixture.
-
-    The default run covers the exhaustive sign tables and flat-chart
-    constants (the sub-5s set); full=True also remeasures the
-    projective-space constants.
-    """
-    data = compute_calibration(full=full)
+def calibrate(write=False) -> dict:
+    """Recompute every constant (the exhaustive sign tables, the flat-chart
+    and the projective-space constants) and compare bit-exactly against the
+    fixture; write=True regenerates the fixture instead."""
+    data = compute_calibration()
     if write:
-        if not full:
-            data = compute_calibration(full=True)
         write_fixture(data)
         return {"status": "written", "data": data}
-    committed = load_fixture()
-    keys = sorted(data) if full else [k for k in FAST_KEYS if k in data]
-    subset_old = {k: committed.get(k) for k in keys}
-    subset_new = {k: data[k] for k in keys}
-    match = fixture_bytes(subset_old) == fixture_bytes(subset_new)
-    return {"status": "match" if match else "drift", "data": data,
-            "checked_keys": keys}
+    match = FIXTURE_PATH.read_bytes() == fixture_bytes(data)
+    return {"status": "match" if match else "drift", "data": data}

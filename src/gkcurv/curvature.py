@@ -17,19 +17,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
-                     NotMeanZero, VanishingVolume)
+                     NotMeanZero, NotRealStructure, VanishingVolume)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, clifford_act, gen_lie_J, genvec_wedge,
                      interior, wedge_sum)
 from .gkpair import GKPair, hamiltonian_element, jdot_matrix
 from .linalg import mat_add, mat_identity, mat_mul, mat_sub, mat_trace, mat_vec
-from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, zi_mul,
+from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, ipow, zi_mul,
                       zi_split)
 from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
-
-
-def ipow(k: int) -> QQi:
-    return (QQi(1), QQi(0, 1), QQi(-1), QQi(0, -1))[k % 4]
 
 
 @dataclass
@@ -221,8 +217,9 @@ def type00_gric(chart: Chart, B: Form, w1: Form, w2: Form) -> dict:
 class TorusIntegral:
     """Value mean * (2 pi)^power of a torus integral.
 
-    error_bound is zero for trig-polynomial integrands; for trig-rational
-    integrands it is the certified truncation bound on the mean.
+    error_bound is the bound of `scalar_torus_mean_certified` on the mean:
+    zero for a constant denominator, the certified truncation bound of the
+    series otherwise.
     """
 
     mean: QQi
@@ -250,18 +247,9 @@ def integrate_torus(top: Form) -> TorusIntegral:
     for idx in top.terms:
         if len(idx) != chart.dim:
             raise NotExactlyIntegrable("not a top-degree form")
-    c = top.coefficient(tuple(range(chart.dim)))
-    return TorusIntegral(scalar_torus_mean(c), chart.dim)
-
-
-def scalar_torus_mean(c: ScalarExpr) -> QQi:
-    if not c.den.is_const():
-        raise NotExactlyIntegrable("integrand is not a trig-polynomial")
-    if c.num.has_mono():
-        raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
-    zero_key = ((0,) * c.nvars, (0,) * c.nvars)
-    mean = c.num.terms.get(zero_key, QQI_ZERO)
-    return mean / c.den.const_value()
+    mean, bound = scalar_torus_mean_certified(
+        top.coefficient(tuple(range(chart.dim))))
+    return TorusIntegral(mean, chart.dim, bound)
 
 
 def _trig_one_norm(p: TrigPoly) -> Fraction:
@@ -281,7 +269,7 @@ def scalar_torus_mean_certified(c: ScalarExpr):
     exactly; the geometric tail gives |error| <= |num|_1 |E|_1^{K+1} /
     (1 - |E|_1).  K is the first order at which that bound is below
     SERIES_MEAN_TOL, at most SERIES_MEAN_MAX_ORDER; requires |E|_1 < 1.
-    Returns (mean, bound).
+    Returns (mean, bound); the bound is 0 for a constant denominator.
 
     The K + 1 terms num * E^k run on Gaussian integers over the running
     denominator dn de^k.  Each factor E moves a frequency by at most E's
@@ -291,7 +279,9 @@ def scalar_torus_mean_certified(c: ScalarExpr):
     if c.num.has_mono() or c.den.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
     if c.den.is_const():
-        return scalar_torus_mean(c), Fraction(0)
+        zero = (0,) * c.nvars
+        mean = c.num.terms.get((zero, zero), QQI_ZERO)
+        return mean / c.den.const_value(), Fraction(0)
     # recentre on the dominant denominator term: the canonical unit may hide
     # a dominated shape behind an exp factor, which the series needs exposed;
     # ties go to the larger frequency, not to the dict order
@@ -347,20 +337,21 @@ def spinor_volume_scalar(pair: GKPair) -> ScalarExpr:
 
 
 def check_mean_zero(pair: GKPair, f: ScalarExpr):
-    vol = spinor_volume_scalar(pair)
-    if not scalar_torus_mean(f * vol).is_zero():
+    """Exact test that f integrates to 0 against the spinor volume."""
+    mean, bound = scalar_torus_mean_certified(f * spinor_volume_scalar(pair))
+    if bound:
+        raise NotExactlyIntegrable("integrand is not a trig-polynomial")
+    if not mean.is_zero():
         raise NotMeanZero("function does not integrate to zero against the volume")
 
 
-def moment_pairing(pair: GKPair, f: ScalarExpr, report=None) -> TorusIntegral:
+def moment_pairing(pair: GKPair, f: ScalarExpr) -> TorusIntegral:
     """<mu(J), f> = i^{-n} integral of f * gr * <psi, conj psi> over the torus."""
     chart = pair.chart
     if not all(chart.periodic):
         raise NotExactlyIntegrable("moment pairing needs a torus chart")
     check_mean_zero(pair, f)
-    if report is None:
-        report = gric_gr(pair)
-    integrand = f * report.gr * spinor_volume_scalar(pair) * ipow(-chart.n)
+    integrand = f * gric_gr(pair).gr * spinor_volume_scalar(pair) * ipow(-chart.n)
     mean, bound = scalar_torus_mean_certified(integrand)
     if not mean.is_real():
         raise NotMeanZero("moment pairing did not come out real")
@@ -373,10 +364,13 @@ class NilpotentPath:
     The path is the ordered product of factors exp(t c x ^ y) over
     decomposable pieces with x, y in an isotropic frame (each factor squares
     to zero in the Clifford algebra), followed by the conjugate factors; its
-    t-derivative at 0 is h = b + conj(b) for b = sum c x ^ y.
+    t-derivative at 0 is h = b + conj(b) for b = sum c x ^ y.  The base
+    pair's J1 must be real; a moved pair (`pair_at`) is not.
     """
 
     def __init__(self, pair: GKPair, pieces):
+        if not all(x.is_real() for row in pair.j1.j_matrix() for x in row):
+            raise NotRealStructure("the base pair's J1 is not real")
         self.pair = pair
         self.chart = pair.chart
         self.pieces = list(pieces)
@@ -455,17 +449,17 @@ def moment_form(pair: GKPair, jdot1, jdot2) -> TorusIntegral:
     tr = mat_trace(mat_mul(pair.j1.j_matrix(), mat_mul(jdot1, jdot2)))
     integrand = tr * spinor_volume_scalar(pair) * \
         (ipow(-chart.n) * QQi(-1) * MOMENT_FORM_CONSTANT)
-    mean = scalar_torus_mean(integrand)
-    return TorusIntegral(mean, chart.dim)
+    mean, bound = scalar_torus_mean_certified(integrand)
+    return TorusIntegral(mean, chart.dim, bound)
 
 
 def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
     """Exact check of the moment-map identity d<mu, f> = Omega(L_e J, Jdot).
 
     lhs: i^{-n} mean(f * d/dt gr|_{t=0} * <psi, conj psi>) along the
-    nilpotent-factor path with velocity h; psi does not move; lhs_bound
-    certifies its mean.  rhs: the calibrated deformation 2-form applied to
-    (L_e J, [h, J]).
+    nilpotent-factor path with velocity h; psi does not move.  rhs: the
+    calibrated deformation 2-form applied to (L_e J, [h, J]).  lhs_bound and
+    rhs_bound certify the two means.
     """
     chart = pair.chart
     path = NilpotentPath(pair, pieces)
@@ -488,4 +482,5 @@ def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
 
     denom = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
     rel = abs(float(lhs) - float(rhs)) / denom
-    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "lhs_bound": lhs_bound}
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "lhs_bound": lhs_bound,
+            "rhs_bound": rhs_val.error_bound}

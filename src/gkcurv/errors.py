@@ -61,6 +61,10 @@ class NotMeanZero(GKCurvError):
     """Hamiltonian function must integrate to zero against the spinor volume."""
 
 
+class NotRealStructure(GKCurvError):
+    """A structure that must be real has a non-real entry."""
+
+
 class NotExactlyIntegrable(GKCurvError):
     """Exact integration requires a fully periodic chart and trig-polynomial data."""
 

@@ -1,8 +1,9 @@
 """Ready-made scenes: every worked example, plus internal test fixtures.
 
 Each constructor returns an ExampleScene holding the chart, the defining
-structure, the symplectic-type spinor data, a CLI task list, and notes on
-the machine-checkable expectations the test suite enforces.
+structure, the symplectic-type spinor data, a list of the checks that apply
+to it (op name and arguments), and notes on the machine-checkable
+expectations the test suite enforces.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class ExampleScene:
     omega: Form
     tasks: list = field(default_factory=list)
     expected: dict = field(default_factory=dict)
-    seed: int = 7
 
     def pair(self) -> GKPair:
         return GKPair(self.j1, self.b, self.omega)
@@ -155,25 +155,20 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
     m = len(fields)
     pieces = []
     bshift = chart.zero_form()
+    dmus = [chart.form({(k,): mu.partial(k) for k in range(chart.dim)})
+            for mu in moments]
     for i in range(m):
         iv = interior(chart, fields[i].v, base.omega)
-        dmu = chart.form({(k,): moments[i].partial(k) for k in range(chart.dim)})
-        if iv != dmu:
+        if iv != dmus[i]:
             raise SceneError(f"i_V omega != d mu for field {i}")
         for j in range(i + 1, m):
-            pairing = interior(chart, fields[j].v,
-                               interior(chart, fields[i].v, base.omega))
-            if not pairing.is_zero():
+            if not interior(chart, fields[j].v, iv).is_zero():
                 raise SceneError("omega(V_i, V_j) must vanish")
             lij = Fraction(lam[i][j])
             if lij == 0:
                 continue
             pieces.append((lij, fields[i], fields[j]))
-            dmu_i = chart.form({(k,): moments[i].partial(k)
-                                for k in range(chart.dim)})
-            dmu_j = chart.form({(k,): moments[j].partial(k)
-                                for k in range(chart.dim)})
-            bshift = bshift - dmu_i.wedge(dmu_j).scale(lij)
+            bshift = bshift - dmus[i].wedge(dmus[j]).scale(lij)
     beta = wedge_sum(chart, 2, pieces)
     j1 = BetaDeformGCS(chart, beta, base.j1)
     scene = ExampleScene(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ChartMismatch, FieldClosureError
 from .linalg import rational_inverse
 from .parsing import parse_scalar
-from .scalars import QQi, ScalarExpr, TrigPoly
+from .scalars import QQi, ScalarExpr, TrigPoly, _acc, ipow
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,7 @@ class Chart:
             idx, sign = _sort_index(tuple(idx))
             if idx is None:
                 continue
-            c = c if sign > 0 else -c
-            prev = out.get(idx)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = c
+            _acc(out, idx, c if sign > 0 else -c)
         return Form(self, out)
 
     def volume(self) -> "Form":
@@ -111,25 +105,17 @@ class Chart:
         raise TypeError(f"cannot coerce {type(c).__name__} to scalar")
 
 
+def _perm_sign(idx):
+    """Sign of the permutation sorting distinct entries: (-1)^inversions."""
+    inv = sum(x > y for k, x in enumerate(idx) for y in idx[k + 1:])
+    return -1 if inv % 2 else 1
+
+
 def _sort_index(idx):
     """Sort a multi-index, returning (sorted tuple, sign) or (None, 0)."""
     if len(set(idx)) != len(idx):
         return None, 0
-    perm = sorted(range(len(idx)), key=lambda t: idx[t])
-    sign = 1
-    seen = [False] * len(idx)
-    for s in range(len(idx)):
-        if seen[s]:
-            continue
-        cycle = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return tuple(sorted(idx)), sign
+    return tuple(sorted(idx)), _perm_sign(idx)
 
 
 def _merge_sign(a, b):
@@ -183,12 +169,7 @@ class Form:
         self._check(other)
         out = dict(self.terms)
         for i, c in other.terms.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
+            _acc(out, i, c)
         return Form(self.chart, out)
 
     def __neg__(self):
@@ -234,41 +215,24 @@ class Form:
                     continue
                 idx, sign = _merge_sign(i1, i2)
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = out.get(idx)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                _acc(out, idx, c if sign > 0 else -c)
         return Form(self.chart, out)
 
     def __xor__(self, other):
         return self.wedge(other)
 
     def ext_d(self) -> "Form":
-        out = Form(self.chart, {})
         acc = {}
-        dim = self.chart.dim
         for idx, c in self.terms.items():
-            used = set(idx)
-            for k in range(dim):
-                if k in used:
+            for k in range(self.chart.dim):
+                if k in idx:
                     continue
                 dc = c.partial(k)
                 if dc.is_zero():
                     continue
                 new, sign = _merge_sign((k,), idx)
-                add = dc if sign > 0 else -dc
-                s = acc.get(new)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    acc.pop(new, None)
-                else:
-                    acc[new] = s
-        out.terms = acc
-        return out
+                _acc(acc, new, dc if sign > 0 else -dc)
+        return Form(self.chart, acc)
 
     def sigma(self) -> "Form":
         """Clifford involution: sign + on degrees 0,1 mod 4, - on 2,3 mod 4."""
@@ -400,8 +364,7 @@ def _trig_affine_sub(p: TrigPoly, A, t) -> ScalarExpr:
             if ka != 0 or (2 * kb).denominator != 1:
                 raise FieldClosureError(
                     "translation phase leaves the exact field")
-            quarter = {0: QQi(1), 1: QQi(0, 1), 2: QQi(-1), 3: QQi(0, -1)}[int(2 * kb) % 4]
-            phase = ScalarExpr.from_qqi(m, quarter)
+            phase = ScalarExpr.from_qqi(m, ipow(int(2 * kb)))
             term = term * phase * ScalarExpr(m, TrigPoly.expi(m, tuple(newf)),
                                              TrigPoly.const(m, 1))
         out = out + term

@@ -17,9 +17,9 @@ import math
 from fractions import Fraction
 
 from .errors import ChartMismatch, NotBivector, NotClosed
-from .forms import Chart, Form
+from .forms import Chart, Form, _sort_index
 from .linalg import mat_vec
-from .scalars import ScalarExpr
+from .scalars import ScalarExpr, _acc
 
 
 class GenVec:
@@ -137,14 +137,8 @@ def interior(chart: Chart, v_comps, form: Form) -> Form:
             vk = v_comps[k]
             if vk.is_zero():
                 continue
-            rest = idx[:pos] + idx[pos + 1:]
-            add = vk * c if pos % 2 == 0 else -(vk * c)
-            s = acc.get(rest)
-            s = add if s is None else s + add
-            if s.is_zero():
-                acc.pop(rest, None)
-            else:
-                acc[rest] = s
+            _acc(acc, idx[:pos] + idx[pos + 1:],
+                 vk * c if pos % 2 == 0 else -(vk * c))
     return Form(chart, acc)
 
 
@@ -190,19 +184,10 @@ class PolyVec:
                 self._accum(tuple(idx), chart._as_scalar(c))
 
     def _accum(self, idx, c):
-        if c.is_zero():
-            return
-        order = tuple(sorted(idx))
-        if len(set(idx)) != len(idx):
-            return
-        sign = _perm_sign(idx)
-        c = c if sign > 0 else -c
-        s = self.coef.get(order)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.coef.pop(order, None)
-        else:
-            self.coef[order] = s
+        if not c.is_zero():
+            order, sign = _sort_index(idx)
+            if order is not None:
+                _acc(self.coef, order, c if sign > 0 else -c)
 
     def __add__(self, other):
         out = PolyVec(self.chart, self.grade, dict(self.coef))
@@ -306,16 +291,6 @@ class PolyVec:
 
     def __repr__(self):
         return f"<PolyVec grade {self.grade}, {len(self.coef)} terms>"
-
-
-def _perm_sign(idx):
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
 
 
 def genvec_wedge(*vecs) -> PolyVec:

@@ -17,12 +17,12 @@ from fractions import Fraction
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, WrongBidegree)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, clifford_act, dorfman, interior,
-                     pair_tt, wedge_sum)
+from .genalg import (GenVec, PolyVec, ad_b, clifford_act, dorfman, pair_tt,
+                     wedge_sum)
 from .linalg import (kernel_basis, mat_commutator, mat_inverse, mat_is_zero,
                      mat_mul, mat_sub, mat_trace, mat_vec)
 from .scalars import QQi, Point, ScalarExpr
-from .spinor import (GCStruct, SymplecticGCS, hat_inverse,
+from .spinor import (GCStruct, SymplecticGCS, _hat_matrix, hat_inverse,
                      symplectic_block_matrix)
 
 
@@ -257,13 +257,9 @@ def type00_check(chart: Chart, B: Form, w1: Form, w2: Form, points=()) -> dict:
 
 
 def _eval_two_form_matrix(chart, w: Form, p: Point):
-    dim = chart.dim
-    m = [[QQi(0) for _ in range(dim)] for _ in range(dim)]
-    for (i, j), c in w.terms.items():
-        v = c.eval(p, float_fallback=False)
-        m[i][j] = m[i][j] + v
-        m[j][i] = m[j][i] - v
-    return m
+    """Values w(d_i, d_j) at p: the transpose of `_hat_matrix`."""
+    return [[x.eval(p, float_fallback=False) for x in col]
+            for col in zip(*_hat_matrix(chart, w))]
 
 
 def _tame_at(chart, w2, ker, p):
@@ -293,8 +289,7 @@ def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
     chart = pair.chart
     df = [f.partial(k) for k in range(chart.dim)]
     v = mat_vec(hat_inverse(chart, pair.omega), df)
-    ivb = interior(chart, v, pair.b)
-    e = GenVec(chart, v, [-ivb.coefficient((k,)) for k in range(chart.dim)])
+    e = ad_b(pair.b, GenVec.vector(chart, v), check_closed=False)
     psi = pair.psi()
     df_form = Form(chart, {(k,): c for k, c in enumerate(df) if not c.is_zero()})
     check = clifford_act(e, psi) - df_form.wedge(psi).scale(QQi(0, 1))

@@ -153,6 +153,12 @@ def _reduced(a, b, d) -> QQi:
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
 QQI_I = QQi(0, 1)
+_I_POWERS = (QQI_ONE, QQI_I, QQi(-1), QQi(0, -1))
+
+
+def ipow(k: int) -> QQi:
+    """i^k for an integer k."""
+    return _I_POWERS[k % 4]
 
 
 def as_qqi(x) -> QQi:
@@ -250,12 +256,7 @@ class TrigPoly:
             raise ValueError("mixed variable counts")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _acc(out, k, c)
         return TrigPoly(self.nvars, out)
 
     def __neg__(self):
@@ -1072,9 +1073,6 @@ class Point:
         return f"Point({list(zip(self.a, self.b))})"
 
 
-_QUARTER = {0: QQI_ONE, 1: QQI_I, 2: -QQI_ONE, 3: -QQI_I}
-
-
 def _eval_trigpoly(p: TrigPoly, point: Point, float_fallback):
     total_q = QQI_ZERO
     total_f = 0j
@@ -1089,7 +1087,7 @@ def _eval_trigpoly(p: TrigPoly, point: Point, float_fallback):
             for j, e in enumerate(mono):
                 if e:
                     v = v * QQi(point.a[j] ** e)
-            v = v * _QUARTER[int(2 * kb) % 4]
+            v = v * ipow(int(2 * kb))
             total_q = total_q + c * v
         else:
             exact = False
@@ -1147,31 +1145,15 @@ def format_trigpoly(p: TrigPoly, names) -> str:
     pieces = {}
     for (mono, freq), c in p.terms.items():
         if not any(freq):
-            pieces.setdefault((mono, freq, ""), QQI_ZERO)
-            pieces[(mono, freq, "")] = pieces[(mono, freq, "")] + c
+            pieces[(mono, freq, "")] = c
             continue
         pos = freq if _freq_canonical(freq) else tuple(-f for f in freq)
+        if freq != pos and (mono, pos) in p.terms:
+            continue  # handled when visiting the canonical key
         cpos = p.terms.get((mono, pos), QQI_ZERO)
         cneg = p.terms.get((mono, tuple(-f for f in pos)), QQI_ZERO)
-        if freq != pos:
-            continue  # handled when visiting the canonical key
-        ccos = cpos + cneg
-        csin = QQI_I * (cpos - cneg)
-        if not ccos.is_zero():
-            pieces[(mono, pos, "cos")] = ccos
-        if not csin.is_zero():
-            pieces[(mono, pos, "sin")] = csin
-    # negative-frequency-only terms whose positive partner is absent
-    for (mono, freq), c in p.terms.items():
-        if any(freq) and not _freq_canonical(freq):
-            pos = tuple(-f for f in freq)
-            if (mono, pos) not in p.terms:
-                ccos = c
-                csin = QQI_I * (-c)
-                key_c = (mono, pos, "cos")
-                key_s = (mono, pos, "sin")
-                pieces[key_c] = pieces.get(key_c, QQI_ZERO) + ccos
-                pieces[key_s] = pieces.get(key_s, QQI_ZERO) + csin
+        pieces[(mono, pos, "cos")] = cpos + cneg
+        pieces[(mono, pos, "sin")] = QQI_I * (cpos - cneg)
     out = []
     for (mono, freq, kind) in sorted(pieces, key=lambda t: (_term_sort_key((t[0], t[1])), t[2]), reverse=True):
         c = pieces[(mono, freq, kind)]

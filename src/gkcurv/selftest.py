@@ -1,9 +1,10 @@
 """Seeded exact property suite for the structural identities.
 
-Each check runs a batch of randomized instances in dimensions 2 and 4 and
-demands zero canonical difference; the calibrated constants come from the
-committed fixture.  `run_suite` runs every family; the benchmark's
-selftest_suite workload times each one.
+Each check runs a batch of randomized instances in dimensions 2 and 4 (the
+obstruction family in dimension 4 only) and demands zero canonical
+difference; the calibrated constants come from the committed fixture.
+`run_suite` runs every family; the benchmark's selftest_suite workload times
+each one.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ def _rand_form(rng, chart, trig=True):
     return chart.form(terms)
 
 
-def check_clifford_relation(seed, instances, dims=(1, 2)) -> dict:
+def check_clifford_relation(seed, instances) -> dict:
     """e1.(e2.a) + e2.(e1.a) = 2 <e1, e2> a."""
     rng = random.Random(seed)
     count = 0
-    for n in dims:
+    for n in (1, 2):
         chart = Chart.flat(n)
         for _ in range(instances):
             e1 = _rand_genvec(rng, chart)
@@ -75,11 +76,11 @@ def check_clifford_relation(seed, instances, dims=(1, 2)) -> dict:
     return {"passed": True, "instances": count}
 
 
-def check_sigma_d(seed, instances, dims=(1, 2)) -> dict:
+def check_sigma_d(seed, instances) -> dict:
     """d(sigma a) = sigma(d a) on even forms and its negative on odd forms."""
     rng = random.Random(seed)
     count = 0
-    for n in dims:
+    for n in (1, 2):
         chart = Chart.flat(n)
         for _ in range(instances):
             k = rng.randrange(chart.dim + 1)
@@ -106,11 +107,11 @@ def _e_projections(pair, x: GenVec):
     return x10, x01
 
 
-def check_hjtheta(seed, instances, dims=(1, 2)) -> dict:
+def check_hjtheta(seed, instances) -> dict:
     """[[h,J], theta].conj(psi) = 2i([h20, theta01] - [h02, theta10]).conj(psi)."""
     rng = random.Random(seed)
     count = 0
-    for n in dims:
+    for n in (1, 2):
         pair = flat_kahler(n).pair()
         chart = pair.chart
         psibar = pair.psibar()
@@ -136,12 +137,12 @@ def check_hjtheta(seed, instances, dims=(1, 2)) -> dict:
     return {"passed": True, "instances": count}
 
 
-def check_psi_lemma(seed, instances, dims=(1, 2)) -> dict:
+def check_psi_lemma(seed, instances) -> dict:
     """Two-sided pairing identity moving a deformation from phi to psi."""
     from .curvature import rho
     rng = random.Random(seed)
     count = 0
-    for n in dims:
+    for n in (1, 2):
         pair = flat_kahler(n).pair()
         chart = pair.chart
         phi = pair.j1.spinor()
@@ -195,7 +196,7 @@ def _nonintegrable_pair(rng) -> GKPair:
     return GKPair(j1, chart.zero_form(), w2)
 
 
-def check_n_psi(seed, instances, dims=(2,)) -> dict:
+def check_n_psi(seed, instances) -> dict:
     """The Lambda^3 obstruction of a compatible pair annihilates psi."""
     rng = random.Random(seed)
     count = 0
@@ -212,13 +213,13 @@ def check_n_psi(seed, instances, dims=(2,)) -> dict:
             "nonzero_obstruction_instances": nontrivial}
 
 
-def check_saisho(seed, instances, dims=(1, 2)) -> dict:
+def check_saisho(seed, instances) -> dict:
     """Trace identity against the frozen constant kappa."""
     from .curvature import rho
     fixture = load_fixture()
     rng = random.Random(seed)
     count = 0
-    for n in dims:
+    for n in (1, 2):
         kappa = parse_scalar(fixture["saisho_constant"][str(n)],
                              tuple(f"x{j+1}" for j in range(2 * n))).const_value()
         pair = flat_kahler(n).pair()

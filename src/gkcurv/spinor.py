@@ -1,10 +1,11 @@
 """Almost generalized complex structures from pure-spinor data.
 
-Each structure is built from one of four kinds of defining data (symplectic
-exponential, complex volume form, bivector deformation, explicit polyform)
-and exposes the induced spinor line, a closed-form annihilator frame, the
-endomorphism matrix on T + T*, and the unique real (eta, N) splitting of
-d(phi), whose Lambda^3 part is the integrability obstruction.
+Each structure is built from one of five kinds of defining data (symplectic
+exponential, complex volume form, bivector deformation, explicit polyform,
+explicit spinor with its frame and matrix) and exposes the induced spinor
+line, a closed-form annihilator frame, the endomorphism matrix on T + T*,
+and the unique real (eta, N) splitting of d(phi), whose Lambda^3 part is the
+integrability obstruction.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import itertools
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, clifford_act, interior, keyed_sum,
+from .genalg import (GenVec, PolyVec, ad_b, clifford_act, exp_spin, keyed_sum,
                      wedge_sum)
-from .linalg import (kernel_basis, mat_identity, mat_inverse, mat_mul,
-                     solve_exact)
+from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
+                     mat_sub, solve_exact)
 from .scalars import QQi, Point
 
 
@@ -167,7 +168,6 @@ class BetaDeformGCS(GCStruct):
         self.base = base
 
     def _build_spinor(self):
-        from .genalg import exp_spin
         return exp_spin(self.beta, self.base.spinor())
 
     def _build_frame(self):
@@ -175,16 +175,10 @@ class BetaDeformGCS(GCStruct):
 
     def _build_jmat(self):
         chart = self.chart
-        dim4 = 2 * chart.dim
+        one = mat_identity(2 * chart.dim, chart.one_s(), chart.zero_s())
         ad = self.beta.ad_matrix()
-        one, zero = chart.one_s(), chart.zero_s()
-        m = mat_identity(dim4, one, zero)
-        mi = mat_identity(dim4, one, zero)
-        for r in range(dim4):
-            for c in range(dim4):
-                m[r][c] = m[r][c] + ad[r][c]
-                mi[r][c] = mi[r][c] - ad[r][c]
-        return mat_mul(mat_mul(m, self.base.j_matrix()), mi)
+        return mat_mul(mat_mul(mat_add(one, ad), self.base.j_matrix()),
+                       mat_sub(one, ad))
 
 
 class GenericGCS(GCStruct):
@@ -224,14 +218,8 @@ class FrameGCS(GCStruct):
 
 def _exp_frame(chart: Chart, z: Form):
     """Annihilator of exp(Z): sections v - i_v Z over the coordinate fields."""
-    frame = []
-    for k in range(chart.dim):
-        comps = [chart.one_s() if j == k else chart.zero_s()
-                 for j in range(chart.dim)]
-        ivz = interior(chart, comps, z)
-        frame.append(GenVec(chart, comps,
-                            [-ivz.coefficient((j,)) for j in range(chart.dim)]))
-    return frame
+    return [ad_b(z, GenVec.basis(chart, k), check_closed=False)
+            for k in range(chart.dim)]
 
 
 def _hat_matrix(chart: Chart, two_form: Form):

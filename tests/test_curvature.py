@@ -1,71 +1,36 @@
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
-                              TorusIntegral, _at_zero, _pad, gr_complex,
-                              gr_two_term_forms,
-                              gric_gr, integrate_torus, ipow,
+                              NilpotentPath, _at_zero, _pad, gr_complex,
+                              gr_two_term_forms, gric_gr, integrate_torus,
                               kahler_oracle_dJdlog, moment_derivative_check,
-                              moment_pairing,
-                              proportionality, rho, scalar_torus_mean,
+                              moment_pairing, proportionality, rho,
                               scalar_torus_mean_certified, type00_gric)
-from gkcurv.errors import EvaluationPole, NotExactlyIntegrable, NotMeanZero
-from gkcurv.examples import CATALOG, cp2_three_lines, flat_kahler
-from gkcurv.forms import Form
-from gkcurv.genalg import GenVec, clifford_act
+from gkcurv.errors import (EvaluationPole, NotExactlyIntegrable, NotMeanZero,
+                           NotRealStructure)
+from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
+                             flat_volume_forms, fubini_study_chart,
+                             hyperkahler_t4, type00_perturbed)
 from gkcurv.gkpair import GKPair
 from gkcurv.parsing import parse_scalar
-from gkcurv.scalars import Point, QQi, ScalarExpr
-from gkcurv.spinor import (ComplexVolumeGCS, GenericGCS, SymplecticGCS,
-                           eta_N_extract)
+from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
 
 from conftest import chart_flat
-from test_spinor import flat_omega, flat_volume_struct
-from test_gkpair import flat_kahler_pair, hk_t4_data
 from test_scalars import _sym_trig
 
 
-def fs_chart(n):
-    return chart_flat(n)
-
-
-def fs_omega(chart):
-    """Fubini-Study form i ddbar log(1 + |z|^2) in real coordinates."""
-    n = chart.n
-    s = chart.one_s()
-    for k in range(chart.dim):
-        s = s + chart.coord_s(k) * chart.coord_s(k)
-    dz = [chart.form({(2 * k,): 1, (2 * k + 1,): QQi(0, 1)}) for k in range(n)]
-    dzbar = [f.conj() for f in dz]
-    z = [chart.coord_s(2 * k) + chart.i_s() * chart.coord_s(2 * k + 1)
-         for k in range(n)]
-    zbar = [c.conj() for c in z]
-    out = chart.zero_form()
-    for j in range(n):
-        for k in range(n):
-            g = (s if j == k else chart.zero_s()) - zbar[j] * z[k]
-            g = g / (s * s)
-            out = out + dz[j].wedge(dzbar[k]).scale(g * QQi(0, 1))
-    return out
-
-
-def fs_pair(n):
-    chart = fs_chart(n)
-    return GKPair(flat_volume_struct(chart), chart.zero_form(), fs_omega(chart))
-
-
 def test_rho_flat():
-    assert rho(flat_kahler_pair(2)) == chart_flat(2).one_s()
+    assert rho(flat_kahler(2).pair()) == chart_flat(2).one_s()
     # complex-volume vs symplectic pairing at n = 1 carries the odd-type sign
-    assert rho(flat_kahler_pair(1)) == chart_flat(1).const(-1)
+    assert rho(flat_kahler(1).pair()) == chart_flat(1).const(-1)
 
 
 def test_rho_fs():
-    pair = fs_pair(1)
+    pair = fubini_study_chart(1).pair()
     r = rho(pair, points=[Point([0, 0]), Point([1, 2])])
     chart = pair.chart
     s = chart.sc("1 + x1^2 + x2^2")
@@ -74,7 +39,7 @@ def test_rho_fs():
 
 def test_gric_flat_kahler():
     for n in (1, 2):
-        pair = flat_kahler_pair(n)
+        pair = flat_kahler(n).pair()
         rep = gric_gr(pair)
         assert rep.gric.is_zero()
         assert rep.gr.is_zero()
@@ -83,7 +48,7 @@ def test_gric_flat_kahler():
 
 
 def test_gric_fs_sphere():
-    pair = fs_pair(1)
+    pair = fubini_study_chart(1).pair()
     rep = gric_gr(pair)
     w = pair.omega
     lam = proportionality(rep.gric, w)
@@ -97,7 +62,7 @@ def test_gric_fs_sphere():
 
 
 def test_gric_fs_cp2():
-    pair = fs_pair(2)
+    pair = fubini_study_chart(2).pair()
     rep = gric_gr(pair)
     lam = proportionality(rep.gric, pair.omega)
     assert lam is not None
@@ -125,17 +90,18 @@ def test_cp2_three_lines_is_einstein():
 
 
 def test_gr_complex_matches_gr_fs():
-    pair = fs_pair(1)
+    pair = fubini_study_chart(1).pair()
     rep = gric_gr(pair)
     z = gr_complex(pair)
     assert z.real() == rep.gr
-    pair2 = fs_pair(2)
+    pair2 = fubini_study_chart(2).pair()
     rep2 = gric_gr(pair2)
     assert gr_complex(pair2).real() == rep2.gr
 
 
 def test_gr_two_term_identity():
-    for n, pair in ((1, fs_pair(1)), (2, fs_pair(2))):
+    for n in (1, 2):
+        pair = fubini_study_chart(n).pair()
         rep = gric_gr(pair)
         a, b, vol = gr_two_term_forms(pair)
         target = vol.scale(rep.gr * ipow(-n))
@@ -154,46 +120,36 @@ def _expected_two_term(n):
 
 
 def test_hyperkahler_both_routes_vanish():
-    chart, B, w1, w2 = hk_t4_data()
+    scene = hyperkahler_t4()
+    chart = scene.chart
+    B, w1, w2 = scene.expected["type00_data"]
     closed = type00_gric(chart, B, w1, w2)
     assert closed["gric"].is_zero()
     assert closed["gr"].is_zero()
     assert closed["rho"] == chart.one_s()
-    j1 = GenericGCS(chart, (B + w1.scale(QQi(0, 1))).exp())
-    pair = GKPair(j1, chart.zero_form(), w2)
-    rep = gric_gr(pair)
+    rep = gric_gr(scene.pair())
     assert rep.gric.is_zero() and rep.gr.is_zero()
     assert rep.rho == chart.one_s()
 
 
-def type00_perturbed_data():
-    """Type-(0,0) pair with nonconstant volume ratio, built from two
-    holomorphic-symplectic forms sharing a real part."""
-    chart = chart_flat(2)
-    dz1 = chart.form({(0,): 1, (1,): QQi(0, 1)})
-    dz2 = chart.form({(2,): 1, (3,): QQi(0, 1)})
+def test_type00_perturbed_two_routes():
+    """The scene is built from two holomorphic-symplectic forms sharing a
+    real part: B + i(w1 - w2) and B + i(w1 + w2)."""
+    scene = type00_perturbed()
+    chart = scene.chart
+    B, w1, w2 = scene.expected["type00_data"]
+    dz1, dz2 = flat_volume_forms(chart)
     z1 = chart.sc("x1 + i*x2")
     wplus = dz1.wedge(dz2) + dz1.wedge(dz2.conj()).scale(z1)
     wminus = dz1.wedge(dz2) + dz1.conj().wedge(dz2).scale(z1.conj())
     assert (wplus + wplus.conj()) == (wminus + wminus.conj())  # shared real part
-    B = (wplus + wplus.conj()).scale(Fraction(1, 2))
-    im_plus = (wplus - wplus.conj()).scale(QQi(0, Fraction(-1, 2)))
-    im_minus = (wminus - wminus.conj()).scale(QQi(0, Fraction(-1, 2)))
-    # Im(wplus) = w1 - w2 and Im(wminus) = w1 + w2
-    w1 = (im_plus + im_minus).scale(Fraction(1, 2))
-    w2 = (im_minus - im_plus).scale(Fraction(1, 2))
-    return chart, B, w1, w2
-
-
-def test_type00_perturbed_two_routes():
-    chart, B, w1, w2 = type00_perturbed_data()
+    assert wplus == B + (w1 - w2).scale(QQi(0, 1))
+    assert wminus == B + (w1 + w2).scale(QQi(0, 1))
     assert (B + w1.scale(QQi(0, 1))).ext_d().is_zero()
     assert w2.ext_d().is_zero()
     closed = type00_gric(chart, B, w1, w2)
     assert not closed["gric"].is_zero()
-    j1 = GenericGCS(chart, (B + w1.scale(QQi(0, 1))).exp())
-    pair = GKPair(j1, chart.zero_form(), w2)
-    rep = gric_gr(pair)
+    rep = gric_gr(scene.pair())
     assert rep.gric == closed["gric"]
     assert rep.gr == closed["gr"]
     assert rep.rho == closed["rho"]
@@ -210,6 +166,10 @@ def test_integrate_torus():
     assert integrate_torus(chart4.volume()).mean == QQi(1)
     exact = chart.form({(0,): "sin(x1)*cos(x2)"}).ext_d()
     assert integrate_torus(exact).is_zero()
+    # a trig-rational integrand gets the certified series mean, 1/sqrt(15)
+    val = integrate_torus(chart.form({(0, 1): "1/(4 + cos(x1))"}))
+    assert 0 < val.error_bound < SERIES_MEAN_TOL
+    assert abs(val.mean.to_complex() - 15 ** -0.5) < 1e-12
 
 
 def test_integrate_errors():
@@ -222,8 +182,8 @@ def test_integrate_errors():
 
 
 def test_moment_pairing_flat():
-    chart = chart_flat(2, periodic=True)
-    pair = GKPair(flat_volume_struct(chart), chart.zero_form(), flat_omega(chart))
+    pair = flat_kahler(2, periodic=True).pair()
+    chart = pair.chart
     f = chart.sc("cos(x1)")
     val = moment_pairing(pair, f)
     assert val.is_zero()
@@ -243,7 +203,7 @@ def test_moment_identity_flat_torus(n, text, rhs):
                                               frame.eminus[0])])
     assert res["lhs"] == res["rhs"] == rhs
     assert res["relative_error"] == 0.0
-    assert res["lhs_bound"] == 0
+    assert res["lhs_bound"] == res["rhs_bound"] == 0
 
 
 def test_moment_identity_two_mode_flat_t2():
@@ -256,7 +216,7 @@ def test_moment_identity_two_mode_flat_t2():
                                               frame.eminus[0])])
     assert res["lhs"] == res["rhs"] == Fraction(-10, 9)
     assert res["relative_error"] == 0.0
-    assert res["lhs_bound"] == 0
+    assert res["lhs_bound"] == res["rhs_bound"] == 0
 
 
 @pytest.mark.parametrize("text, rhs", [
@@ -270,7 +230,34 @@ def test_moment_identity_t4_translation_poisson(text, rhs):
                                               frame.eminus[0])])
     assert not pair.b.is_zero() and gric_gr(pair).gr.is_zero()
     assert res["lhs"] == res["rhs"] == rhs
-    assert res["lhs_bound"] == 0
+    assert res["lhs_bound"] == res["rhs_bound"] == 0
+
+
+def test_moment_identity_conformal_t2_within_certified_bounds():
+    """omega = (8 + cos x1) dx1^dx2: both means are certified series means,
+    and the two sides agree within the sum of their bounds."""
+    scene = flat_kahler(1, periodic=True)
+    chart = scene.chart
+    pair = GKPair(scene.j1, chart.zero_form(),
+                  chart.form({(0, 1): "8 + cos(x1)"}))
+    frame = pair.epm_frame()
+    c = chart.sc("sin(x1)")
+    res = moment_derivative_check(pair, c, [(c, frame.eplus[0],
+                                              frame.eminus[0])])
+    assert 0 < res["lhs_bound"] < SERIES_MEAN_TOL
+    assert 0 < res["rhs_bound"] < SERIES_MEAN_TOL
+    assert abs(res["lhs"] - res["rhs"]) <= res["lhs_bound"] + res["rhs_bound"]
+    assert abs(float(res["rhs"]) + 1.0118734538162) < 1e-12
+
+
+def test_nilpotent_path_rejects_a_non_real_base():
+    """The moved pair is not real away from t = 0, so it is no base point."""
+    pair = flat_kahler(1, periodic=True).pair()
+    frame = pair.epm_frame()
+    c = pair.chart.sc("cos(x1)")
+    moved = NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]).pair_at()
+    with pytest.raises(NotRealStructure):
+        NilpotentPath(moved, [])
 
 
 T_CHART = dataclasses.replace(chart_flat(1, periodic=True), params=("t",))

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import NotBivector, NotClosed
-from gkcurv.genalg import (GenVec, PolyVec, _basis_act, _perm_sign, ad_b,
-                           ad_beta, clifford_act, courant, dorfman, exp_spin,
+from gkcurv.forms import _perm_sign
+from gkcurv.genalg import (GenVec, PolyVec, _basis_act, ad_b, ad_beta,
+                           clifford_act, courant, dorfman, exp_spin,
                            gen_lie_J, genvec_wedge, interior, keyed_sum, lie_form,
                            pair_tt, wedge_sum)
 from gkcurv.scalars import QQi, ScalarExpr

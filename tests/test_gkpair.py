@@ -1,44 +1,25 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gkcurv.errors import DimensionMismatch, WrongBidegree
-from gkcurv.examples import CATALOG, flat_kahler
-from gkcurv.genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
+from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
+                             hyperkahler_t4)
+from gkcurv.genalg import GenVec, PolyVec, genvec_wedge, pair_tt
 from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
-                           compatibility_check,
-                           ddbar_pm, epm_split, frame_bivector,
+                           compatibility_check, ddbar_pm, epm_split,
                            hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
-from gkcurv.linalg import (mat_add, mat_commutator, mat_identity, mat_is_zero,
-                           mat_mul)
+from gkcurv.linalg import mat_add, mat_commutator, mat_is_zero, mat_mul
 from gkcurv.scalars import Point, QQi
-from gkcurv.spinor import GenericGCS, SymplecticGCS
+from gkcurv.spinor import SymplecticGCS
 
 from conftest import chart_flat
-from test_spinor import flat_omega, flat_volume_struct
-
-
-def flat_kahler_pair(n):
-    chart = chart_flat(n)
-    return GKPair(flat_volume_struct(chart), chart.zero_form(), flat_omega(chart))
-
-
-def hk_t4_data():
-    chart = chart_flat(2, periodic=True)
-    w_i = chart.form({(0, 1): 1, (2, 3): 1})
-    w_j = chart.form({(0, 2): 1, (1, 3): -1})
-    w_k = chart.form({(0, 3): 1, (1, 2): 1})
-    B = w_j
-    w1 = (w_i + w_k).scale(Fraction(1, 2))
-    w2 = (w_i - w_k).scale(Fraction(1, 2))
-    return chart, B, w1, w2
 
 
 def test_flat_kahler_compatibility():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     pts = [Point([0, 0, 0, 0]), Point([1, 2, -1, 3])]
     rep = compatibility_check(pair, pts)
     assert rep["commute"] and rep["positive"]
@@ -71,7 +52,7 @@ def test_compatibility_min_eigenvalue_t4_nonintegrable():
 
 def test_reversed_omega_not_positive():
     chart = chart_flat(1)
-    w = flat_omega(chart)
+    w = flat_omega_form(chart)
     j1 = SymplecticGCS(chart, chart.zero_form(), w)
     pair = GKPair(j1, chart.zero_form(), -w)
     rep = compatibility_check(pair, [Point([0, 0])])
@@ -79,7 +60,7 @@ def test_reversed_omega_not_positive():
 
 
 def test_ghat_squares_to_identity():
-    pair = flat_kahler_pair(1)
+    pair = flat_kahler(1).pair()
     gh = pair.ghat()
     sq = mat_mul(gh, gh)
     chart = pair.chart
@@ -89,7 +70,7 @@ def test_ghat_squares_to_identity():
 
 
 def test_epm_split_flat():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     fr = pair.epm_frame()
     assert len(fr.eplus) == 2 and len(fr.eminus) == 2
     # all frame elements annihilate either psi or conj(psi) appropriately
@@ -115,7 +96,7 @@ def test_epm_split_flat():
 
 def test_epm_failure_on_bad_pair():
     chart = chart_flat(1)
-    w = flat_omega(chart)
+    w = flat_omega_form(chart)
     j1 = SymplecticGCS(chart, chart.zero_form(), w)
     pair = GKPair(j1, chart.zero_form(), -w)
     with pytest.raises(DimensionMismatch):
@@ -134,7 +115,9 @@ def test_epm_failure_on_noncommuting_pair():
 
 
 def test_type00_hyperkahler():
-    chart, B, w1, w2 = hk_t4_data()
+    scene = hyperkahler_t4()
+    chart = scene.chart
+    B, w1, w2 = scene.expected["type00_data"]
     pts = [Point([0, 0, 0, 0]), Point([1, 1, 2, 0])]
     rep = type00_check(chart, B, w1, w2, pts)
     assert rep["pass"]
@@ -148,9 +131,7 @@ def test_type00_hyperkahler():
 
 
 def test_hyperkahler_pair_is_gk():
-    chart, B, w1, w2 = hk_t4_data()
-    j1 = GenericGCS(chart, (B + w1.scale(QQi(0, 1))).exp())
-    pair = GKPair(j1, chart.zero_form(), w2)
+    pair = hyperkahler_t4().pair()
     rep = compatibility_check(pair, [Point([0, 0, 0, 0])])
     assert rep["commute"] and rep["positive"]
     fr = pair.epm_frame()
@@ -158,7 +139,7 @@ def test_hyperkahler_pair_is_gk():
 
 
 def test_hamiltonian_element():
-    pair = flat_kahler_pair(1)
+    pair = flat_kahler(1).pair()
     chart = pair.chart
     e = hamiltonian_element(pair, chart.sc("x1"))
     assert e == -GenVec.basis(chart, 1)
@@ -166,23 +147,24 @@ def test_hamiltonian_element():
 
 
 def test_hamiltonian_element_with_b():
-    chart = chart_flat(2)
+    scene = flat_kahler(2)
+    chart = scene.chart
     b = chart.form({(0, 2): 1, (1, 3): -2})
-    pair = GKPair(flat_volume_struct(chart), b, flat_omega(chart))
+    pair = GKPair(scene.j1, b, scene.omega)
     f = chart.sc("x1*x3 + cos(x2)")
     e = hamiltonian_element(pair, f)  # defining identity asserted inside
     assert e.is_real()
 
 
 def test_ddbar_pm_linear_vanishes():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     out = ddbar_pm(pair, pair.chart.sc("x1 - 2*x3"))
     assert not out["mixed"]
     assert not out["pure_minus_residue"]
 
 
 def test_ddbar_pm_quadratic():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     out = ddbar_pm(pair, pair.chart.sc("x1*x2"))
     assert out["mixed"]
     assert not out["pure_minus_residue"]
@@ -201,7 +183,7 @@ def test_ddbar_pm_quadratic():
 
 
 def test_trace_pairing_zero_and_bidegree():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     zero_h = PolyVec(pair.chart, 2)
     assert trace_pairing(pair, zero_h, zero_h).is_zero()
     bad = genvec_wedge(GenVec.basis(pair.chart, 0), GenVec.basis(pair.chart, 4))
@@ -210,7 +192,7 @@ def test_trace_pairing_zero_and_bidegree():
 
 
 def test_random_compat_bivector_properties():
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     rng = random.Random(31)
     chart = pair.chart
     j = pair.j1.j_matrix()
@@ -225,7 +207,7 @@ def test_random_compat_bivector_properties():
 
 def test_trace_pairing_antisymmetric_imaginary_part():
     """tr(J Jdot1 Jdot2) has the symmetry used by the deformation 2-form."""
-    pair = flat_kahler_pair(2)
+    pair = flat_kahler(2).pair()
     rng = random.Random(33)
     h1 = random_compat_bivector(pair, rng)
     h2 = random_compat_bivector(pair, rng)

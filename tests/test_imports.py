@@ -1,13 +1,16 @@
 """Every name a gkcurv module imports is referenced in that module, every
-name it defines at module level is referenced somewhere, and every error
-type it defines is raised somewhere."""
+name it defines at module level is referenced somewhere, no module-level
+name holds a mutable value outside a short allowlist, and every error type
+it defines is raised somewhere."""
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
 from gkcurv import linalg
+from gkcurv.scalars import QQi
 
 SRC = pathlib.Path(linalg.__file__).parent
 ROOT = SRC.parent.parent
@@ -56,6 +59,23 @@ def test_no_dead_module_level_names():
             for name in _module_level_names(ast.parse(path.read_text()))
             if words[name] < 2]
     assert dead == []
+
+
+def test_no_mutable_module_level_values():
+    """No module-level name in src/gkcurv/ is bound to a dict, list or set,
+    or to an instance of a gkcurv class other than QQi, except the gcd
+    factor registry (the one remaining global cache, listed so it stays
+    visible) and the scene catalogue."""
+    mutable = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"gkcurv.{path.stem}")
+        for name in _module_level_names(ast.parse(path.read_text())):
+            value = getattr(module, name)
+            cls = type(value)
+            if isinstance(value, (dict, list, set)) or (
+                    cls.__module__.startswith("gkcurv.") and cls is not QQi):
+                mutable.append(f"{path.stem}.{name}")
+    assert mutable == ["examples.CATALOG", "scalars._REGISTRY"]
 
 
 def test_every_error_type_is_raised():

@@ -174,6 +174,28 @@ def test_printer_round_trip():
         assert again == f
 
 
+_Z2 = (0, 0)
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({(_Z2, (-1, 0)): QQi(1)}, "-i*sin(x1) + cos(x1)"),
+    ({((0, 1), (1, 0)): QQi(1)}, "i*x2*sin(x1) + x2*cos(x1)"),
+    ({(_Z2, _Z2): QQi(3), (_Z2, (0, -2)): QQi(1)},
+     "-i*sin(2*x2) + cos(2*x2) + 3"),
+    ({(_Z2, (1, 0)): QQi(2), (_Z2, (-1, 0)): QQi(1)}, "i*sin(x1) + 3*cos(x1)"),
+    ({(_Z2, (1, -1)): QQi(0, 1), (_Z2, (-1, 1)): QQi(3, -2)},
+     "(-3-3*i)*sin(x1-x2) + (3-i)*cos(x1-x2)"),
+    ({((1, 0), (-1, 2)): QQi(-1, 2), ((1, 0), _Z2): QQi(1, 3)},
+     "(2+i)*x1*sin(x1-2*x2) + (-1+2*i)*x1*cos(x1-2*x2) + (1+3*i)*x1"),
+], ids=["lone_minus", "x2_times_plus", "const_and_minus", "unequal_pair",
+        "unequal_complex_pair", "mono_times_minus"])
+def test_format_trigpoly_one_sided_and_unequal_pairs(terms, text):
+    """exp(i k.x) terms whose -k partner is absent, or present with another
+    coefficient, print through cos/sin: c e^{ik.x} + d e^{-ik.x} =
+    (c + d) cos(k.x) + i(c - d) sin(k.x)."""
+    assert scalars.format_trigpoly(TrigPoly(2, terms), NAMES[:2]) == text
+
+
 def test_pow_negative():
     f = S("(1+x1^2)^-1")
     assert f == S("1/(1+x1^2)")

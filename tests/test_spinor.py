@@ -6,7 +6,7 @@ import pytest
 
 from gkcurv import scalars
 from gkcurv.errors import DecompositionFailed, ImpureSpinor
-from gkcurv.examples import CATALOG
+from gkcurv.examples import CATALOG, flat_omega_form, flat_volume_forms
 from gkcurv.forms import Form
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_mul, mat_vec
@@ -17,18 +17,6 @@ from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
                            purity_nondeg, type_number)
 
 from conftest import chart_flat, random_form
-
-
-def flat_omega(chart):
-    return chart.form({(2 * k, 2 * k + 1): 1 for k in range(chart.n)})
-
-
-def flat_volume_struct(chart):
-    """dz_1 ^ ... ^ dz_n with z_k = x_{2k-1} + i x_{2k}."""
-    forms = []
-    for k in range(chart.n):
-        forms.append(chart.form({(2 * k,): 1, (2 * k + 1,): QQi(0, 1)}))
-    return ComplexVolumeGCS(chart, forms)
 
 
 def _jmat_apply(jmat, e):
@@ -44,13 +32,13 @@ def _check_j_squared(chart, jmat):
 
 
 def test_symplectic_spinor(chart2):
-    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega(chart2))
+    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega_form(chart2))
     psi = J.spinor()
     assert psi == chart2.form({(): 1, (0, 1): QQi(0, 1)})
 
 
 def test_complex_volume_spinor(chart4):
-    J = flat_volume_struct(chart4)
+    J = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     omega = J.spinor()
     # dz1^dz2 expanded
     expect = chart4.form({(0, 2): 1, (0, 3): QQi(0, 1),
@@ -59,7 +47,7 @@ def test_complex_volume_spinor(chart4):
 
 
 def test_symplectic_jmat(chart2):
-    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega(chart2))
+    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega_form(chart2))
     jm = J.j_matrix()
     _check_j_squared(chart2, jm)
     # annihilator convention: J e = -i e on ker(spinor)
@@ -67,7 +55,8 @@ def test_symplectic_jmat(chart2):
         assert _jmat_apply(jm, e) == e.scale(QQi(0, -1))
     # the quoted block form lives on the pairing side of a pair
     from gkcurv.spinor import symplectic_block_matrix
-    bm = symplectic_block_matrix(chart2, chart2.zero_form(), flat_omega(chart2))
+    bm = symplectic_block_matrix(chart2, chart2.zero_form(),
+                                 flat_omega_form(chart2))
     d1 = GenVec.basis(chart2, 0)
     assert _jmat_apply(bm, d1) == GenVec.basis(chart2, 3)       # J(d1) = dx2
     dx2 = GenVec.basis(chart2, 3)
@@ -75,7 +64,7 @@ def test_symplectic_jmat(chart2):
 
 
 def test_complex_volume_jmat(chart2):
-    J = flat_volume_struct(chart2)
+    J = ComplexVolumeGCS(chart2, flat_volume_forms(chart2))
     jm = J.j_matrix()
     _check_j_squared(chart2, jm)
     dx, dy = GenVec.basis(chart2, 0), GenVec.basis(chart2, 1)
@@ -87,7 +76,7 @@ def test_complex_volume_jmat(chart2):
 def test_jmat_orthogonal_pairing(chart4):
     rng = random.Random(3)
     b = chart4.form({(0, 1): "x3"}).ext_d()
-    J = SymplecticGCS(chart4, chart4.form({(0, 2): 1}), flat_omega(chart4))
+    J = SymplecticGCS(chart4, chart4.form({(0, 2): 1}), flat_omega_form(chart4))
     jm = J.j_matrix()
     _check_j_squared(chart4, J.j_matrix())
     for _ in range(6):
@@ -99,8 +88,9 @@ def test_jmat_orthogonal_pairing(chart4):
 
 def test_annihilator_kills_spinor(chart4):
     structs = [
-        SymplecticGCS(chart4, chart4.form({(0, 2): "x2"}), flat_omega(chart4)),
-        flat_volume_struct(chart4),
+        SymplecticGCS(chart4, chart4.form({(0, 2): "x2"}),
+                      flat_omega_form(chart4)),
+        ComplexVolumeGCS(chart4, flat_volume_forms(chart4)),
     ]
     for J in structs:
         phi = J.spinor()
@@ -110,7 +100,7 @@ def test_annihilator_kills_spinor(chart4):
 
 def test_jmat_eigen_annihilator(chart4):
     """J e = -i e for annihilator elements."""
-    J = flat_volume_struct(chart4)
+    J = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     jm = J.j_matrix()
     for e in J.annihilator():
         got = _jmat_apply(jm, e)
@@ -118,7 +108,7 @@ def test_jmat_eigen_annihilator(chart4):
 
 
 def test_beta_deform_spinor(chart4):
-    base = flat_volume_struct(chart4)
+    base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     d1 = GenVec.basis(chart4, 0)
     d3 = GenVec.basis(chart4, 2)
     beta = genvec_wedge(d1, d3)
@@ -132,14 +122,14 @@ def test_beta_deform_spinor(chart4):
 
 
 def test_beta_zero_is_base(chart4):
-    base = flat_volume_struct(chart4)
+    base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     from gkcurv.genalg import PolyVec
     J = BetaDeformGCS(chart4, PolyVec(chart4, 2), base)
     assert J.j_matrix() == base.j_matrix()
 
 
 def test_purity_nondeg(chart2):
-    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega(chart2))
+    J = SymplecticGCS(chart2, chart2.zero_form(), flat_omega_form(chart2))
     rep = purity_nondeg(J.spinor(), Point([0, 0]))
     assert rep["pure"] and rep["nondegenerate"]
     dx1 = chart2.dx(0)
@@ -166,9 +156,9 @@ def test_generic_frame_matches(chart4):
 
 
 def test_type_numbers(chart4):
-    Jw = SymplecticGCS(chart4, chart4.zero_form(), flat_omega(chart4))
+    Jw = SymplecticGCS(chart4, chart4.zero_form(), flat_omega_form(chart4))
     assert type_number(Jw, Point([1, 2, 3, 4])) == 0
-    Jv = flat_volume_struct(chart4)
+    Jv = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     assert type_number(Jv, Point([1, 2, 3, 4])) == 2
     # z1 z2 d1 ^ d2 deformation of C^2: jumping type
     d_z1 = GenVec(chart4, [Fraction(1, 2), QQi(0, Fraction(-1, 2)), 0, 0],
@@ -184,7 +174,7 @@ def test_type_numbers(chart4):
 
 
 def test_eta_n_closed_spinor(chart4):
-    J = flat_volume_struct(chart4)
+    J = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     res = eta_N_extract(J)
     assert res.eta.is_zero()
     assert res.n3.is_zero()
@@ -192,14 +182,14 @@ def test_eta_n_closed_spinor(chart4):
 
 
 def test_eta_n_symplectic_closed(chart4):
-    J = SymplecticGCS(chart4, chart4.zero_form(), flat_omega(chart4))
+    J = SymplecticGCS(chart4, chart4.zero_form(), flat_omega_form(chart4))
     res = eta_N_extract(J)
     assert res.eta.is_zero() and res.n3.is_zero()
 
 
 def test_eta_n_nonintegrable(chart4):
     """Non-closed exponential: d(phi) has a Lambda^3 part, N != 0."""
-    z = flat_omega(chart4).scale(QQi(0, 1)) + chart4.form({(0, 1): "x3"})
+    z = flat_omega_form(chart4).scale(QQi(0, 1)) + chart4.form({(0, 1): "x3"})
     J = GenericGCS(chart4, z.exp())
     res = eta_N_extract(J)
     phi = J.spinor()
@@ -212,7 +202,7 @@ def test_eta_n_nonintegrable(chart4):
 
 def test_eta_n_beta_weights(chart4):
     """Rotation-action deformation of flat C^2: eta from the weight formula."""
-    Jv = flat_volume_struct(chart4)
+    Jv = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     # rotation fields V_k = -y_k d/dx_k + x_k d/dy_k, weights 1
     v1 = GenVec.vector(chart4, ["-x2", "x1", 0, 0])
     v2 = GenVec.vector(chart4, [0, 0, "-x4", "x3"])
