@@ -16,9 +16,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from .curvature import (MOMENT_FORM_CONSTANT, gr_two_term_forms, gric_gr,
+                        proportionality, rho)
 from .examples import flat_kahler, fubini_study_chart
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt
+from .gkpair import ddbar_pm, random_compat_bivector, trace_pairing
 from .scalars import QQi, format_qqi, ipow
 
 FIXTURE_PATH = Path(__file__).with_name("data") / "calibration.json"
@@ -149,15 +152,12 @@ def flat_volume_pairing_check(n: int) -> bool:
 
 
 def flat_rho(n: int) -> str:
-    from .curvature import rho
     pair = flat_kahler(n).pair()
     return rho(pair).to_string(pair.chart.coords)
 
 
 def saisho_constant(n: int, seed=2024, instances=3) -> str:
     """kappa in tr(J [h1,J] [h2,J]) <psi,psi_bar> = kappa rho^{-1}(<h1.phi, conj(h2.phi)> - <h2.phi, conj(h1.phi)>)."""
-    from .curvature import proportionality, rho
-    from .gkpair import random_compat_bivector, trace_pairing
     pair = flat_kahler(n).pair()
     chart = pair.chart
     rng = random.Random(seed + 10 * n)
@@ -191,7 +191,6 @@ def saisho_constant(n: int, seed=2024, instances=3) -> str:
 
 def two_term_constant(n: int) -> str:
     """c with c (A - B) = i^{-n} gr <psi, psi_bar> on the projective chart."""
-    from .curvature import gr_two_term_forms, gric_gr, proportionality
     pair = fubini_study_chart(n).pair()
     rep = gric_gr(pair)
     a, b, vol = gr_two_term_forms(pair)
@@ -203,7 +202,6 @@ def two_term_constant(n: int) -> str:
 
 
 def fs_einstein_constant(n: int) -> str:
-    from .curvature import gric_gr, proportionality
     pair = fubini_study_chart(n).pair()
     rep = gric_gr(pair)
     lam = proportionality(rep.gric, pair.omega)
@@ -215,7 +213,6 @@ def fs_einstein_constant(n: int) -> str:
 def ddbar_oracle_constant(seed=2024) -> str:
     """Ratio between the full algebroid differential of the Hamiltonian
     section and the mixed second derivative (measured on the flat chart)."""
-    from .gkpair import ddbar_pm
     pair = flat_kahler(2).pair()
     out = ddbar_pm(pair, pair.chart.sc("x1*x2"))
     ratios = {out["oracle_full"][k] / v for k, v in out["mixed"].items()}
@@ -233,7 +230,6 @@ def moment_form_constant() -> str:
     """Normalizer of the deformation 2-form against the quoted trace
     integral; confirmed by the exact moment-map identity lhs == rhs and
     asserted by the acceptance suite."""
-    from .curvature import MOMENT_FORM_CONSTANT
     return format_qqi(MOMENT_FORM_CONSTANT)
 
 

@@ -12,7 +12,6 @@ t-derivative checks the moment-map identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -64,7 +63,7 @@ def rho(pair: GKPair, points=()) -> ScalarExpr:
     if not out.is_real():
         raise VanishingVolume("spinor volume ratio is not real")
     for p in points:
-        if out.eval(p, float_fallback=False).is_zero():
+        if out.eval(p).is_zero():
             raise VanishingVolume("spinor volume ratio vanishes at a sample point")
     return out
 
@@ -150,13 +149,13 @@ def proportionality(a: Form, b: Form):
     return ratio if a == b.scale(ratio) else None
 
 
-def gr_complex(pair: GKPair, en=None, rho_val=None) -> ScalarExpr:
+def gr_complex(pair: GKPair) -> ScalarExpr:
     """Complex scalar invariant; normalised so its real part equals gr.
 
     The engine constant -2i replaces the convention-bound prefactor of the
     defining pairing; the identity Re = gr is asserted by the test suite.
     """
-    theta = theta_form(pair, en, rho_val)
+    theta = theta_form(pair)
     psi = pair.psi()
     num = psi.mukai_scalar(theta)
     den = psi.mukai_scalar(psi.conj())
@@ -165,14 +164,14 @@ def gr_complex(pair: GKPair, en=None, rho_val=None) -> ScalarExpr:
     return (num / den) * QQi(0, -2)
 
 
-def gr_two_term_forms(pair: GKPair, en=None, rho_val=None):
+def gr_two_term_forms(pair: GKPair):
     """Both pairing top-forms of the two-sided scalar-curvature identity.
 
     Returns (A, B, vol) with A = <psi, Theta/2>, B = <conj Theta / 2, conj psi>
     and vol = <psi, conj psi>; the calibrated constant c_eng satisfies
     c_eng * (A - B) = i^{-n} gr * vol.
     """
-    theta = theta_form(pair, en, rho_val)
+    theta = theta_form(pair)
     half = theta.scale(Fraction(1, 2))
     a = pair.psi().mukai(half)
     b = half.conj().mukai(pair.psibar())
@@ -226,9 +225,6 @@ class TorusIntegral:
     power: int
     error_bound: Fraction = Fraction(0)
 
-    def to_complex(self) -> complex:
-        return self.mean.to_complex() * (2 * math.pi) ** self.power
-
     def is_zero(self):
         return self.mean.is_zero() and self.error_bound == 0
 
@@ -278,21 +274,20 @@ def scalar_torus_mean_certified(c: ScalarExpr):
     """
     if c.num.has_mono() or c.den.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
+    m = c.nvars
     if c.den.is_const():
-        zero = (0,) * c.nvars
-        mean = c.num.terms.get((zero, zero), QQI_ZERO)
+        mean = c.num.terms.get((0,) * (2 * m), QQI_ZERO)
         return mean / c.den.const_value(), Fraction(0)
     # recentre on the dominant denominator term: the canonical unit may hide
     # a dominated shape behind an exp factor, which the series needs exposed;
     # ties go to the larger frequency, not to the dict order
     dens, _ = zi_split(c.den.terms)
-    dom_key = max(dens, key=lambda k: (abs(dens[k][0]) + abs(dens[k][1]), k[1]))
+    dom_key = max(dens, key=lambda k: (abs(dens[k][0]) + abs(dens[k][1]), k[m:]))
     c0 = c.den.terms[dom_key]
-    shift = tuple(-f for f in dom_key[1])
-    unit = TrigPoly.expi(c.nvars, shift)
+    unit = TrigPoly.expi(m, tuple(-f for f in dom_key[m:]))
     den = (c.den * unit).scale(c0.inverse())
     num = (c.num * unit).scale(c0.inverse())
-    e_poly = den - TrigPoly.const(c.nvars, 1)
+    e_poly = den - TrigPoly.const(m, 1)
     e_norm = _trig_one_norm(e_poly)
     if e_norm >= 1:
         raise NotExactlyIntegrable("denominator oscillation too large for series")
@@ -303,17 +298,17 @@ def scalar_torus_mean_certified(c: ScalarExpr):
             break
     else:
         raise NotExactlyIntegrable("series mean did not reach tolerance")
-    e_int, de = zi_split({freq: v for (_, freq), v in e_poly.terms.items()})
-    power, dn = zi_split({freq: v for (_, freq), v in num.terms.items()})
-    lo = [min(0, *(freq[j] for freq in e_int)) for j in range(c.nvars)]
-    hi = [max(0, *(freq[j] for freq in e_int)) for j in range(c.nvars)]
+    e_int, de = zi_split({k[m:]: v for k, v in e_poly.terms.items()})
+    power, dn = zi_split({k[m:]: v for k, v in num.terms.items()})
+    lo = [min(0, *(freq[j] for freq in e_int)) for j in range(m)]
+    hi = [max(0, *(freq[j] for freq in e_int)) for j in range(m)]
 
     def window(p, left):
         return {freq: v for freq, v in p.items()
                 if all(-left * h <= f <= -left * l
                        for f, l, h in zip(freq, lo, hi))}
 
-    zero = (0,) * c.nvars
+    zero = (0,) * m
     acc_re = acc_im = 0
     power = window(power, last)  # num * E^k over dn de^k
     for k in range(last + 1):
@@ -416,8 +411,9 @@ def _pad(chart: Chart, x):
         return Form(chart, {i: _pad(chart, c) for i, c in x.terms.items()})
     if isinstance(x, GenVec):
         return GenVec.from_column(chart, [_pad(chart, c) for c in x.column()])
-    num, den = (TrigPoly(chart.nvars, {(mono + (0,), freq + (0,)): c
-                                       for (mono, freq), c in p.terms.items()})
+    m = x.nvars
+    num, den = (TrigPoly(chart.nvars, {k[:m] + (0,) + k[m:] + (0,): c
+                                       for k, c in p.terms.items()})
                 for p in (x.num, x.den))
     return ScalarExpr(chart.nvars, num, den, _normalized=True)
 
@@ -428,9 +424,9 @@ def _at_zero(s: ScalarExpr) -> ScalarExpr:
     m = s.nvars - 1
     num, den = {}, {}
     for p, out in ((s.num, num), (s.den, den)):
-        for (mono, freq), c in p.terms.items():
-            if not mono[m]:
-                _acc(out, (mono[:m], freq[:m]), c)
+        for k, c in p.terms.items():
+            if not k[m]:
+                _acc(out, k[:m] + k[m + 1:-1], c)
     if not den:
         raise EvaluationPole("denominator vanishes at t = 0")
     return ScalarExpr(m, TrigPoly(m, num), TrigPoly(m, den))

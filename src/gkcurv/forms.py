@@ -343,7 +343,8 @@ def _trig_affine_sub(p: TrigPoly, A, t) -> ScalarExpr:
             if A[j][k]:
                 lj = lj + ScalarExpr.coord(m, k) * QQi(A[j][k])
         lin.append(lj)
-    for (mono, freq), c in p.terms.items():
+    for k, c in p.terms.items():
+        mono, freq = k[:m], k[m:]
         term = ScalarExpr.from_qqi(m, c)
         for j, ex in enumerate(mono):
             if ex:

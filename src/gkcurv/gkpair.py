@@ -92,7 +92,7 @@ def compatibility_check(pair: GKPair, points) -> dict:
     positive = True
     min_eig = None
     for p in points:
-        vals = [[_real_fraction(x.eval(p, float_fallback=False)) for x in row]
+        vals = [[_real_fraction(x.eval(p)) for x in row]
                 for row in gram]
         if not _sylvester_positive(vals):
             positive = False
@@ -258,7 +258,7 @@ def type00_check(chart: Chart, B: Form, w1: Form, w2: Form, points=()) -> dict:
 
 def _eval_two_form_matrix(chart, w: Form, p: Point):
     """Values w(d_i, d_j) at p: the transpose of `_hat_matrix`."""
-    return [[x.eval(p, float_fallback=False) for x in col]
+    return [[x.eval(p) for x in col]
             for col in zip(*_hat_matrix(chart, w))]
 
 

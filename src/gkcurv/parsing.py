@@ -136,10 +136,10 @@ def _integer_linear(e: ScalarExpr, nvars):
     if not (e.den.is_const() and e.den.const_value() == QQI_ONE):
         raise ValueError("trig argument must be an integer-linear combination of coordinates")
     freq = [0] * nvars
-    for (mono, fr), c in e.num.terms.items():
-        if any(fr) or sum(mono) != 1:
+    for k, c in e.num.terms.items():
+        if any(k[nvars:]) or sum(k) != 1:
             raise ValueError("trig argument must be an integer-linear combination of coordinates")
-        j = mono.index(1)
+        j = k.index(1)
         if c.b or c.d != 1:
             raise ValueError("trig argument coefficients must be integers")
         freq[j] = c.a

@@ -16,7 +16,6 @@ are identical.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from operator import add as _add, lt as _lt, sub as _sub
@@ -189,12 +188,17 @@ def format_qqi(c: QQi) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trig-polynomials: dict[(mono, freq)] -> QQi
+# Trig-polynomials: dict[mono + freq] -> QQi
 # ---------------------------------------------------------------------------
 
 
 class TrigPoly:
-    """Sparse Laurent-trig polynomial: sum of c * x^mono * exp(i freq.x)."""
+    """Sparse Laurent-trig polynomial: sum of c * x^mono * exp(i freq.x).
+
+    A term is keyed by the flat exponent tuple mono + freq of length
+    2 * nvars, the key format of the product, division and gcd kernels;
+    k[:nvars] is the monomial and k[nvars:] the frequency.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -213,20 +217,16 @@ class TrigPoly:
         c = as_qqi(c)
         if c.is_zero():
             return TrigPoly(nvars)
-        z = (0,) * nvars
-        return TrigPoly(nvars, {(z, z): c})
+        return TrigPoly(nvars, {(0,) * (2 * nvars): c})
 
     @staticmethod
     def coord(nvars, k) -> "TrigPoly":
-        z = (0,) * nvars
-        mono = tuple(1 if j == k else 0 for j in range(nvars))
-        return TrigPoly(nvars, {(mono, z): QQI_ONE})
+        return TrigPoly(nvars, {tuple(int(j == k) for j in range(2 * nvars)): QQI_ONE})
 
     @staticmethod
     def expi(nvars, freq) -> "TrigPoly":
         """exp(i * freq.x) for an integer frequency vector."""
-        z = (0,) * nvars
-        return TrigPoly(nvars, {(z, tuple(freq)): QQI_ONE})
+        return TrigPoly(nvars, {(0,) * nvars + tuple(freq): QQI_ONE})
 
     # -- basic predicates ----------------------------------------------------
 
@@ -236,10 +236,7 @@ class TrigPoly:
     def is_const(self):
         if not self.terms:
             return True
-        if len(self.terms) != 1:
-            return False
-        (mono, freq), _ = next(iter(self.terms.items()))
-        return not any(mono) and not any(freq)
+        return len(self.terms) == 1 and not any(next(iter(self.terms)))
 
     def const_value(self) -> QQi:
         if not self.terms:
@@ -247,7 +244,8 @@ class TrigPoly:
         return next(iter(self.terms.values()))
 
     def has_mono(self):
-        return any(any(mono) for (mono, _) in self.terms)
+        m = self.nvars
+        return any(any(k[:m]) for k in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -266,35 +264,26 @@ class TrigPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, QQi):
-            return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        m = self.nvars
-        prod = _p_mul({mono + freq: c for (mono, freq), c in self.terms.items()},
-                      {mono + freq: c for (mono, freq), c in other.terms.items()})
-        return TrigPoly(m, {(k[:m], k[m:]): c for k, c in prod.items()})
+        return TrigPoly(self.nvars, _p_mul(self.terms, other.terms))
 
     def scale(self, c: QQi):
-        c = as_qqi(c)
-        if c.is_zero():
-            return TrigPoly(self.nvars)
-        return TrigPoly(self.nvars, {k: v * c for k, v in self.terms.items()})
+        return TrigPoly(self.nvars, _p_scale(self.terms, c))
 
     def conj(self):
-        out = {}
-        for (mono, freq), c in self.terms.items():
-            out[(mono, tuple(-f for f in freq))] = c.conj()
-        return TrigPoly(self.nvars, out)
+        m = self.nvars
+        return TrigPoly(m, {key[:m] + tuple(-f for f in key[m:]): c.conj()
+                            for key, c in self.terms.items()})
 
     def partial(self, k: int):
         acc = {}
-        for (mono, freq), c in self.terms.items():
-            if mono[k]:
-                _acc(acc, (mono[:k] + (mono[k] - 1,) + mono[k + 1:], freq),
-                     c * QQi(mono[k]))
-            if freq[k]:
-                _acc(acc, (mono, freq), c * QQi(0, freq[k]))
+        f = self.nvars + k
+        for key, c in self.terms.items():
+            if key[k]:
+                _acc(acc, key[:k] + (key[k] - 1,) + key[k + 1:], c * QQi(key[k]))
+            if key[f]:
+                _acc(acc, key, c * QQi(0, key[f]))
         return TrigPoly(self.nvars, acc)
 
     def __eq__(self, other):
@@ -315,40 +304,18 @@ def _acc(d, key, c):
         d[key] = s
 
 
-def _term_sort_key(key):
-    mono, freq = key
-    return (sum(mono) + sum(abs(f) for f in freq), mono, freq)
-
-
 # ---------------------------------------------------------------------------
-# Plain polynomial world for gcd: exponent tuple (len 2m, all >= 0) -> QQi
+# Plain polynomial world for gcd: the same term dicts, keyed by exponent
+# tuples of length 2m, once `_freq_shift` has made every frequency >= 0
 # ---------------------------------------------------------------------------
 
 
-def _to_poly(p: TrigPoly, shift):
-    """Map Laurent freq exponents into plain exponents via per-variable shift."""
-    m = p.nvars
-    out = {}
-    for (mono, freq), c in p.terms.items():
-        out[mono + tuple(freq[j] - shift[j] for j in range(m))] = c
-    return out
-
-
-def _freq_min(polys, m):
-    shift = [0] * m
-    for p in polys:
-        for (_, freq) in p.terms:
-            for j in range(m):
-                if freq[j] < shift[j]:
-                    shift[j] = freq[j]
-    return tuple(shift)
-
-
-def _from_poly(d, m, shift):
-    out = {}
-    for exp, c in d.items():
-        out[(exp[:m], tuple(exp[m + j] + shift[j] for j in range(m)))] = c
-    return out
+def _freq_shift(d, m, low):
+    """d times exp(-i low.x): low is subtracted from each key's frequency
+    part. Returns d itself when low is zero."""
+    if not any(low):
+        return d
+    return {k[:m] + tuple(map(_sub, k[m:], low)): c for k, c in d.items()}
 
 
 def _leading(d):  # graded order: total degree, then lex
@@ -960,20 +927,13 @@ class ScalarExpr:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, point, float_fallback=True):
-        """Evaluate at a Point; exact QQi where possible, complex otherwise."""
-        den = _eval_trigpoly(self.den, point, float_fallback)
-        num = _eval_trigpoly(self.num, point, float_fallback)
-        if isinstance(den, QQi):
-            if den.is_zero():
-                raise EvaluationPole("denominator vanishes at point")
-            if isinstance(num, QQi):
-                return num / den
-            return num / den.to_complex()
-        if den == 0:
+    def eval(self, point):
+        """Exact QQi value at a Point; raises FieldClosureError where the
+        value leaves the field and EvaluationPole at a pole."""
+        den = _eval_trigpoly(self.den, point)
+        num = _eval_trigpoly(self.num, point)
+        if den.is_zero():
             raise EvaluationPole("denominator vanishes at point")
-        if isinstance(num, QQi):
-            num = num.to_complex()
         return num / den
 
     def __repr__(self):
@@ -1004,15 +964,9 @@ def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
         if c == QQI_ONE:
             return num, den
         return num.scale(c.inverse()), TrigPoly.const(m, 1)
-    shift = _freq_min([num, den], m)
-    pn = _to_poly(num, shift)
-    pd = _to_poly(den, shift)
     if not coprime:
-        g = poly_gcd(pn, pd)
-        if g and (len(g) > 1 or any(next(iter(g)))):
-            pn = _p_div_exact(pn, g)
-            pd = _p_div_exact(pd, g)
-    return _unit_normalize(pn, pd, m)
+        num, den = _cross_reduce(num, den)
+    return _unit_normalize(num.terms, den.terms, m)
 
 
 def _cross_reduce(a: TrigPoly, b: TrigPoly):
@@ -1020,28 +974,24 @@ def _cross_reduce(a: TrigPoly, b: TrigPoly):
     if a.is_const() or b.is_const():
         return a, b
     m = a.nvars
-    shift = _freq_min([a, b], m)
-    pa = _to_poly(a, shift)
-    pb = _to_poly(b, shift)
+    # one exp factor makes both plain polynomials; it never changes the gcd
+    low = tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
+    pa = _freq_shift(a.terms, m, low)
+    pb = _freq_shift(b.terms, m, low)
     g = poly_gcd(pa, pb)
     if not g or (len(g) == 1 and not any(next(iter(g)))):
         return a, b
-    pa = _p_div_exact(pa, g)
-    pb = _p_div_exact(pb, g)
-    return (TrigPoly(m, _from_poly(pa, m, shift)),
-            TrigPoly(m, _from_poly(pb, m, shift)))
+    high = tuple(-f for f in low)
+    return (TrigPoly(m, _freq_shift(_p_div_exact(pa, g), m, high)),
+            TrigPoly(m, _freq_shift(_p_div_exact(pb, g), m, high)))
 
 
 def _unit_normalize(pn, pd, m):
     """Fix the fraction's unit: den has exp-exponent 0 per variable and is monic."""
-    # exp-part of den minimal exponents -> shift both
-    mins = [min(k[m + j] for k in pd) for j in range(m)]
+    low = tuple(map(min, list(zip(*pd))[m:]))
     inv = pd[_leading(pd)].inverse()
-
-    def shifted(p):
-        return TrigPoly(m, {(k[:m], tuple(k[m + j] - mins[j] for j in range(m))):
-                            v * inv for k, v in p.items()})
-    return shifted(pn), shifted(pd)
+    return (TrigPoly(m, _p_scale(_freq_shift(pn, m, low), inv)),
+            TrigPoly(m, _p_scale(_freq_shift(pd, m, low), inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,44 +1016,26 @@ class Point:
         self.a = tuple(a)
         self.b = tuple(b)
 
-    def floats(self):
-        return tuple(float(x) + float(y) * math.pi for x, y in zip(self.a, self.b))
-
     def __repr__(self):
         return f"Point({list(zip(self.a, self.b))})"
 
 
-def _eval_trigpoly(p: TrigPoly, point: Point, float_fallback):
-    total_q = QQI_ZERO
-    total_f = 0j
-    exact = True
-    for (mono, freq), c in p.terms.items():
-        mono_exact = all(e == 0 or point.b[j] == 0 for j, e in enumerate(mono))
+def _eval_trigpoly(p: TrigPoly, point: Point) -> QQi:
+    m = p.nvars
+    total = QQI_ZERO
+    for k, c in p.terms.items():
+        mono, freq = k[:m], k[m:]
         ka = sum((point.a[j] * f for j, f in enumerate(freq)), Fraction(0))
         kb = sum((point.b[j] * f for j, f in enumerate(freq)), Fraction(0))
-        trig_exact = (ka == 0) and (2 * kb).denominator == 1
-        if mono_exact and trig_exact:
-            v = QQI_ONE
-            for j, e in enumerate(mono):
-                if e:
-                    v = v * QQi(point.a[j] ** e)
-            v = v * ipow(int(2 * kb))
-            total_q = total_q + c * v
-        else:
-            exact = False
-            if not float_fallback:
-                raise FieldClosureError("point does not admit exact evaluation")
-            xs = point.floats()
-            v = complex(1.0)
-            for j, e in enumerate(mono):
-                if e:
-                    v *= xs[j] ** e
-            arg = sum(f * xs[j] for j, f in enumerate(freq))
-            v *= cmath.exp(1j * arg)
-            total_f += c.to_complex() * v
-    if exact:
-        return total_q
-    return total_q.to_complex() + total_f
+        if (ka != 0 or (2 * kb).denominator != 1
+                or any(e and point.b[j] for j, e in enumerate(mono))):
+            raise FieldClosureError("point does not admit exact evaluation")
+        v = QQI_ONE
+        for j, e in enumerate(mono):
+            if e:
+                v = v * QQi(point.a[j] ** e)
+        total = total + c * v * ipow(int(2 * kb))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1142,23 +1074,28 @@ def format_trigpoly(p: TrigPoly, names) -> str:
     """Deterministic print: graded-lex terms, exp pairs folded to cos/sin."""
     if p.is_zero():
         return "0"
+    m = p.nvars
     pieces = {}
-    for (mono, freq), c in p.terms.items():
+    for k, c in p.terms.items():
+        mono, freq = k[:m], k[m:]
         if not any(freq):
-            pieces[(mono, freq, "")] = c
+            pieces[(k, "")] = c
             continue
         pos = freq if _freq_canonical(freq) else tuple(-f for f in freq)
-        if freq != pos and (mono, pos) in p.terms:
+        if freq != pos and mono + pos in p.terms:
             continue  # handled when visiting the canonical key
-        cpos = p.terms.get((mono, pos), QQI_ZERO)
-        cneg = p.terms.get((mono, tuple(-f for f in pos)), QQI_ZERO)
-        pieces[(mono, pos, "cos")] = cpos + cneg
-        pieces[(mono, pos, "sin")] = QQI_I * (cpos - cneg)
+        cpos = p.terms.get(mono + pos, QQI_ZERO)
+        cneg = p.terms.get(mono + tuple(-f for f in pos), QQI_ZERO)
+        pieces[(mono + pos, "cos")] = cpos + cneg
+        pieces[(mono + pos, "sin")] = QQI_I * (cpos - cneg)
     out = []
-    for (mono, freq, kind) in sorted(pieces, key=lambda t: (_term_sort_key((t[0], t[1])), t[2]), reverse=True):
-        c = pieces[(mono, freq, kind)]
+    # graded order: |mono| + |freq|_1, then the key, then the kind
+    for k, kind in sorted(pieces, key=lambda t: (sum(t[0][:m]) + sum(map(abs, t[0][m:])),
+                                                 t[0], t[1]), reverse=True):
+        c = pieces[(k, kind)]
         if c.is_zero():
             continue
+        mono, freq = k[:m], k[m:]
         factors = []
         cs = format_qqi(c)
         for j, e in enumerate(mono):

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from .calibration import load_fixture
+from .curvature import rho
 from .examples import flat_kahler
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt, wedge_sum
@@ -22,7 +23,7 @@ from .gkpair import GKPair, jdot_matrix, random_compat_bivector, trace_pairing
 from .linalg import mat_vec
 from .parsing import parse_scalar
 from .scalars import QQi, ScalarExpr
-from .spinor import eta_N_extract
+from .spinor import FrameGCS, _exp_frame, eta_N_extract
 
 
 def _rand_coeff(rng, chart, trig=True):
@@ -139,7 +140,6 @@ def check_hjtheta(seed, instances) -> dict:
 
 def check_psi_lemma(seed, instances) -> dict:
     """Two-sided pairing identity moving a deformation from phi to psi."""
-    from .curvature import rho
     rng = random.Random(seed)
     count = 0
     for n in (1, 2):
@@ -171,7 +171,6 @@ def check_psi_lemma(seed, instances) -> dict:
 
 def _nonintegrable_pair(rng) -> GKPair:
     """Almost GK pair on a flat chart whose obstruction tensor is nonzero."""
-    from .spinor import FrameGCS, _exp_frame
     chart = Chart.flat(2)
     w_i = chart.form({(0, 1): 1, (2, 3): 1})
     w_j = chart.form({(0, 2): 1, (1, 3): -1})
@@ -215,7 +214,6 @@ def check_n_psi(seed, instances) -> dict:
 
 def check_saisho(seed, instances) -> dict:
     """Trace identity against the frozen constant kappa."""
-    from .curvature import rho
     fixture = load_fixture()
     rng = random.Random(seed)
     count = 0

@@ -255,7 +255,7 @@ def _jmat_from_frame(chart: Chart, frame):
 def _eval_form(phi: Form, p: Point):
     out = {}
     for idx, c in phi.terms.items():
-        v = c.eval(p, float_fallback=False)
+        v = c.eval(p)
         if not v.is_zero():
             out[idx] = v
     return out
@@ -276,7 +276,7 @@ def purity_nondeg(phi: Form, p: Point) -> dict:
     dim = phi.chart.dim
     if not _eval_form(phi, p):
         raise ZeroSpinor("spinor vanishes at the point")
-    mat = [[x.eval(p, float_fallback=False) for x in row]
+    mat = [[x.eval(p) for x in row]
            for row in clifford_matrix(phi)]
     kers = kernel_basis(mat)
     pure = len(kers) == dim

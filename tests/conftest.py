@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from gkcurv.forms import Chart, Form
+from gkcurv.forms import Chart
 from gkcurv.scalars import QQi, ScalarExpr
 
 

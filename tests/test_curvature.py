@@ -299,17 +299,44 @@ def test_t0_pole_raises():
         _at_zero(T_CHART.sc("cos(x1)/(t*x1 + t^2*sin(x2))"))
 
 
+def test_every_trigpoly_key_is_a_flat_exponent_tuple():
+    """A TrigPoly term is keyed by mono + freq, 2 * nvars ints, however the
+    scalar was built: in the scalar core, on the t-chart, by an affine
+    pullback, and through the curvature pipeline."""
+    names = ("x1", "x2")
+    s = parse_scalar("(x1 + sin(x2))/(2 + cos(x1 - x2))", names)
+    built = [s, s.conj(), s.partial(0), s.partial(1), ScalarExpr.sin(2, (1, -1)),
+             ScalarExpr.cos(2, (0, 2)), ScalarExpr.coord(2, 1),
+             parse_scalar("1/((2+cos(x1))*(1+x2))", names)
+             + parse_scalar("x1/((2+cos(x1))*(3+sin(x2)))", names)]
+    padded = _pad(T_CHART, s)
+    built += [padded, _at_zero(padded),
+              _at_zero(T_CHART.sc("(t + x1*cos(x1))/(3 + t*sin(x2))").partial(2))]
+    form = T_CHART.form({(0,): "sin(x1 + x2)/(2 + cos(x2))", (0, 1): "x1*cos(x2)"})
+    moved = form.pullback_affine([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                                 [0, (0, Fraction(1, 2)), 0])
+    built += list(moved.terms.values())
+    for name in ("t4_nonintegrable", "fubini_study_cp1"):
+        rep = gric_gr(CATALOG[name]().pair())
+        built += [rep.rho, rep.gr, *rep.gric.terms.values(), *rep.q.terms.values(),
+                  *rep.eta.column(), *rep.n3.coef.values()]
+    keys = [(k, x.nvars) for x in built for p in (x.num, x.den) for k in p.terms]
+    for k, m in keys:
+        assert type(k) is tuple and len(k) == 2 * m and all(type(e) is int for e in k)
+    assert any(any(k[:m]) for k, m in keys) and any(any(k[m:]) for k, m in keys)
+
+
 def _reference_series_mean(c):
     """The unpruned loop over QQi: acc += mean(num (-E)^k) until the tail
     bound drops below the tolerance."""
-    terms = c.den.terms
-    dom_key = max(terms, key=lambda k: (abs(terms[k].re) + abs(terms[k].im), k[1]))
+    terms, m = c.den.terms, c.nvars
+    dom_key = max(terms, key=lambda k: (abs(terms[k].re) + abs(terms[k].im), k[m:]))
     inv = terms[dom_key].inverse()
-    zero = (0,) * c.nvars
+    zero = (0,) * m
 
     def recentre(p):
-        return {tuple(f - g for f, g in zip(freq, dom_key[1])): v * inv
-                for (_, freq), v in p.terms.items()}
+        return {tuple(f - g for f, g in zip(k[m:], dom_key[m:])): v * inv
+                for k, v in p.terms.items()}
 
     def norm(p):
         return sum((abs(v.re) + abs(v.im) for v in p.values()), Fraction(0))

@@ -7,7 +7,7 @@ from gkcurv.errors import ChartMismatch, FieldClosureError, SingularMap
 from gkcurv.linalg import rational_inverse
 from gkcurv.scalars import QQi
 
-from conftest import chart_flat, random_form
+from conftest import random_form
 
 
 def test_wedge_antisymmetry(chart2):

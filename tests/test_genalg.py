@@ -7,10 +7,10 @@ import pytest
 from gkcurv.errors import NotBivector, NotClosed
 from gkcurv.forms import _perm_sign
 from gkcurv.genalg import (GenVec, PolyVec, _basis_act, ad_b, ad_beta,
-                           clifford_act, courant, dorfman, exp_spin,
-                           gen_lie_J, genvec_wedge, interior, keyed_sum, lie_form,
+                           clifford_act, courant, dorfman, gen_lie_J,
+                           genvec_wedge, interior, keyed_sum, lie_form,
                            pair_tt, wedge_sum)
-from gkcurv.scalars import QQi, ScalarExpr
+from gkcurv.scalars import ScalarExpr
 
 from conftest import chart_flat, random_form, random_scalar
 

@@ -87,10 +87,10 @@ def test_epm_split_flat():
     # G signs: <e+, conj e+> > 0, <e-, conj e-> < 0 at a point
     p = Point([0, 0, 0, 0])
     for e in fr.eplus:
-        v = pair_tt(e, e.conj()).eval(p, float_fallback=False)
+        v = pair_tt(e, e.conj()).eval(p)
         assert v.im == 0 and v.re > 0
     for e in fr.eminus:
-        v = pair_tt(e, e.conj()).eval(p, float_fallback=False)
+        v = pair_tt(e, e.conj()).eval(p)
         assert v.im == 0 and v.re < 0
 
 

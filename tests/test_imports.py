@@ -31,9 +31,21 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
-              for path in sorted(SRC.glob("*.py"))}
+    """In src/gkcurv/ and in tests/ alike."""
+    unused = {str(path.relative_to(ROOT)): _unused_imports(ast.parse(path.read_text()))
+              for folder in (SRC, ROOT / "tests") for path in sorted(folder.glob("*.py"))}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_imports_sit_at_module_level():
+    """No import statement in a function body of src/gkcurv/: the modules
+    import one another without cycles, so none needs deferring."""
+    nested = [f"{path.name}:{node.lineno}"
+              for path in sorted(SRC.glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
 
 
 def _module_level_names(tree):

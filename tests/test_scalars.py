@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import operator
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gkcurv import scalars
-from gkcurv.errors import DivisionByZero, EvaluationPole
+from gkcurv.errors import DivisionByZero, EvaluationPole, FieldClosureError
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
                             _p_div_exact, _p_mul, poly_gcd)
@@ -64,11 +65,12 @@ def test_eval_trig_quarter_lattice():
     assert f.eval(p) == QQi(0)  # cos(pi) + sin(pi/2) = -1 + 1
 
 
-def test_eval_float_fallback():
-    f = S("cos(x1)")
-    v = f.eval(Point([1, 0, 0, 0]))
-    assert isinstance(v, complex)
-    assert abs(v - 0.5403023058681398) < 1e-12
+def test_eval_outside_the_field_raises():
+    """cos(1) and pi are not Gaussian rationals: eval raises, never rounds."""
+    with pytest.raises(FieldClosureError):
+        S("cos(x1)").eval(Point([1, 0, 0, 0]))
+    with pytest.raises(FieldClosureError):
+        S("x1").eval(Point([(0, 1), 0, 0, 0]))
 
 
 def test_division_by_zero_detected():
@@ -139,21 +141,25 @@ def test_leibniz_random():
 
 
 def test_eval_matches_tree_eval():
+    """The canonical num/den, summed term by term in floats at an integer
+    point, agrees with the expression tree evaluated in floats."""
     rng = random.Random(13)
     for _ in range(100):
         text = _random_expr(rng)
         f = S(text)
-        pt = Point([rng.randint(-2, 2) for _ in range(4)])
-        direct = _tree_eval(text, pt)
-        got = f.eval(pt)
-        if isinstance(got, QQi):
-            got = got.to_complex()
-        assert abs(got - direct) < 1e-9
+        xs = [rng.randint(-2, 2) for _ in range(4)]
+        got = _float_sum(f.num, xs) / _float_sum(f.den, xs)
+        assert abs(got - _tree_eval(text, xs)) < 1e-9
 
 
-def _tree_eval(text, pt):
-    import cmath
-    xs = pt.floats()
+def _float_sum(p, xs):
+    m = p.nvars
+    return sum(c.to_complex() * math.prod(x ** e for x, e in zip(xs, k[:m]))
+               * cmath.exp(1j * sum(f * x for f, x in zip(k[m:], xs)))
+               for k, c in p.terms.items())
+
+
+def _tree_eval(text, xs):
     env = {"x1": xs[0], "x2": xs[1], "x3": xs[2], "x4": xs[3],
            "i": 1j, "sin": cmath.sin, "cos": cmath.cos}
     return complex(eval(text.replace("^", "**"), {"__builtins__": {}}, env))
@@ -174,18 +180,15 @@ def test_printer_round_trip():
         assert again == f
 
 
-_Z2 = (0, 0)
-
-
 @pytest.mark.parametrize("terms, text", [
-    ({(_Z2, (-1, 0)): QQi(1)}, "-i*sin(x1) + cos(x1)"),
-    ({((0, 1), (1, 0)): QQi(1)}, "i*x2*sin(x1) + x2*cos(x1)"),
-    ({(_Z2, _Z2): QQi(3), (_Z2, (0, -2)): QQi(1)},
+    ({(0, 0, -1, 0): QQi(1)}, "-i*sin(x1) + cos(x1)"),
+    ({(0, 1, 1, 0): QQi(1)}, "i*x2*sin(x1) + x2*cos(x1)"),
+    ({(0, 0, 0, 0): QQi(3), (0, 0, 0, -2): QQi(1)},
      "-i*sin(2*x2) + cos(2*x2) + 3"),
-    ({(_Z2, (1, 0)): QQi(2), (_Z2, (-1, 0)): QQi(1)}, "i*sin(x1) + 3*cos(x1)"),
-    ({(_Z2, (1, -1)): QQi(0, 1), (_Z2, (-1, 1)): QQi(3, -2)},
+    ({(0, 0, 1, 0): QQi(2), (0, 0, -1, 0): QQi(1)}, "i*sin(x1) + 3*cos(x1)"),
+    ({(0, 0, 1, -1): QQi(0, 1), (0, 0, -1, 1): QQi(3, -2)},
      "(-3-3*i)*sin(x1-x2) + (3-i)*cos(x1-x2)"),
-    ({((1, 0), (-1, 2)): QQi(-1, 2), ((1, 0), _Z2): QQi(1, 3)},
+    ({(1, 0, -1, 2): QQi(-1, 2), (1, 0, 0, 0): QQi(1, 3)},
      "(2+i)*x1*sin(x1-2*x2) + (-1+2*i)*x1*cos(x1-2*x2) + (1+3*i)*x1"),
 ], ids=["lone_minus", "x2_times_plus", "const_and_minus", "unequal_pair",
         "unequal_complex_pair", "mono_times_minus"])
@@ -266,15 +269,15 @@ def test_p_mul_matches_sympy_expand():
 
 
 def _rand_trigpoly(rng, nv, terms):
-    return TrigPoly(nv, {(tuple(rng.randint(0, 2) for _ in range(nv)),
-                          tuple(rng.randint(-2, 2) for _ in range(nv))):
+    return TrigPoly(nv, {tuple(rng.randint(0, 2) for _ in range(nv))
+                         + tuple(rng.randint(-2, 2) for _ in range(nv)):
                          _rand_qqi(rng) for _ in range(terms)})
 
 
 def _sym_trig(p, xs, zs):
-    return sympy.Add(*[_sym(c) * sympy.Mul(*[x ** e for x, e in zip(xs, mono)])
-                       * sympy.Mul(*[z ** f for z, f in zip(zs, freq)])
-                       for (mono, freq), c in p.terms.items()])
+    """sympy form of a TrigPoly: key k = mono + freq gives x^mono z^freq."""
+    return sympy.Add(*[_sym(c) * sympy.Mul(*[v ** e for v, e in zip((*xs, *zs), k)])
+                       for k, c in p.terms.items()])
 
 
 def test_trigpoly_mul_matches_sympy_expand():
@@ -417,8 +420,7 @@ def test_p_div_exact_matches_sympy_and_the_qqi_loop():
 
 
 def _is_canonical_const(s, value):
-    zero = (0,) * s.nvars
-    return (s.is_const() and s.den.terms == {(zero, zero): QQi(1)}
+    return (s.is_const() and s.den.terms == {(0,) * (2 * s.nvars): QQi(1)}
             and s.const_value() == value)
 
 
@@ -590,8 +592,8 @@ def _build(tree, xs, zs):
 
 def _laurent_polys(pairs, xs, zs):
     """sympy Polys of TrigPolys, shifted together into non-negative exponents."""
-    keys = [k for p in pairs for k in p.terms]
-    unit = sympy.Mul(*[z ** -min(k[1][j] for k in keys) for j, z in enumerate(zs)])
+    keys = [k[len(zs):] for p in pairs for k in p.terms]
+    unit = sympy.Mul(*[z ** -min(k[j] for k in keys) for j, z in enumerate(zs)])
     return [sympy.Poly(sympy.expand(_sym_trig(p, xs, zs) * unit), *xs, *zs,
                        domain="QQ_I") for p in pairs]
 
@@ -603,8 +605,8 @@ def _assert_canonical(r, want, xs, zs):
     assert sympy.cancel(_sym_trig(r.num, xs, zs) / _sym_trig(r.den, xs, zs) - want) == 0
     assert r.num.is_zero() or num.gcd(den).is_ground
     nv = len(xs)
-    assert all(min(k[1][j] for k in r.den.terms) == 0 for j in range(nv))
-    lead = max(r.den.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1]))
+    assert all(min(k[nv + j] for k in r.den.terms) == 0 for j in range(nv))
+    lead = max(r.den.terms, key=lambda k: (sum(k), k))
     assert r.den.terms[lead] == 1
 
 

@@ -2,12 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from gkcurv import scalars
-from gkcurv.errors import DecompositionFailed, ImpureSpinor
 from gkcurv.examples import CATALOG, flat_omega_form, flat_volume_forms
-from gkcurv.forms import Form
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_mul, mat_vec
 from gkcurv.scalars import Point, QQi
@@ -15,8 +11,6 @@ from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
                            SymplecticGCS, eta_N_extract, integrability,
                            purity_nondeg, type_number)
-
-from conftest import chart_flat, random_form
 
 
 def _jmat_apply(jmat, e):
@@ -236,7 +230,8 @@ def test_obstruction_assembly_matches_sequential_sums():
         n3 = n03 + n03.conj()
         assert list(res.n03.coef.items()) == list(n03.coef.items())
         assert list(res.n3.coef.items()) == list(n3.coef.items())
-        trig_dens += any(any(any(f) for _, f in c.den.terms) for c in n03.coef.values())
+        trig_dens += any(any(any(k[c.nvars:]) for k in c.den.terms)
+                         for c in n03.coef.values())
     assert trig_dens >= 2
 
 
