@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .curvature import (MOMENT_FORM_CONSTANT, gr_two_term_forms, gric_gr,
-                        proportionality, rho)
-from .examples import flat_kahler, fubini_study_chart
+from .curvature import (GR_COMPLEX_CONSTANT, MOMENT_FORM_CONSTANT,
+                        gr_two_term_forms, gric_gr, proportionality, rho)
+from .examples import flat_kahler, flat_omega_form, fubini_study_chart
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt
 from .gkpair import ddbar_pm, random_compat_bivector, trace_pairing
@@ -86,13 +86,14 @@ def mukai_adjoint_sign(n: int) -> int:
     return sign
 
 
-def polarization_sign(n: int, seed=2024, instances=25) -> int:
-    """Sign s in <e1.w1, e2.w2> + <e2.w1, e1.w2> = 2 s <e1,e2><w1,w2>."""
+def polarization_sign(n: int) -> int:
+    """Sign s in <e1.w1, e2.w2> + <e2.w1, e1.w2> = 2 s <e1,e2><w1,w2>, on
+    25 seeded instances with a nonzero right side."""
     chart = Chart.flat(n)
-    rng = random.Random(seed + n)
+    rng = random.Random(2024 + n)
     sign = None
     checked = 0
-    while checked < instances:
+    while checked < 25:
         e1 = _random_basisish(rng, chart)
         e2 = _random_basisish(rng, chart)
         w1 = _random_form(rng, chart)
@@ -138,7 +139,7 @@ def _random_form(rng, chart):
 def flat_volume_pairing_check(n: int) -> bool:
     """<exp(i w), exp(-i w)> = (2i)^n w^n / n! for the flat symplectic form."""
     chart = Chart.flat(n)
-    w = chart.form({(2 * k, 2 * k + 1): 1 for k in range(n)})
+    w = flat_omega_form(chart)
     psi = w.scale(QQi(0, 1)).exp()
     top = psi.mukai(psi.conj())
     expect = chart.func(1)
@@ -156,24 +157,29 @@ def flat_rho(n: int) -> str:
     return rho(pair).to_string(pair.chart.coords)
 
 
-def saisho_constant(n: int, seed=2024, instances=3) -> str:
-    """kappa in tr(J [h1,J] [h2,J]) <psi,psi_bar> = kappa rho^{-1}(<h1.phi, conj(h2.phi)> - <h2.phi, conj(h1.phi)>)."""
-    pair = flat_kahler(n).pair()
-    chart = pair.chart
-    rng = random.Random(seed + 10 * n)
+def saisho_sides(pair, rng):
+    """Endless seeded instances (lhs, rhs / kappa) of the trace identity
+    tr(J [h1,J] [h2,J]) <psi,psi_bar> = kappa rho^{-1}(<h1.phi, conj(h2.phi)> - <h2.phi, conj(h1.phi)>),
+    drawing h1 then h2 from `rng` for each."""
     phi = pair.j1.spinor()
     vol = pair.psi().mukai(pair.psibar())
-    rho_val = rho(pair)
-    kappa = None
-    done = 0
-    while done < instances:
+    inv_rho = 1 / rho(pair)
+    while True:
         h1 = random_compat_bivector(pair, rng)
         h2 = random_compat_bivector(pair, rng)
-        tr = trace_pairing(pair, h1, h2, check_bidegree=False)
-        lhs = vol.scale(tr)
+        lhs = vol.scale(trace_pairing(pair, h1, h2, check_bidegree=False))
         p1 = h1.spin_act(phi)
         p2 = h2.spin_act(phi)
-        rhs = (p1.mukai(p2.conj()) - p2.mukai(p1.conj())).scale(1 / rho_val)
+        yield lhs, (p1.mukai(p2.conj()) - p2.mukai(p1.conj())).scale(inv_rho)
+
+
+def saisho_constant(n: int) -> str:
+    """kappa of the trace identity (`saisho_sides`), on 3 seeded instances
+    with a nonzero right side."""
+    pair = flat_kahler(n).pair()
+    kappa = None
+    done = 0
+    for lhs, rhs in saisho_sides(pair, random.Random(2024 + 10 * n)):
         if rhs.is_zero():
             if not lhs.is_zero():
                 raise AssertionError("trace identity violated")
@@ -186,7 +192,8 @@ def saisho_constant(n: int, seed=2024, instances=3) -> str:
         elif kappa != k:
             raise AssertionError("trace constant is not uniform")
         done += 1
-    return kappa.to_string(chart.coords)
+        if done == 3:
+            return kappa.to_string(pair.chart.coords)
 
 
 def two_term_constant(n: int) -> str:
@@ -210,7 +217,7 @@ def fs_einstein_constant(n: int) -> str:
     return lam.to_string(pair.chart.coords)
 
 
-def ddbar_oracle_constant(seed=2024) -> str:
+def ddbar_oracle_constant() -> str:
     """Ratio between the full algebroid differential of the Hamiltonian
     section and the mixed second derivative (measured on the flat chart)."""
     pair = flat_kahler(2).pair()
@@ -223,7 +230,7 @@ def ddbar_oracle_constant(seed=2024) -> str:
 
 def gr_complex_constant() -> str:
     """Normalizer making Re(gr_complex) = gr; fixed in the implementation."""
-    return "-2*i"
+    return format_qqi(GR_COMPLEX_CONSTANT)
 
 
 def moment_form_constant() -> str:

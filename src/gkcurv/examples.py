@@ -65,12 +65,16 @@ def flat_kahler(n: int, periodic=False) -> ExampleScene:
     )
 
 
+def _one_plus_norm_sq(chart) -> ScalarExpr:
+    """1 + |z|^2 on the affine chart."""
+    return sum((chart.coord_s(k) * chart.coord_s(k) for k in range(chart.dim)),
+               chart.one_s())
+
+
 def fubini_study_omega(chart) -> Form:
     """i ddbar log(1 + |z|^2) on the affine chart, in real coordinates."""
     n = chart.n
-    s = chart.one_s()
-    for k in range(chart.dim):
-        s = s + chart.coord_s(k) * chart.coord_s(k)
+    s = _one_plus_norm_sq(chart)
     dz = [chart.form({(2 * k,): 1, (2 * k + 1,): QQi(0, 1)}) for k in range(n)]
     z = [chart.coord_s(2 * k) + chart.i_s() * chart.coord_s(2 * k + 1)
          for k in range(n)]
@@ -109,6 +113,12 @@ def hyperkahler_forms(chart):
     w_j = chart.form({(0, 2): 1, (1, 3): -1})
     w_k = chart.form({(0, 3): 1, (1, 2): 1})
     return w_i, w_j, w_k
+
+
+def anti_self_dual_forms(chart):
+    return (chart.form({(0, 1): 1, (2, 3): -1}),
+            chart.form({(0, 2): 1, (1, 3): 1}),
+            chart.form({(0, 3): 1, (1, 2): -1}))
 
 
 def hyperkahler_t4() -> ExampleScene:
@@ -155,8 +165,7 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
     m = len(fields)
     pieces = []
     bshift = chart.zero_form()
-    dmus = [chart.form({(k,): mu.partial(k) for k in range(chart.dim)})
-            for mu in moments]
+    dmus = [chart.func(mu).ext_d() for mu in moments]
     for i in range(m):
         iv = interior(chart, fields[i].v, base.omega)
         if iv != dmus[i]:
@@ -222,9 +231,7 @@ def cp2_three_lines(lam=Fraction(1, 1)) -> ExampleScene:
     base = fubini_study_chart(2)
     chart = base.chart
     fields = rotation_fields(chart)
-    s = chart.one_s()
-    for k in range(chart.dim):
-        s = s + chart.coord_s(k) * chart.coord_s(k)
+    s = _one_plus_norm_sq(chart)
     moments = [-(chart.coord_s(2 * k) ** 2 + chart.coord_s(2 * k + 1) ** 2) / s
                for k in range(2)]
     scene = torus_poisson_deform(base, fields, moments,
@@ -251,8 +258,7 @@ def t4_nonintegrable(amp=Fraction(1, 4)) -> ExampleScene:
     """
     chart = Chart.flat(2, periodic=True)
     w_i, w_j, w_k = hyperkahler_forms(chart)
-    asd1 = chart.form({(0, 1): 1, (2, 3): -1})
-    asd2 = chart.form({(0, 2): 1, (1, 3): 1})
+    asd1, asd2, _ = anti_self_dual_forms(chart)
     f = ScalarExpr.cos(chart.dim, (1, 0, 0, 0)) * QQi(amp)
     B = w_j + asd1.scale(f)
     w1 = (w_i + w_k).scale(Fraction(1, 2)) + asd2.scale(f)

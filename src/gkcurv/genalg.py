@@ -249,17 +249,7 @@ class PolyVec:
 
     def ad(self, e: GenVec) -> GenVec:
         """Adjoint action [self, e] for grade 2 (so(T+T*) element)."""
-        if self.grade != 2:
-            raise ValueError("adjoint action implemented for bivectors only")
-        chart = self.chart
-        out = GenVec.zero(chart)
-        for (a, b), c in self.coef.items():
-            pb = pair_tt(GenVec.basis(chart, b), e)
-            pa = pair_tt(GenVec.basis(chart, a), e)
-            term = GenVec.basis(chart, a).scale(pb * c * 2) - \
-                GenVec.basis(chart, b).scale(pa * c * 2)
-            out = out + term
-        return out
+        return GenVec.from_column(self.chart, mat_vec(self.ad_matrix(), e.column()))
 
     def ad_matrix(self):
         """4n x 4n matrix of the adjoint action on coordinate columns.
@@ -267,6 +257,8 @@ class PolyVec:
         <E_b, E_c> = 1/2 exactly when c is the index pair partner of b, so
         each coefficient lands in two entries.
         """
+        if self.grade != 2:
+            raise ValueError("adjoint action implemented for bivectors only")
         chart = self.chart
         dim = chart.dim
         dim4 = 2 * dim
@@ -382,12 +374,9 @@ def courant(e1: GenVec, e2: GenVec) -> GenVec:
 def dorfman(e1: GenVec, e2: GenVec) -> GenVec:
     """Dorfman bracket: Courant plus d<e1, e2>."""
     out = courant(e1, e2)
-    dpair = chart_func_d(e1.chart, pair_tt(e1, e2))
-    return GenVec(out.chart, out.v, [a + b for a, b in zip(out.xi, dpair)])
-
-
-def chart_func_d(chart: Chart, f: ScalarExpr):
-    return [f.partial(k) for k in range(chart.dim)]
+    dpair = out.chart.func(pair_tt(e1, e2)).ext_d()
+    return GenVec(out.chart, out.v,
+                  [a + dpair.coefficient((k,)) for k, a in enumerate(out.xi)])
 
 
 def lie_form(e: GenVec, form: Form) -> Form:

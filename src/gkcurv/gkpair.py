@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
-                     NotClosed, WrongBidegree)
+                     NotClosed, NotRealStructure, WrongBidegree)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, dorfman, pair_tt,
                      wedge_sum)
@@ -68,14 +68,12 @@ class GKPair:
         return self._ghat
 
     def metric_gram(self):
-        """Matrix of G(a, b) = <Ghat a, b> over the coordinate basis."""
-        chart = self.chart
+        """Matrix of G(a, b) = <Ghat a, b> over the coordinate basis: E_b
+        pairs only with its partner index (b + dim) % (2 dim), to 1/2."""
         gh = self.ghat()
-        dim4 = 2 * chart.dim
-        cols = [GenVec.from_column(chart, [gh[r][c] for r in range(dim4)])
-                for c in range(dim4)]
-        return [[pair_tt(cols[a], GenVec.basis(chart, bb))
-                 for bb in range(dim4)] for a in range(dim4)]
+        dim = self.chart.dim
+        return [[gh[(b + dim) % (2 * dim)][a] * Fraction(1, 2)
+                 for b in range(2 * dim)] for a in range(2 * dim)]
 
     def epm_frame(self) -> "EpmFrame":
         if self._frame is None:
@@ -103,7 +101,7 @@ def compatibility_check(pair: GKPair, points) -> dict:
 
 def _real_fraction(q: QQi) -> Fraction:
     if q.im != 0:
-        raise ValueError("metric entry is not real")
+        raise NotRealStructure("metric entry is not real")
     return q.re
 
 
@@ -287,12 +285,12 @@ def _tame_at(chart, w2, ker, p):
 def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
     """e = v - i_v b with i_v omega = df; satisfies e.psi = i df.psi exactly."""
     chart = pair.chart
-    df = [f.partial(k) for k in range(chart.dim)]
-    v = mat_vec(hat_inverse(chart, pair.omega), df)
+    df = chart.func(f).ext_d()
+    v = mat_vec(hat_inverse(chart, pair.omega),
+                [df.coefficient((k,)) for k in range(chart.dim)])
     e = ad_b(pair.b, GenVec.vector(chart, v), check_closed=False)
     psi = pair.psi()
-    df_form = Form(chart, {(k,): c for k, c in enumerate(df) if not c.is_zero()})
-    check = clifford_act(e, psi) - df_form.wedge(psi).scale(QQi(0, 1))
+    check = clifford_act(e, psi) - df.wedge(psi).scale(QQi(0, 1))
     if not check.is_zero():
         raise DegenerateOmega("hamiltonian element failed its defining identity")
     return e

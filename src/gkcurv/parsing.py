@@ -1,134 +1,23 @@
-"""Text to exact scalars: the scene input grammar (sums, products,
-quotients, integer powers, i, the coordinate names, and sin/cos of integer
-linear combinations of the coordinates)."""
+"""Text to exact scalars: the scene input grammar.
+
+Python's parser reads the text, with `^` spelled `**` and all whitespace,
+newlines included, folded to single spaces.  One evaluator accepts only
+`+ - * /`, unary `+`/`-`, `**` with an integer-literal exponent (optionally
+negated), integers written as decimal digits, `i`, the coordinate names,
+and sin/cos of one integer-linear combination of the coordinates; any other
+node raises ValueError, and nothing reaches `eval`.  Left operands are
+evaluated first.
+
+Against the earlier hand-written parser the language changed only here:
+`x1**2` means `x1^2`; an exponent may be parenthesized (`x1^(2)`); unary
+plus may follow an operator (`2*+x1`); `007` (a leading zero) is rejected;
+and a unary minus after an operator binds looser than `^`, as at the start
+of an expression, so `2*-x1^2` is -2*x1^2 (it was 2*x1^2).
+"""
+
+import ast
 
 from .scalars import QQI_ONE, ScalarExpr
-
-
-class _Tok:
-    __slots__ = ("kind", "val")
-
-    def __init__(self, kind, val=None):
-        self.kind = kind
-        self.val = val
-
-
-def _tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok(ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in expression")
-    toks.append(_Tok("end"))
-    return toks
-
-
-class _Parser:
-    """Recursive-descent parser for the infix scalar grammar."""
-
-    def __init__(self, text, names):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.names = list(names)
-        self.nvars = len(self.names)
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind=None):
-        t = self.toks[self.pos]
-        if kind and t.kind != kind:
-            raise ValueError(f"expected {kind}, found {t.kind}")
-        self.pos += 1
-        return t
-
-    def parse(self) -> ScalarExpr:
-        e = self.expr()
-        if self.peek().kind != "end":
-            raise ValueError("trailing input in expression")
-        return e
-
-    def expr(self):
-        t = self.peek()
-        if t.kind in "+-":
-            self.take()
-            e = self.term()
-            if t.kind == "-":
-                e = -e
-        else:
-            e = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def term(self):
-        e = self.power()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            rhs = self.power()
-            e = e * rhs if op == "*" else e / rhs
-        return e
-
-    def power(self):
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            neg = False
-            if self.peek().kind == "-":
-                self.take()
-                neg = True
-            t = self.take("num")
-            return base ** (-t.val if neg else t.val)
-        return base
-
-    def atom(self):
-        t = self.take()
-        if t.kind == "num":
-            return ScalarExpr.from_qqi(self.nvars, t.val)
-        if t.kind == "(":
-            e = self.expr()
-            self.take(")")
-            return e
-        if t.kind == "-":
-            return -self.atom()
-        if t.kind == "name":
-            if t.val == "i":
-                return ScalarExpr.i(self.nvars)
-            if t.val in ("sin", "cos"):
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                freq = _integer_linear(arg, self.nvars)
-                if t.val == "sin":
-                    return ScalarExpr.sin(self.nvars, freq)
-                return ScalarExpr.cos(self.nvars, freq)
-            if t.val in self.names:
-                return ScalarExpr.coord(self.nvars, self.names.index(t.val))
-            raise ValueError(f"unknown symbol {t.val!r}")
-        raise ValueError(f"unexpected token {t.kind!r}")
 
 
 def _integer_linear(e: ScalarExpr, nvars):
@@ -146,6 +35,49 @@ def _integer_linear(e: ScalarExpr, nvars):
     return tuple(freq)
 
 
+def _literal(node, src) -> int:
+    match node:
+        case ast.Constant(int(v)) if ast.get_source_segment(src, node).isdigit():
+            return v
+    raise ValueError(f"expected an integer literal, found {ast.unparse(node)!r}")
+
+
+def _scalar(node, names, src) -> ScalarExpr:
+    nvars = len(names)
+    match node:
+        case ast.BinOp(left, ast.Pow(), ast.UnaryOp(ast.USub(), right)):
+            return _scalar(left, names, src) ** -_literal(right, src)
+        case ast.BinOp(left, ast.Pow(), right):
+            return _scalar(left, names, src) ** _literal(right, src)
+        case ast.BinOp(left, ast.Add(), right):
+            return _scalar(left, names, src) + _scalar(right, names, src)
+        case ast.BinOp(left, ast.Sub(), right):
+            return _scalar(left, names, src) - _scalar(right, names, src)
+        case ast.BinOp(left, ast.Mult(), right):
+            return _scalar(left, names, src) * _scalar(right, names, src)
+        case ast.BinOp(left, ast.Div(), right):
+            return _scalar(left, names, src) / _scalar(right, names, src)
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_scalar(operand, names, src)
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return _scalar(operand, names, src)
+        case ast.Constant():
+            return ScalarExpr.from_qqi(nvars, _literal(node, src))
+        case ast.Name("i"):
+            return ScalarExpr.i(nvars)
+        case ast.Name(name) if name in names:
+            return ScalarExpr.coord(nvars, names.index(name))
+        case ast.Call(ast.Name("sin" | "cos" as fn), [arg], []):
+            freq = _integer_linear(_scalar(arg, names, src), nvars)
+            return getattr(ScalarExpr, fn)(nvars, freq)
+    raise ValueError(f"unsupported expression {ast.unparse(node)!r}")
+
+
 def parse_scalar(text: str, names) -> ScalarExpr:
     """Parse the scene expression grammar into a canonical scalar."""
-    return _Parser(text, names).parse()
+    src = " ".join(text.split()).replace("^", "**")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+    return _scalar(tree.body, tuple(names), src)

@@ -306,16 +306,8 @@ def _acc(d, key, c):
 
 # ---------------------------------------------------------------------------
 # Plain polynomial world for gcd: the same term dicts, keyed by exponent
-# tuples of length 2m, once `_freq_shift` has made every frequency >= 0
+# tuples of length 2m, once `_shift_down` has made every frequency >= 0
 # ---------------------------------------------------------------------------
-
-
-def _freq_shift(d, m, low):
-    """d times exp(-i low.x): low is subtracted from each key's frequency
-    part. Returns d itself when low is zero."""
-    if not any(low):
-        return d
-    return {k[:m] + tuple(map(_sub, k[m:], low)): c for k, c in d.items()}
 
 
 def _leading(d):  # graded order: total degree, then lex
@@ -435,10 +427,13 @@ def _mono_content(d):
     return tuple(mins)
 
 
-def _shift_down(d, mins):
-    if not any(mins):
+def _shift_down(d, by):
+    """d divided by the term whose key is `by` (a monomial, an exp factor or
+    both): `by` is subtracted from every key. Returns d itself when `by` is
+    zero."""
+    if not any(by):
         return d
-    return {tuple(x - y for x, y in zip(k, mins)): v for k, v in d.items()}
+    return {tuple(map(_sub, k, by)): v for k, v in d.items()}
 
 
 def _monic(d):
@@ -491,8 +486,8 @@ def _uni_sub(a, b):
     return out
 
 
-def _pseudo_rem(a, b, v):
-    """Pseudo-remainder lb^k * a mod b w.r.t. variable v (uni views)."""
+def _pseudo_rem(a, b):
+    """Pseudo-remainder lb^k * a mod b of two uni views (keyed by degree)."""
     db = max(b)
     lb = b[db]
     r = a
@@ -705,7 +700,7 @@ def poly_gcd(a, b):
         if max(pb) == 0:
             g = {0: {(0,) * nv: QQI_ONE}}
             break
-        r = _pseudo_rem(pa, pb, v)
+        r = _pseudo_rem(pa, pb)
         if not r:
             g = pb
             break
@@ -975,23 +970,23 @@ def _cross_reduce(a: TrigPoly, b: TrigPoly):
         return a, b
     m = a.nvars
     # one exp factor makes both plain polynomials; it never changes the gcd
-    low = tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
-    pa = _freq_shift(a.terms, m, low)
-    pb = _freq_shift(b.terms, m, low)
+    low = (0,) * m + tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
+    pa = _shift_down(a.terms, low)
+    pb = _shift_down(b.terms, low)
     g = poly_gcd(pa, pb)
     if not g or (len(g) == 1 and not any(next(iter(g)))):
         return a, b
     high = tuple(-f for f in low)
-    return (TrigPoly(m, _freq_shift(_p_div_exact(pa, g), m, high)),
-            TrigPoly(m, _freq_shift(_p_div_exact(pb, g), m, high)))
+    return (TrigPoly(m, _shift_down(_p_div_exact(pa, g), high)),
+            TrigPoly(m, _shift_down(_p_div_exact(pb, g), high)))
 
 
 def _unit_normalize(pn, pd, m):
     """Fix the fraction's unit: den has exp-exponent 0 per variable and is monic."""
-    low = tuple(map(min, list(zip(*pd))[m:]))
+    low = (0,) * m + tuple(map(min, list(zip(*pd))[m:]))
     inv = pd[_leading(pd)].inverse()
-    return (TrigPoly(m, _p_scale(_freq_shift(pn, m, low), inv)),
-            TrigPoly(m, _p_scale(_freq_shift(pd, m, low), inv)))
+    return (TrigPoly(m, _p_scale(_shift_down(pn, low), inv)),
+            TrigPoly(m, _p_scale(_shift_down(pd, low), inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,15 @@ import random
 import time
 from fractions import Fraction
 
-from .calibration import load_fixture
+from .calibration import load_fixture, saisho_sides
 from .curvature import rho
-from .examples import flat_kahler
+from .examples import anti_self_dual_forms, flat_kahler, hyperkahler_forms
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt, wedge_sum
-from .gkpair import GKPair, jdot_matrix, random_compat_bivector, trace_pairing
+from .gkpair import GKPair, jdot_matrix, random_compat_bivector
 from .linalg import mat_vec
-from .parsing import parse_scalar
 from .scalars import QQi, ScalarExpr
-from .spinor import FrameGCS, _exp_frame, eta_N_extract
+from .spinor import SymplecticGCS, eta_N_extract
 
 
 def _rand_coeff(rng, chart, trig=True):
@@ -172,12 +171,8 @@ def check_psi_lemma(seed, instances) -> dict:
 def _nonintegrable_pair(rng) -> GKPair:
     """Almost GK pair on a flat chart whose obstruction tensor is nonzero."""
     chart = Chart.flat(2)
-    w_i = chart.form({(0, 1): 1, (2, 3): 1})
-    w_j = chart.form({(0, 2): 1, (1, 3): -1})
-    w_k = chart.form({(0, 3): 1, (1, 2): 1})
-    asd = [chart.form({(0, 1): 1, (2, 3): -1}),
-           chart.form({(0, 2): 1, (1, 3): 1}),
-           chart.form({(0, 3): 1, (1, 2): -1})]
+    w_i, w_j, w_k = hyperkahler_forms(chart)
+    asd = anti_self_dual_forms(chart)
     i1, i2 = rng.sample(range(3), 2)
     k = rng.randrange(4)
     if rng.random() < 0.1:
@@ -190,9 +185,7 @@ def _nonintegrable_pair(rng) -> GKPair:
     B = w_j + asd[i1].scale(f)
     w1 = (w_i + w_k).scale(Fraction(1, 2)) + asd[i2].scale(f * QQi(sign))
     w2 = (w_i - w_k).scale(Fraction(1, 2))
-    z = B + w1.scale(QQi(0, 1))
-    j1 = FrameGCS(chart, z.exp(), _exp_frame(chart, z))
-    return GKPair(j1, chart.zero_form(), w2)
+    return GKPair(SymplecticGCS(chart, B, w1), chart.zero_form(), w2)
 
 
 def check_n_psi(seed, instances) -> dict:
@@ -218,22 +211,10 @@ def check_saisho(seed, instances) -> dict:
     rng = random.Random(seed)
     count = 0
     for n in (1, 2):
-        kappa = parse_scalar(fixture["saisho_constant"][str(n)],
-                             tuple(f"x{j+1}" for j in range(2 * n))).const_value()
         pair = flat_kahler(n).pair()
-        phi = pair.j1.spinor()
-        vol = pair.psi().mukai(pair.psibar())
-        rho_val = rho(pair)
-        for _ in range(instances):
-            h1 = random_compat_bivector(pair, rng)
-            h2 = random_compat_bivector(pair, rng)
-            tr = trace_pairing(pair, h1, h2, check_bidegree=False)
-            lhs = vol.scale(tr)
-            p1 = h1.spin_act(phi)
-            p2 = h2.spin_act(phi)
-            rhs = (p1.mukai(p2.conj()) - p2.mukai(p1.conj())).scale(
-                pair.chart.const(kappa) / rho_val)
-            if lhs != rhs:
+        kappa = pair.chart.sc(fixture["saisho_constant"][str(n)])
+        for lhs, rhs in itertools.islice(saisho_sides(pair, rng), instances):
+            if lhs != rhs.scale(kappa):
                 return {"passed": False, "instances": count}
             count += 1
     return {"passed": True, "instances": count}

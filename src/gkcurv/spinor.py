@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
-                     ZeroSpinor)
+                     NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, ad_b, clifford_act, exp_spin, keyed_sum,
-                     wedge_sum)
+from .genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act, exp_spin,
+                     keyed_sum, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
                      mat_sub, solve_exact)
 from .scalars import QQi, Point
@@ -77,7 +77,7 @@ class SymplecticGCS(GCStruct):
     def __init__(self, chart, b: Form, omega: Form):
         super().__init__(chart)
         if not (b.is_real() and omega.is_real()):
-            raise ValueError("symplectic data must be real 2-forms")
+            raise NotRealStructure("symplectic data must be real 2-forms")
         self.b = b
         self.omega = omega
         self.z = b + omega.scale(QQi(0, 1))
@@ -86,7 +86,9 @@ class SymplecticGCS(GCStruct):
         return self.z.exp()
 
     def _build_frame(self):
-        return _exp_frame(self.chart, self.z)
+        """Annihilator of exp(Z): sections v - i_v Z over the coordinate fields."""
+        return [ad_b(self.z, GenVec.basis(self.chart, k), check_closed=False)
+                for k in range(self.chart.dim)]
 
     def _build_jmat(self):
         block = symplectic_block_matrix(self.chart, self.b, self.omega)
@@ -216,12 +218,6 @@ class FrameGCS(GCStruct):
         return self._frame
 
 
-def _exp_frame(chart: Chart, z: Form):
-    """Annihilator of exp(Z): sections v - i_v Z over the coordinate fields."""
-    return [ad_b(z, GenVec.basis(chart, k), check_closed=False)
-            for k in range(chart.dim)]
-
-
 def _hat_matrix(chart: Chart, two_form: Form):
     """Matrix sending vector components to (i_v w) covector components."""
     dim = chart.dim
@@ -265,8 +261,7 @@ def clifford_matrix(phi: Form):
     """Matrix of a -> E_a . phi over the 4n coordinate basis; its rows are
     the multi-indices occurring in some image, in (degree, index) order."""
     chart = phi.chart
-    cols = [clifford_act(GenVec.basis(chart, a), phi)
-            for a in range(2 * chart.dim)]
+    cols = [_basis_act(chart, a, phi) for a in range(2 * chart.dim)]
     idxs = sorted({i for c in cols for i in c.terms}, key=lambda i: (len(i), i))
     return [[c.coefficient(i) for c in cols] for i in idxs]
 

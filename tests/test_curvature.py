@@ -13,11 +13,13 @@ from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
 from gkcurv.errors import (EvaluationPole, NotExactlyIntegrable, NotMeanZero,
                            NotRealStructure)
 from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
-                             flat_volume_forms, fubini_study_chart,
-                             hyperkahler_t4, type00_perturbed)
-from gkcurv.gkpair import GKPair
+                             flat_omega_form, flat_volume_forms,
+                             fubini_study_chart, hyperkahler_t4,
+                             type00_perturbed)
+from gkcurv.gkpair import GKPair, compatibility_check
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
+from gkcurv.spinor import SymplecticGCS
 
 from conftest import chart_flat
 from test_scalars import _sym_trig
@@ -250,14 +252,25 @@ def test_moment_identity_conformal_t2_within_certified_bounds():
     assert abs(float(res["rhs"]) + 1.0118734538162) < 1e-12
 
 
-def test_nilpotent_path_rejects_a_non_real_base():
-    """The moved pair is not real away from t = 0, so it is no base point."""
+def _moved_flat_t2():
     pair = flat_kahler(1, periodic=True).pair()
     frame = pair.epm_frame()
     c = pair.chart.sc("cos(x1)")
-    moved = NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]).pair_at()
+    return NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]).pair_at()
+
+
+def test_nilpotent_path_rejects_a_non_real_base():
+    """The moved pair is not real away from t = 0, so it is no base point."""
     with pytest.raises(NotRealStructure):
-        NilpotentPath(moved, [])
+        NilpotentPath(_moved_flat_t2(), [])
+
+
+def test_non_real_metric_and_symplectic_data_raise_not_real():
+    with pytest.raises(NotRealStructure, match="metric entry"):
+        compatibility_check(_moved_flat_t2(), [Point([0, 0, Fraction(1, 100)])])
+    chart = chart_flat(1)
+    with pytest.raises(NotRealStructure, match="symplectic data"):
+        SymplecticGCS(chart, chart.zero_form(), flat_omega_form(chart).scale(QQi(0, 1)))
 
 
 T_CHART = dataclasses.replace(chart_flat(1, periodic=True), params=("t",))

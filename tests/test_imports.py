@@ -1,7 +1,7 @@
 """Every name a gkcurv module imports is referenced in that module, every
-name it defines at module level is referenced somewhere, no module-level
-name holds a mutable value outside a short allowlist, and every error type
-it defines is raised somewhere."""
+parameter of its functions is read, every name it defines at module level
+is referenced somewhere, no module-level name holds a mutable value outside
+a short allowlist, and every error type it defines is raised somewhere."""
 
 import ast
 import collections
@@ -46,6 +46,26 @@ def test_imports_sit_at_module_level():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def _unread_parameters(fn):
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [a.arg for a in params if a.arg not in read | {"self", "cls"}]
+
+
+def test_no_unused_parameters():
+    """Every parameter of a function in src/gkcurv/, other than self and
+    cls, is read in its body; reads in a nested function count."""
+    unused = [f"{path.stem}.{fn.name}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name in _unread_parameters(fn)]
+    assert unused == []
 
 
 def _module_level_names(tree):

@@ -110,13 +110,17 @@ def test_product_to_sum_canonical():
 
 
 def _random_expr(rng, depth=0):
+    """Random expression text; a divisor is a leaf that vanishes at no
+    integer point (cos of an integer is never 0)."""
     if depth > 2 or rng.random() < 0.35:
         leaf = rng.choice(["x1", "x2", "x3", "sin(x1)", "cos(x2)", "cos(x1-2*x3)",
                            str(rng.randint(-3, 3)), "i"])
         return leaf
     a = _random_expr(rng, depth + 1)
+    op = rng.choice(["+", "-", "*", "/"])
+    if op == "/":
+        return f"({a})/({rng.choice(['cos(x2)', 'cos(x1-2*x3)', 'i', '-3', '2'])})"
     b = _random_expr(rng, depth + 1)
-    op = rng.choice(["+", "-", "*"])
     return f"({a}){op}({b})"
 
 
@@ -144,12 +148,15 @@ def test_eval_matches_tree_eval():
     """The canonical num/den, summed term by term in floats at an integer
     point, agrees with the expression tree evaluated in floats."""
     rng = random.Random(13)
+    with_den = 0
     for _ in range(100):
         text = _random_expr(rng)
         f = S(text)
+        with_den += not f.den.is_const()
         xs = [rng.randint(-2, 2) for _ in range(4)]
         got = _float_sum(f.num, xs) / _float_sum(f.den, xs)
         assert abs(got - _tree_eval(text, xs)) < 1e-9
+    assert with_den >= 5
 
 
 def _float_sum(p, xs):
@@ -197,6 +204,41 @@ def test_format_trigpoly_one_sided_and_unequal_pairs(terms, text):
     coefficient, print through cos/sin: c e^{ik.x} + d e^{-ik.x} =
     (c + d) cos(k.x) + i(c - d) sin(k.x)."""
     assert scalars.format_trigpoly(TrigPoly(2, terms), NAMES[:2]) == text
+
+
+@pytest.mark.parametrize("text, want", [
+    ("  x1 +  x2 ", "x1 + x2"),
+    ("x1 +\n  x2", "x1 + x2"),
+    ("-x1^2", "-x1^2"),
+    ("-2^2", "-4"),
+    ("2^-1", "1/2"),
+    ("x1/x2/x3", "(x1)/(x2*x3)"),
+    ("x1 - -x2", "x1 + x2"),
+    ("sin(2*x1 - x2)", "sin(2*x1-x2)"),
+    ("(1/2+1/3*i)*x1", "(1/2+1/3*i)*x1"),
+])
+def test_parser_accepts(text, want):
+    assert S(text).to_string(NAMES) == want
+
+
+@pytest.mark.parametrize("text", [
+    "x1 x2", "x1 +", "", "1.5", "a", "foo(x1)", "sin(x1/2)", "sin(x1^2)",
+    "sin(i*x1)", "sin(x1, x2)", "x1^x2", "x1^1.5", "x1^2^3", "3 % 2",
+    "x1 // 2", "x1 == x2", "[x1]", "x1.real", "0x10", "1_000", "x1^+2",
+])
+def test_parser_rejects(text):
+    with pytest.raises(ValueError):
+        S(text)
+
+
+def test_parser_language_changes():
+    """What the parser on Python's `ast` reads differently from the earlier
+    hand-written one (the `parsing` docstring lists the same)."""
+    assert S("x1**2") == S("x1^(2)") == S("x1^2")
+    assert S("2*+x1") == S("2*x1")
+    assert S("2*-x1^2") == S("-2*x1^2")
+    with pytest.raises(ValueError):
+        S("007")
 
 
 def test_pow_negative():
