@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add as _add, lt as _lt, sub as _sub
+from operator import (add as _add, getitem as _getitem, lt as _lt, mul as _mul,
+                      sub as _sub)
 
 from .errors import DivisionByZero, EvaluationPole, FieldClosureError
 
@@ -509,100 +510,82 @@ def _content_list(polys):
     return g
 
 
-# -- evaluation-based coprimality fast path ---------------------------------
+# -- evaluation-based coprimality proof -------------------------------------
 #
-# Substituting integers for all variables but one can only enlarge a gcd, so
-# a degree-0 univariate gcd at a degree-preserving point proves the full gcd
-# has degree 0 in that variable.
+# Soundness: let G = gcd(a, b) and v a shared variable.  When p divides no
+# denominator of a, Gauss's lemma gives a = G*H with no p in the
+# denominators of G and H, so reducing mod p and putting nonzero integers
+# for the variables maps a to image(G)*image(H).  Degrees in v can only
+# drop, so when the images of a and b keep their degree in v, image(G) keeps
+# its own and divides their gcd: a unit univariate gcd proves deg_v G = 0,
+# and for every shared v that G is constant.  F_p[i] is a field, since
+# p = 2^31 - 1 is 3 mod 4.
+#
+# Scale-free images: they are taken of den*a and den*b (`zi_split`); every
+# slot, v's too, gets its point value's power, so one weight per term serves
+# every v and the image is f(c*x) for the image f that leaves x_v free (c
+# the value of v); a remainder is scaled by lc(b), not divided by it.  Each
+# differs from the monic image by a unit factor or by x -> c*x, so it has
+# the same zero top coefficient and the same gcd degree, and the verdict
+# cannot change.
 
 _EVAL_POINTS = ((2, 3, 5, 7, 11, 13, 17, 19), (3, 7, 2, 13, 5, 19, 11, 17),
                 (5, 2, 13, 3, 17, 7, 19, 11))
-
-# F_p[i] with p = 2^31 - 1 (p = 3 mod 4, so x^2 + 1 stays irreducible);
-# specializing coefficients mod p can only enlarge a gcd, so a degree-0
-# univariate image still certifies coprimality.
 _P = (1 << 31) - 1
 
 
-def _modp(d):
-    """{exp: QQi} -> {exp: (re, im)} over F_p, or None if p divides a
-    denominator (p is prime, so iff it divides their lcm)."""
-    zd, den = zi_split(d)
-    if den % _P == 0:
-        return None
-    inv = pow(den, _P - 2, _P)
-    return {k: (x * inv % _P, y * inv % _P) for k, (x, y) in zd.items()}
+def _image_modp(terms, v, n):
+    """Dense F_p[i] polynomial in slot v, (re, im) pairs from degree 0, of
+    weighted (key, re, im) terms of degree below n in v."""
+    re, im = [0] * n, [0] * n
+    for k, x, y in terms:
+        re[k[v]] += x
+        im[k[v]] += y
+    return [(x % _P, y % _P) for x, y in zip(re, im)]
 
 
-def _eval_uni_modp(d, v, point):
-    out = {}
-    for exp, (re, im) in d.items():
-        w = 1
-        for j, e in enumerate(exp):
-            if j != v and e:
-                w = w * pow(point[j % len(point)], e, _P) % _P
-        re, im = re * w % _P, im * w % _P
-        cur = out.get(exp[v])
-        if cur is None:
-            cur = (re, im)
-        else:
-            cur = ((cur[0] + re) % _P, (cur[1] + im) % _P)
-        if cur == (0, 0):
-            out.pop(exp[v], None)
-        else:
-            out[exp[v]] = cur
-    return out
-
-
-def _inv_modp(z):
-    a, b = z
-    n = (a * a + b * b) % _P
-    ninv = pow(n, _P - 2, _P)
-    return (a * ninv % _P, -b * ninv % _P)
-
-
-def _uni_gcd_modp(a, b):
-    """Euclidean gcd degree of univariate dicts deg -> F_p[i] pair."""
-    while b:
-        db = max(b)
-        linv = _inv_modp(b[db])
-        r = dict(a)
-        while r and max(r) >= db:
-            dr = max(r)
-            ra, rb = r[dr]
-            fa = (ra * linv[0] - rb * linv[1]) % _P
-            fb = (ra * linv[1] + rb * linv[0]) % _P
-            for e, (ca, cb) in b.items():
-                k = e + dr - db
-                da = (ca * fa - cb * fb) % _P
-                dbb = (ca * fb + cb * fa) % _P
-                cur = r.get(k, (0, 0))
-                cur = ((cur[0] - da) % _P, (cur[1] - dbb) % _P)
-                if cur == (0, 0):
-                    r.pop(k, None)
-                else:
-                    r[k] = cur
-        a, b = b, r
-    return max(a) if a else -1
+def _coprime_modp(a, b):
+    """Whether gcd(a, b) is a unit, for dense F_p[i] polynomials of degree
+    >= 1 with nonzero top entries: r := lc(b)*r - lc(r)*x^k*b, no inverse."""
+    while len(b) > 1:
+        br, bi = b[-1]
+        while len(a) >= len(b):
+            ar, ai = a[-1]
+            shifted = [(0, 0)] * (len(a) - len(b)) + b[:-1]
+            a = [((br * x - bi * y - ar * u + ai * w) % _P,
+                  (br * y + bi * x - ar * w - ai * u) % _P)
+                 for (x, y), (u, w) in zip(a[:-1], shifted)]
+            while a and a[-1] == (0, 0):
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def _gcd_known_trivial(a, b, shared):
     """True if mod-p evaluation proves gcd(a, b) is constant."""
-    a, b = _modp(a), _modp(b)
-    if a is None or b is None:
+    (za, da), (zb, db) = zi_split(a), zi_split(b)
+    if da % _P == 0 or db % _P == 0:
         return False  # a denominator vanishes mod p
+    top, slots = max(map(max, (*za, *zb))), len(next(iter(za)))
+    weighted = {}
     for v in shared:
-        da, db = _deg_in(a, v), _deg_in(b, v)
-        proved = False
         for point in _EVAL_POINTS:
-            ua = _eval_uni_modp(a, v, point)
-            ub = _eval_uni_modp(b, v, point)
-            if not ua or not ub or max(ua) != da or max(ub) != db:
+            if point not in weighted:
+                pw = [[c ** e % _P for e in range(top + 1)] for c in point]
+                rows = [pw[j % len(point)] for j in range(slots)]
+                weighted[point] = [
+                    [(k, x * w, y * w) for k, (x, y) in z.items()
+                     for w in (math.prod(map(_getitem, rows, k)) % _P,)]
+                    for z in (za, zb)]
+            ta, tb = weighted[point]
+            ua = _image_modp(ta, v, _deg_in(za, v) + 1)
+            ub = _image_modp(tb, v, _deg_in(zb, v) + 1)
+            if ua[-1] == (0, 0) or ub[-1] == (0, 0):
                 continue  # degree dropped; point invalid for this argument
-            if _uni_gcd_modp(ua, ub) == 0:
-                proved = True
+            if not _coprime_modp(ua, ub):
+                return False
             break
-        if not proved:
+        else:
             return False
     return True
 
@@ -1016,21 +999,34 @@ class Point:
 
 
 def _eval_trigpoly(p: TrigPoly, point: Point) -> QQi:
+    """Exact value at a point, in ints: with a_j = n_j/d_j and top_j the
+    largest exponent of x_j, a term's x_j^e is n_j^e * d_j^(top_j - e), and
+    the sum is reduced once over den * prod d_j^top_j.  exp(i k.x) is i^q
+    where k.a = 0 and 2 k.b = q is an integer; otherwise, or for x_j^e with
+    e > 0 and a pi part in x_j, the value leaves the field."""
     m = p.nvars
-    total = QQI_ZERO
-    for k, c in p.terms.items():
-        mono, freq = k[:m], k[m:]
-        ka = sum((point.a[j] * f for j, f in enumerate(freq)), Fraction(0))
-        kb = sum((point.b[j] * f for j, f in enumerate(freq)), Fraction(0))
-        if (ka != 0 or (2 * kb).denominator != 1
-                or any(e and point.b[j] for j, e in enumerate(mono))):
-            raise FieldClosureError("point does not admit exact evaluation")
-        v = QQI_ONE
-        for j, e in enumerate(mono):
-            if e:
-                v = v * QQi(point.a[j] ** e)
-        total = total + c * v * ipow(int(2 * kb))
-    return total
+    zd, den = zi_split(p.terms)
+    top = list(map(max, zip(*zd)))[:m]
+    if any(t and point.b[j] for j, t in enumerate(top)):
+        raise FieldClosureError("point does not admit exact evaluation")
+    a = [point.a[j] for j in range(len(top))]
+    rows = [[c.numerator ** e * c.denominator ** (t - e) for e in range(t + 1)]
+            for c, t in zip(a, top)]
+    re = im = 0
+    for k, (x, y) in zd.items():
+        if any(k[m:]):
+            q = 2 * sum(map(_mul, point.b, k[m:]))
+            if sum(map(_mul, a, k[m:])) or q.denominator != 1:
+                raise FieldClosureError("point does not admit exact evaluation")
+            if q.numerator & 2:
+                x, y = -x, -y
+            if q.numerator & 1:
+                x, y = -y, x
+        w = math.prod(map(_getitem, rows, k))
+        re += x * w
+        im += y * w
+    return _reduced(re, im, den * math.prod(
+        c.denominator ** t for c, t in zip(a, top)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gkcurv import scalars
+from gkcurv.curvature import gric_gr
 from gkcurv.errors import DivisionByZero, EvaluationPole, FieldClosureError
+from gkcurv.examples import CATALOG
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
                             _p_div_exact, _p_mul, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
+# (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2
+FS_CP2_PROOF_TRUE_CALLS = (175, 220)
 
 
 def S(text, names=NAMES):
@@ -71,6 +75,69 @@ def test_eval_outside_the_field_raises():
         S("cos(x1)").eval(Point([1, 0, 0, 0]))
     with pytest.raises(FieldClosureError):
         S("x1").eval(Point([(0, 1), 0, 0, 0]))
+
+
+def _fraction_eval(p, point):
+    """The Fraction loop of `_eval_trigpoly` before its int kernel, kept as
+    its reference."""
+    m = p.nvars
+    total = QQi(0)
+    for k, c in p.terms.items():
+        mono, freq = k[:m], k[m:]
+        ka = sum((point.a[j] * f for j, f in enumerate(freq)), Fraction(0))
+        kb = sum((point.b[j] * f for j, f in enumerate(freq)), Fraction(0))
+        if (ka != 0 or (2 * kb).denominator != 1
+                or any(e and point.b[j] for j, e in enumerate(mono))):
+            raise FieldClosureError("point does not admit exact evaluation")
+        v = QQi(1)
+        for j, e in enumerate(mono):
+            if e:
+                v = v * QQi(point.a[j] ** e)
+        total = total + c * v * scalars.ipow(int(2 * kb))
+    return total
+
+
+HALF, TWO_THIRDS, FIVE_SEVENTHS = Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)
+# x2 and x4 carry pi parts: exp(i k x) at x = q*pi/2 is i^(k*q), and the
+# frequencies +-1..+-4 below reach every power i^0..i^3
+EVAL_POINTS = [
+    Point([HALF, (0, HALF), -TWO_THIRDS, (0, 1)]),
+    Point([FIVE_SEVENTHS, (0, Fraction(3, 2)), HALF, (0, -HALF)]),
+    Point([-TWO_THIRDS, (0, 1), FIVE_SEVENTHS, (0, 2)]),
+    Point([0, 0, 0, 0]),
+    Point([HALF, (0, Fraction(-3, 2)), 0, 0]),
+]
+EVAL_TEXTS = [
+    "x1^3*cos(2*x2) + (1+2*i)/3*x3^2*sin(x4) - x1*x3 + 7/5",
+    "sin(x2) - cos(2*x2) + i*sin(3*x2)/4 + cos(4*x2)/9 + sin(x2 + x4)",
+    "(x1^4 - 2*x1*x3^2 + i*x3^5/7)*cos(3*x4) + 1/(1 + x1^2 + x3^2)",
+    "x1*sin(x4)^2/(5 + x3^2) - (2 - i)/11*x3",
+]
+
+
+def test_eval_at_rational_points_matches_the_fraction_loop():
+    """Rational coordinates 1/2, -2/3, 5/7 and 0, pi parts that give each of
+    i^0..i^3, the zero polynomial, and exp(i(x1 - x3)) with x1 = x3, whose
+    rational parts cancel."""
+    cases = [(S(t).num, pt) for t in EVAL_TEXTS for pt in EVAL_POINTS]
+    cases += [(S(t).den, pt) for t in EVAL_TEXTS for pt in EVAL_POINTS]
+    cases += [(TrigPoly.zero(4), EVAL_POINTS[0]),
+              (S("cos(x1 - x3) + x1^2*sin(x3 - x1)").num,
+               Point([HALF, 0, HALF, 0]))]
+    values = set()
+    for p, pt in cases:
+        got, want = scalars._eval_trigpoly(p, pt), _fraction_eval(p, pt)
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        values.add((got.a, got.b, got.d))
+    assert len(values) > 20 and any(d > 1 for *_, d in values)
+    # the three ways out of the field: a rational part under a nonzero
+    # frequency, 2 k.b not an integer, a monomial in a coordinate with pi
+    for text, pt in (("x2 + cos(x1)", Point([HALF, 0, 0, 0])),
+                     ("x1 + sin(x2)", Point([0, (0, Fraction(1, 3)), 0, 0])),
+                     ("cos(2*x2) + x2^2", Point([0, (0, HALF), 0, 0]))):
+        for fn in (scalars._eval_trigpoly, _fraction_eval):
+            with pytest.raises(FieldClosureError):
+                fn(S(text).num, pt)
 
 
 def test_division_by_zero_detected():
@@ -389,6 +456,171 @@ def test_coprime_pairs_return_from_the_proof_without_prs(monkeypatch):
     monkeypatch.setattr(scalars, "_pseudo_rem", forbidden)
     for xs, a, b, want in pairs:
         assert poly_gcd(a, b) == want
+
+
+# ---------------------------------------------------------------------------
+# the mod-p coprimality proof against the inverse-per-step proof it replaced
+# ---------------------------------------------------------------------------
+
+_REF_P = (1 << 31) - 1
+_REF_POINTS = ((2, 3, 5, 7, 11, 13, 17, 19), (3, 7, 2, 13, 5, 19, 11, 17),
+               (5, 2, 13, 3, 17, 7, 19, 11))
+
+
+def _ref_modp(d):
+    zd, den = scalars.zi_split(d)
+    if den % _REF_P == 0:
+        return None
+    inv = pow(den, _REF_P - 2, _REF_P)
+    return {k: (x * inv % _REF_P, y * inv % _REF_P) for k, (x, y) in zd.items()}
+
+
+def _ref_eval_uni(d, v, point):
+    out = {}
+    for exp, (re, im) in d.items():
+        w = 1
+        for j, e in enumerate(exp):
+            if j != v and e:
+                w = w * pow(point[j % len(point)], e, _REF_P) % _REF_P
+        re, im = re * w % _REF_P, im * w % _REF_P
+        cur = out.get(exp[v])
+        cur = (re, im) if cur is None else ((cur[0] + re) % _REF_P,
+                                            (cur[1] + im) % _REF_P)
+        if cur == (0, 0):
+            out.pop(exp[v], None)
+        else:
+            out[exp[v]] = cur
+    return out
+
+
+def _ref_uni_gcd_degree(a, b):
+    while b:
+        db = max(b)
+        x, y = b[db]
+        ninv = pow((x * x + y * y) % _REF_P, _REF_P - 2, _REF_P)
+        linv = (x * ninv % _REF_P, -y * ninv % _REF_P)
+        r = dict(a)
+        while r and max(r) >= db:
+            dr = max(r)
+            ra, rb = r[dr]
+            fa = (ra * linv[0] - rb * linv[1]) % _REF_P
+            fb = (ra * linv[1] + rb * linv[0]) % _REF_P
+            for e, (ca, cb) in b.items():
+                k = e + dr - db
+                cur = r.get(k, (0, 0))
+                cur = ((cur[0] - ca * fa + cb * fb) % _REF_P,
+                       (cur[1] - ca * fb - cb * fa) % _REF_P)
+                if cur == (0, 0):
+                    r.pop(k, None)
+                else:
+                    r[k] = cur
+        a, b = b, r
+    return max(a) if a else -1
+
+
+def _ref_proof(a, b, shared, deciding=None):
+    """The proof on monic images with a modular inverse per step; appends
+    (v, point index) of each deciding point to `deciding`."""
+    a, b = _ref_modp(a), _ref_modp(b)
+    if a is None or b is None:
+        return False
+    for v in shared:
+        da, db = max(k[v] for k in a), max(k[v] for k in b)
+        proved = False
+        for t, point in enumerate(_REF_POINTS):
+            ua, ub = _ref_eval_uni(a, v, point), _ref_eval_uni(b, v, point)
+            if not ua or not ub or max(ua) != da or max(ub) != db:
+                continue
+            proved = _ref_uni_gcd_degree(ua, ub) == 0
+            if deciding is not None:
+                deciding.append((v, t))
+            break
+        if not proved:
+            return False
+    return True
+
+
+def _shared(a, b):
+    return [v for v in range(len(next(iter(a))))
+            if max(k[v] for k in a) > 0 and max(k[v] for k in b) > 0]
+
+
+def _poly_in(rng, slots, width, terms):
+    return {tuple(rng.randint(0, 2) if j in slots else 0 for j in range(width)):
+            _rand_qqi(rng) for _ in range(terms)}
+
+
+def _proof_pairs():
+    """(a, b, planted): seeded pairs in 8 and 10 key slots with 1-4 shared
+    variables, planted common factors, coefficients over 2^31 - 1, and
+    leading coefficients that vanish at the first or at every point."""
+    rng = random.Random(59)
+    out = []
+    for width in (8, 10):
+        for n in range(60):
+            slots = rng.sample(range(width), rng.randint(1, 4) + 2)
+            sa, sb = slots[:-1], slots[:-2] + slots[-1:]
+            a = _poly_in(rng, sa, width, rng.randint(2, 5))
+            b = _poly_in(rng, sb, width, rng.randint(2, 5))
+            planted = n % 4 == 0
+            if planted:
+                g = _poly_in(rng, slots[:-2], width, 2)
+                g[tuple(int(j == slots[0]) for j in range(width))] = QQi(1)
+                a, b = _p_mul(g, a), _p_mul(g, b)
+            if n % 10 == 3:  # p divides one coefficient's denominator
+                k = next(iter(a))
+                a[k] = a[k] / _REF_P
+            if _shared(a, b):
+                out.append((a, b, planted))
+
+    def poly(*terms):  # (c, e1, e2) is c * x1^e1 * x2^e2, in 8 slots
+        return {(e1, e2) + (0,) * 6: QQi(c) for c, e1, e2 in terms}
+    # lc in x2 is x1 - 2: the first point (x1 = 2) drops the degree
+    b = poly((1, 0, 2), (1, 1, 1), (3, 0, 0))
+    out.append((poly((1, 1, 2), (-2, 0, 2), (1, 0, 1), (1, 1, 0)), b, False))
+    # lc (x1 - 2)(x1 - 3)(x1 - 5) in x2 vanishes at every point
+    lc = functools.reduce(_p_mul, [poly((1, 1, 0), (-c, 0, 0)) for c in (2, 3, 5)])
+    out.append(({**_p_mul(lc, poly((1, 0, 1))), **poly((1, 0, 0))}, b, False))
+    # p in a denominator: only the x2^2 term would survive an image of p*a
+    out.append((poly((Fraction(1, _REF_P), 0, 2), (1, 0, 1), (1, 0, 0)),
+                poly((1, 0, 1), (1, 1, 0), (2, 0, 0)), False))
+    return out
+
+
+def test_proof_verdicts_match_the_inverse_per_step_proof():
+    pairs = _proof_pairs()
+    verdicts = []
+    for a, b, planted in pairs:
+        shared = _shared(a, b)
+        got = scalars._gcd_known_trivial(a, b, shared)
+        assert got == _ref_proof(a, b, shared)
+        assert not (planted and got)
+        verdicts.append(got)
+    assert {len(next(iter(a))) for a, *_ in pairs} == {8, 10}
+    assert {len(_shared(a, b)) for a, b, _ in pairs} >= {1, 2, 3, 4}
+    assert sum(p for *_, p in pairs) >= 20 and 40 <= sum(verdicts) < len(pairs) - 30
+    deciding = []
+    a, b, _ = pairs[-3]
+    assert _ref_proof(a, b, [0, 1], deciding) and deciding == [(0, 0), (1, 1)]
+    assert not _ref_proof(*pairs[-2][:2], [0, 1])
+
+
+def test_proof_verdicts_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
+    """Every (a, b, shared) that reaches the proof during gric_gr of CP^2,
+    from an empty factor registry so the inputs do not depend on test order."""
+    monkeypatch.setattr(scalars, "_REGISTRY", scalars._FactorRegistry())
+    pair = CATALOG["fubini_study_cp2"]().pair()
+    calls = []
+    proof = scalars._gcd_known_trivial
+
+    def recorded(a, b, shared):
+        calls.append((dict(a), dict(b), list(shared), proof(a, b, shared)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(scalars, "_gcd_known_trivial", recorded)
+    gric_gr(pair)
+    assert all(_ref_proof(a, b, shared) == got for a, b, shared, got in calls)
+    assert (sum(got for *_, got in calls), len(calls)) == FS_CP2_PROOF_TRUE_CALLS
 
 
 # ---------------------------------------------------------------------------
