@@ -167,7 +167,7 @@ def saisho_sides(pair, rng):
     while True:
         h1 = random_compat_bivector(pair, rng)
         h2 = random_compat_bivector(pair, rng)
-        lhs = vol.scale(trace_pairing(pair, h1, h2, check_bidegree=False))
+        lhs = vol.scale(trace_pairing(pair, h1, h2))
         p1 = h1.spin_act(phi)
         p2 = h2.spin_act(phi)
         yield lhs, (p1.mukai(p2.conj()) - p2.mukai(p1.conj())).scale(inv_rho)

@@ -50,20 +50,16 @@ class CurvatureReport:
         }
 
 
-def rho(pair: GKPair, points=()) -> ScalarExpr:
+def rho(pair: GKPair) -> ScalarExpr:
     """Spinor volume ratio <phi, conj phi> / <psi, conj psi>."""
     phi = pair.j1.spinor()
-    psi = pair.psi()
     num = phi.mukai_scalar(phi.conj())
-    den = psi.mukai_scalar(psi.conj())
+    den = pair.spinor_volume()
     if den.is_zero() or num.is_zero():
         raise VanishingVolume("spinor pairing vanishes identically")
     out = num / den
     if not out.is_real():
         raise VanishingVolume("spinor volume ratio is not real")
-    for p in points:
-        if out.eval(p).is_zero():
-            raise VanishingVolume("spinor volume ratio vanishes at a sample point")
     return out
 
 
@@ -159,9 +155,8 @@ def gr_complex(pair: GKPair) -> ScalarExpr:
     pairing; the identity Re = gr is asserted by the test suite.
     """
     theta = theta_form(pair)
-    psi = pair.psi()
-    num = psi.mukai_scalar(theta)
-    den = psi.mukai_scalar(psi.conj())
+    num = pair.psi().mukai_scalar(theta)
+    den = pair.spinor_volume()
     if den.is_zero():
         raise VanishingVolume("spinor volume vanishes")
     return (num / den) * GR_COMPLEX_CONSTANT
@@ -232,7 +227,10 @@ class TorusIntegral:
         return self.mean.is_zero() and self.error_bound == 0
 
     def __str__(self):
-        coeff = self.mean * QQi(2 ** self.power)
+        scale = 2 ** self.power
+        coeff = self.mean * QQi(scale)
+        if self.error_bound:
+            return f"({coeff} +- {self.error_bound * scale})*pi^{self.power}"
         if coeff.is_zero():
             return "0"
         return f"({coeff})*pi^{self.power}"
@@ -241,14 +239,11 @@ class TorusIntegral:
 def integrate_torus(top: Form) -> TorusIntegral:
     """Exact integral of a top form over the torus chart."""
     chart = top.chart
-    if not all(chart.periodic):
-        raise NotExactlyIntegrable("chart is not fully periodic")
     for idx in top.terms:
         if len(idx) != chart.dim:
             raise NotExactlyIntegrable("not a top-degree form")
-    mean, bound = scalar_torus_mean_certified(
-        top.coefficient(tuple(range(chart.dim))))
-    return TorusIntegral(mean, chart.dim, bound)
+    return scalar_torus_mean_certified(
+        chart, top.coefficient(tuple(range(chart.dim))))
 
 
 def _trig_one_norm(p: TrigPoly) -> Fraction:
@@ -261,26 +256,29 @@ SERIES_MEAN_TOL = Fraction(1, 10 ** 12)
 SERIES_MEAN_MAX_ORDER = 24
 
 
-def scalar_torus_mean_certified(c: ScalarExpr):
-    """Mean of a trig-rational function with a certified truncation bound.
+def scalar_torus_mean_certified(chart: Chart, c: ScalarExpr) -> TorusIntegral:
+    """Integral over the torus `chart` of a trig-rational function, as its
+    mean with a certified truncation bound.
 
     Writes den = c0 (1 + E) and integrates num * sum_{k <= K} (-E)^k / c0
     exactly; the geometric tail gives |error| <= |num|_1 |E|_1^{K+1} /
     (1 - |E|_1).  K is the first order at which that bound is below
     SERIES_MEAN_TOL, at most SERIES_MEAN_MAX_ORDER; requires |E|_1 < 1.
-    Returns (mean, bound); the bound is 0 for a constant denominator.
+    The bound is 0 for a constant denominator.
 
     The K + 1 terms num * E^k run on Gaussian integers over the running
     denominator dn de^k.  Each factor E moves a frequency by at most E's
     per-variable range, so term k keeps only the frequencies that can still
     reach 0 within the K - k factors left: no other one reaches the mean.
     """
+    if not all(chart.periodic):
+        raise NotExactlyIntegrable("chart is not fully periodic")
     if c.num.has_mono() or c.den.has_mono():
         raise NotExactlyIntegrable("integrand has non-periodic polynomial part")
     m = c.nvars
     if c.den.is_const():
         mean = c.num.terms.get((0,) * (2 * m), QQI_ZERO)
-        return mean / c.den.const_value(), Fraction(0)
+        return TorusIntegral(mean / c.den.const_value(), chart.dim)
     # recentre on the dominant denominator term: the canonical unit may hide
     # a dominated shape behind an exp factor, which the series needs exposed;
     # ties go to the larger frequency, not to the dict order
@@ -322,7 +320,8 @@ def scalar_torus_mean_certified(c: ScalarExpr):
         if k < last:
             power = window(zi_mul(power, e_int), last - k - 1)
     total = dn * de ** last
-    return QQi(Fraction(acc_re, total), Fraction(acc_im, total)), tail
+    return TorusIntegral(QQi(Fraction(acc_re, total), Fraction(acc_im, total)),
+                         chart.dim, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +329,24 @@ def scalar_torus_mean_certified(c: ScalarExpr):
 # ---------------------------------------------------------------------------
 
 
-def spinor_volume_scalar(pair: GKPair) -> ScalarExpr:
-    return pair.psi().mukai_scalar(pair.psibar())
-
-
 def check_mean_zero(pair: GKPair, f: ScalarExpr):
     """Exact test that f integrates to 0 against the spinor volume."""
-    mean, bound = scalar_torus_mean_certified(f * spinor_volume_scalar(pair))
-    if bound:
+    val = scalar_torus_mean_certified(pair.chart, f * pair.spinor_volume())
+    if val.error_bound:
         raise NotExactlyIntegrable("integrand is not a trig-polynomial")
-    if not mean.is_zero():
+    if not val.mean.is_zero():
         raise NotMeanZero("function does not integrate to zero against the volume")
 
 
-def moment_pairing(pair: GKPair, f: ScalarExpr) -> TorusIntegral:
-    """<mu(J), f> = i^{-n} integral of f * gr * <psi, conj psi> over the torus."""
-    chart = pair.chart
-    if not all(chart.periodic):
-        raise NotExactlyIntegrable("moment pairing needs a torus chart")
+def moment_pairing(pair: GKPair, f: ScalarExpr, mu: ScalarExpr) -> TorusIntegral:
+    """i^{-n} integral of f * mu * <psi, conj psi> over the torus, for
+    mean-zero f; mu = gric_gr(pair).gr gives <mu(J), f>."""
     check_mean_zero(pair, f)
-    integrand = f * gric_gr(pair).gr * spinor_volume_scalar(pair) * ipow(-chart.n)
-    mean, bound = scalar_torus_mean_certified(integrand)
-    if not mean.is_real():
-        raise NotMeanZero("moment pairing did not come out real")
-    return TorusIntegral(mean, chart.dim, bound)
+    val = scalar_torus_mean_certified(
+        pair.chart, f * mu * pair.spinor_volume() * ipow(-pair.chart.n))
+    if not val.mean.is_real():
+        raise NotRealStructure("moment pairing did not come out real")
+    return val
 
 
 class NilpotentPath:
@@ -441,42 +434,32 @@ MOMENT_FORM_CONSTANT = QQi(Fraction(-1, 4))
 
 def moment_form(pair: GKPair, jdot1, jdot2) -> TorusIntegral:
     """Calibrated deformation 2-form on matrix-field tangents."""
-    chart = pair.chart
     tr = mat_trace(mat_mul(pair.j1.j_matrix(), mat_mul(jdot1, jdot2)))
-    integrand = tr * spinor_volume_scalar(pair) * \
-        (ipow(-chart.n) * QQi(-1) * MOMENT_FORM_CONSTANT)
-    mean, bound = scalar_torus_mean_certified(integrand)
-    return TorusIntegral(mean, chart.dim, bound)
+    return scalar_torus_mean_certified(
+        pair.chart, tr * pair.spinor_volume() *
+        (ipow(-pair.chart.n) * QQi(-1) * MOMENT_FORM_CONSTANT))
 
 
 def moment_derivative_check(pair: GKPair, f: ScalarExpr, pieces) -> dict:
     """Exact check of the moment-map identity d<mu, f> = Omega(L_e J, Jdot).
 
-    lhs: i^{-n} mean(f * d/dt gr|_{t=0} * <psi, conj psi>) along the
+    lhs: `moment_pairing` of f and d/dt gr|_{t=0} along the
     nilpotent-factor path with velocity h; psi does not move.  rhs: the
     calibrated deformation 2-form applied to (L_e J, [h, J]).  lhs_bound and
     rhs_bound certify the two means.
     """
-    chart = pair.chart
-    path = NilpotentPath(pair, pieces)
-    check_mean_zero(pair, f)
-
-    gr_t = gric_gr(path.pair_at()).gr
-    dgr = _at_zero(gr_t.partial(chart.dim))
-    integrand = f * dgr * spinor_volume_scalar(pair) * ipow(-chart.n)
-    mean, lhs_bound = scalar_torus_mean_certified(integrand)
-    if not mean.is_real():
-        raise NotMeanZero("derivative of the moment pairing is not real")
-    lhs = mean.re
+    gr_t = gric_gr(NilpotentPath(pair, pieces).pair_at()).gr
+    lhs_val = moment_pairing(pair, f, _at_zero(gr_t.partial(pair.chart.dim)))
+    lhs = lhs_val.mean.re
 
     lej = gen_lie_J(hamiltonian_element(pair, f), pair.j1.j_matrix())
     jd = jdot_matrix(pair, frame_bivector(pair, pieces))
     rhs_val = moment_form(pair, lej, jd)
     if not rhs_val.mean.is_real():
-        raise NotMeanZero("deformation pairing did not come out real")
+        raise NotRealStructure("deformation pairing did not come out real")
     rhs = rhs_val.mean.re
 
     denom = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
     rel = abs(float(lhs) - float(rhs)) / denom
-    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "lhs_bound": lhs_bound,
-            "rhs_bound": rhs_val.error_bound}
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel,
+            "lhs_bound": lhs_val.error_bound, "rhs_bound": rhs_val.error_bound}

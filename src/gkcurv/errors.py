@@ -62,7 +62,7 @@ class NotMeanZero(GKCurvError):
 
 
 class NotRealStructure(GKCurvError):
-    """A structure that must be real has a non-real entry."""
+    """A quantity that must be real is not."""
 
 
 class NotExactlyIntegrable(GKCurvError):

@@ -144,9 +144,6 @@ class Form:
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(i) for i in self.terms})
-
     def degree_part(self, k: int) -> "Form":
         return Form(self.chart, {i: c for i, c in self.terms.items() if len(i) == k})
 
@@ -184,11 +181,6 @@ class Form:
             return self.chart.zero_form()
         return Form(self.chart, {i: v * c for i, v in self.terms.items()})
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def conj(self) -> "Form":
         return Form(self.chart, {i: c.conj() for i, c in self.terms.items()})
 
@@ -217,9 +209,6 @@ class Form:
                 c = c1 * c2
                 _acc(out, idx, c if sign > 0 else -c)
         return Form(self.chart, out)
-
-    def __xor__(self, other):
-        return self.wedge(other)
 
     def ext_d(self) -> "Form":
         acc = {}

@@ -55,6 +55,10 @@ class GKPair:
     def psibar(self) -> Form:
         return self.psi().conj()
 
+    def spinor_volume(self) -> ScalarExpr:
+        """<psi, conj psi> as a scalar: the volume of every torus pairing."""
+        return self.psi().mukai_scalar(self.psibar())
+
     def jpsi_matrix(self):
         if self._jpsi_mat is None:
             self._jpsi_mat = symplectic_block_matrix(self.chart, self.b,
@@ -427,12 +431,8 @@ def jdot_matrix(pair: GKPair, h: PolyVec):
     return mat_sub(mat_mul(ad, j), mat_mul(j, ad))
 
 
-def trace_pairing(pair: GKPair, h1: PolyVec, h2: PolyVec,
-                  check_bidegree=True) -> ScalarExpr:
+def trace_pairing(pair: GKPair, h1: PolyVec, h2: PolyVec) -> ScalarExpr:
     """tr(J [h1,J] [h2,J]) as an exact function on the chart."""
-    if check_bidegree:
-        bidegree_split(pair, h1)
-        bidegree_split(pair, h2)
     j = pair.j1.j_matrix()
     return mat_trace(mat_mul(j, mat_mul(jdot_matrix(pair, h1),
                                         jdot_matrix(pair, h2))))

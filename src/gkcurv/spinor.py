@@ -214,9 +214,6 @@ class FrameGCS(GCStruct):
     def _build_spinor(self):
         return self.phi
 
-    def _build_frame(self):
-        return self._frame
-
 
 def _hat_matrix(chart: Chart, two_form: Form):
     """Matrix sending vector components to (i_v w) covector components."""

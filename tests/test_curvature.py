@@ -5,9 +5,10 @@ import pytest
 import sympy
 
 from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
-                              NilpotentPath, _at_zero, _pad, gr_complex,
-                              gr_two_term_forms, gric_gr, integrate_torus,
-                              kahler_oracle_dJdlog, moment_derivative_check,
+                              NilpotentPath, _at_zero, _pad, check_mean_zero,
+                              gr_complex, gr_two_term_forms, gric_gr,
+                              integrate_torus, kahler_oracle_dJdlog,
+                              moment_derivative_check, moment_form,
                               moment_pairing, proportionality, rho,
                               scalar_torus_mean_certified, type00_gric)
 from gkcurv.errors import (EvaluationPole, NotExactlyIntegrable, NotMeanZero,
@@ -16,10 +17,13 @@ from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
                              flat_omega_form, flat_volume_forms,
                              fubini_study_chart, hyperkahler_t4,
                              type00_perturbed)
-from gkcurv.gkpair import GKPair, compatibility_check
+from gkcurv.forms import Chart
+from gkcurv.genalg import gen_lie_J
+from gkcurv.gkpair import (GKPair, compatibility_check, frame_bivector,
+                           hamiltonian_element, jdot_matrix)
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
-from gkcurv.spinor import SymplecticGCS
+from gkcurv.spinor import ComplexVolumeGCS, SymplecticGCS
 
 from conftest import chart_flat
 from test_scalars import _sym_trig
@@ -33,7 +37,7 @@ def test_rho_flat():
 
 def test_rho_fs():
     pair = fubini_study_chart(1).pair()
-    r = rho(pair, points=[Point([0, 0]), Point([1, 2])])
+    r = rho(pair)
     chart = pair.chart
     s = chart.sc("1 + x1^2 + x2^2")
     assert r == s * s * chart.const(Fraction(-1, 2))
@@ -172,6 +176,10 @@ def test_integrate_torus():
     val = integrate_torus(chart.form({(0, 1): "1/(4 + cos(x1))"}))
     assert 0 < val.error_bound < SERIES_MEAN_TOL
     assert abs(val.mean.to_complex() - 15 ** -0.5) < 1e-12
+    # a series mean is not exact: its printed form carries the bound, scaled
+    # by (2 pi)^2 like the value
+    assert str(val) == ("(4651297694610395/4503599627370496"
+                        " +- 1/824633720832)*pi^2")
 
 
 def test_integrate_errors():
@@ -187,10 +195,68 @@ def test_moment_pairing_flat():
     pair = flat_kahler(2, periodic=True).pair()
     chart = pair.chart
     f = chart.sc("cos(x1)")
-    val = moment_pairing(pair, f)
+    gr = gric_gr(pair).gr
+    val = moment_pairing(pair, f, gr)
     assert val.is_zero()
     with pytest.raises(NotMeanZero):
-        moment_pairing(pair, chart.sc("1 + cos(x1)"))
+        moment_pairing(pair, chart.sc("1 + cos(x1)"), gr)
+
+
+def _sheared_t2(s):
+    """theta = dx1 + (s cos x1 + i) dx2, omega = dx1^dx2 on T^2."""
+    chart = Chart.flat(1, periodic=True)
+    theta = chart.form({(0,): 1, (1,): f"{s}*cos(x1) + i"})
+    return GKPair(ComplexVolumeGCS(chart, [theta]), chart.zero_form(),
+                  chart.form({(0, 1): 1}))
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(1), Fraction(5, 2)],
+                         ids=["1/3", "1", "5/2"])
+def test_moment_pairing_nonzero(s):
+    """gr = 2 s^2 cos 2x1 and <psi, conj psi> = 2i, so <mu(J), cos 2x1> =
+    i^{-1} 2i 2 s^2 mean(cos^2 2x1) (2 pi)^2 = 2 s^2 (2 pi)^2."""
+    pair = _sheared_t2(s)
+    chart = pair.chart
+    gr = gric_gr(pair).gr
+    assert gr == chart.sc("cos(2*x1)") * (2 * s * s)
+    val = moment_pairing(pair, chart.sc("cos(2*x1)"), gr)
+    assert val.mean == QQi(2 * s * s) and val.error_bound == 0
+    if s == 1:
+        assert str(val) == "(8)*pi^2"
+
+
+def test_moment_pairing_error_types():
+    """A non-real pairing and a function without mean zero raise different
+    errors."""
+    pair = _sheared_t2(Fraction(1))
+    chart = pair.chart
+    gr = gric_gr(pair).gr
+    with pytest.raises(NotRealStructure):
+        moment_pairing(pair, chart.sc("cos(2*x1)"), gr * chart.i_s())
+    with pytest.raises(NotMeanZero):
+        moment_pairing(pair, chart.sc("1 + cos(x1)"), gr)
+
+
+def test_torus_integrals_refuse_the_plane():
+    """On R^2 every torus integral raises, the moment-map check included."""
+    pair = flat_kahler(1).pair()
+    chart = pair.chart
+    c = chart.sc("cos(x1)")
+    frame = pair.epm_frame()
+    pieces = [(c, frame.eplus[0], frame.eminus[0])]
+    lej = gen_lie_J(hamiltonian_element(pair, c), pair.j1.j_matrix())
+    jd = jdot_matrix(pair, frame_bivector(pair, pieces))
+    calls = [
+        lambda: scalar_torus_mean_certified(chart, c),
+        lambda: integrate_torus(chart.form({(0, 1): "2 + cos(x1)"})),
+        lambda: check_mean_zero(pair, c),
+        lambda: moment_pairing(pair, c, gric_gr(pair).gr),
+        lambda: moment_form(pair, lej, jd),
+        lambda: moment_derivative_check(pair, c, pieces),
+    ]
+    for call in calls:
+        with pytest.raises(NotExactlyIntegrable, match="not fully periodic"):
+            call()
 
 
 @pytest.mark.parametrize("n, text, rhs", [
@@ -384,14 +450,14 @@ def _reference_series_mean(c):
 ], ids=["one_sided", "two_sided", "two_variables"])
 def test_series_mean_matches_unpruned_loop(text):
     c = parse_scalar(text, ("x1", "x2"))
-    mean, bound = scalar_torus_mean_certified(c)
-    assert (mean, bound) == _reference_series_mean(c)
-    assert bound < SERIES_MEAN_TOL and not mean.is_zero()
+    val = scalar_torus_mean_certified(Chart.flat(1, periodic=True), c)
+    assert (val.mean, val.error_bound) == _reference_series_mean(c)
+    assert val.error_bound < SERIES_MEAN_TOL and not val.mean.is_zero()
 
 
 def test_series_mean_errors():
-    names = ("x1", "x2")
+    chart = Chart.flat(1, periodic=True)
     with pytest.raises(NotExactlyIntegrable, match="oscillation too large"):
-        scalar_torus_mean_certified(parse_scalar("1/(2 + cos(x1) + cos(x2))", names))
+        scalar_torus_mean_certified(chart, chart.sc("1/(2 + cos(x1) + cos(x2))"))
     with pytest.raises(NotExactlyIntegrable, match="did not reach tolerance"):
-        scalar_torus_mean_certified(parse_scalar("1/(100 + 99*cos(x1))", names))
+        scalar_torus_mean_certified(chart, chart.sc("1/(100 + 99*cos(x1))"))
