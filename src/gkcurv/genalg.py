@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ChartMismatch, NotBivector, NotClosed
 from .forms import Chart, Form, _sort_index
-from .linalg import mat_vec
+from .linalg import mat_commutator, mat_vec
 from .scalars import ScalarExpr, _acc
 
 
@@ -341,42 +341,43 @@ def wedge_sum(chart, grade, terms) -> PolyVec:
 # ---------------------------------------------------------------------------
 
 
-def vector_bracket(chart: Chart, u, v):
-    """Lie bracket of vector fields given as component tuples."""
-    dim = chart.dim
-    out = []
-    for k in range(dim):
-        s = chart.zero_s()
-        for j in range(dim):
-            s = s + u[j] * v[k].partial(j) - v[j] * u[k].partial(j)
-        out.append(s)
-    return out
+def derivative_along(e: GenVec, f: ScalarExpr) -> ScalarExpr:
+    """Derivative of a function along the vector part of e (its anchor)."""
+    s = e.chart.zero_s()
+    for k, u in enumerate(e.v):
+        if not u.is_zero():
+            s = s + u * f.partial(k)
+    return s
 
 
-def lie_vector_form(chart: Chart, u, form: Form) -> Form:
-    """Classical Lie derivative along a vector field (Cartan formula)."""
-    return interior(chart, u, form.ext_d()) + interior(chart, u, form).ext_d()
-
-
-def courant(e1: GenVec, e2: GenVec) -> GenVec:
-    """Courant bracket [u+xi, v+eta] = [u,v] + L_u eta - L_v xi - d(i_u eta - i_v xi)/2."""
-    e1._check(e2)
-    chart = e1.chart
-    v = vector_bracket(chart, e1.v, e2.v)
-    eta, xi = e2.covector_form(), e1.covector_form()
-    cov = lie_vector_form(chart, e1.v, eta) - lie_vector_form(chart, e2.v, xi)
-    iu_eta = interior(chart, e1.v, eta)
-    iv_xi = interior(chart, e2.v, xi)
-    cov = cov - (iu_eta - iv_xi).ext_d().scale(Fraction(1, 2))
-    return GenVec(chart, v, [cov.coefficient((k,)) for k in range(chart.dim)])
+def _bracket_matrix(e: GenVec) -> list:
+    """Matrix A_e of [e, .] on the constant sections, in the column basis:
+    [v+xi, d/dx_k] = -d_k v - i_{d/dx_k} d xi and [v+xi, dx_k] = d v_k."""
+    v, xi = e.v, e.xi
+    dim = e.chart.dim
+    zero = e.chart.zero_s()
+    cols = [[-a.partial(k) for a in v]
+            + [xi[k].partial(j) - xi[j].partial(k) for j in range(dim)]
+            for k in range(dim)]
+    cols += [[zero] * dim + [v[k].partial(j) for j in range(dim)]
+             for k in range(dim)]
+    return [list(row) for row in zip(*cols)]
 
 
 def dorfman(e1: GenVec, e2: GenVec) -> GenVec:
-    """Dorfman bracket: Courant plus d<e1, e2>."""
-    out = courant(e1, e2)
-    dpair = out.chart.func(pair_tt(e1, e2)).ext_d()
-    return GenVec(out.chart, out.v,
-                  [a + dpair.coefficient((k,)) for k, a in enumerate(out.xi)])
+    """Dorfman bracket [u+xi, v+eta] = [u,v] + L_u eta - i_v d xi: the bracket
+    with a constant section, A_{e1} col(e2), plus the derivative of
+    col(e2) along u, since the bracket is a derivation in its second slot."""
+    e1._check(e2)
+    col = e2.column()
+    return GenVec.from_column(e1.chart, [
+        a + derivative_along(e1, c)
+        for a, c in zip(mat_vec(_bracket_matrix(e1), col), col)])
+
+
+def courant(e1: GenVec, e2: GenVec) -> GenVec:
+    """Courant bracket: the antisymmetric half of the Dorfman bracket."""
+    return (dorfman(e1, e2) - dorfman(e2, e1)).scale(Fraction(1, 2))
 
 
 def lie_form(e: GenVec, form: Form) -> Form:
@@ -438,14 +439,8 @@ def exp_spin(h: PolyVec, form: Form) -> Form:
 
 
 def gen_lie_J(e: GenVec, jmat) -> list:
-    """Matrix field of L_e J, via Dorfman brackets on the coordinate basis."""
-    chart = e.chart
-    dim4 = 2 * chart.dim
-    cols = []
-    for c in range(dim4):
-        basis = GenVec.basis(chart, c)
-        j_basis = GenVec.from_column(chart, mat_vec(jmat, basis.column()))
-        col = dorfman(e, j_basis) - GenVec.from_column(
-            chart, mat_vec(jmat, dorfman(e, basis).column()))
-        cols.append(col.column())
-    return [[cols[c][r] for c in range(dim4)] for r in range(dim4)]
+    """Matrix field of L_e J = e(J) + [A_e, J]: on a constant section s,
+    (L_e J) s = [e, J s] - J [e, s] (`dorfman`)."""
+    comm = mat_commutator(_bracket_matrix(e), jmat)
+    return [[derivative_along(e, j) + c for j, c in zip(jrow, crow)]
+            for jrow, crow in zip(jmat, comm)]

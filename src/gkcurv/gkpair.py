@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, NotRealStructure, WrongBidegree)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, ad_b, clifford_act, dorfman, pair_tt,
-                     wedge_sum)
+from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
+                     dorfman, pair_tt, wedge_sum)
 from .linalg import (kernel_basis, mat_commutator, mat_inverse, mat_is_zero,
                      mat_mul, mat_sub, mat_trace, mat_vec)
 from .scalars import QQi, Point, ScalarExpr
@@ -305,17 +305,10 @@ def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
 # ---------------------------------------------------------------------------
 
 
-def _anchor_derivative(chart, e: GenVec, f: ScalarExpr) -> ScalarExpr:
-    s = chart.zero_s()
-    for k in range(chart.dim):
-        s = s + e.v[k] * f.partial(k)
-    return s
-
-
 def dbar_function(pair: GKPair, f: ScalarExpr):
     """Coefficients of dbar f = sum_j (pi(e_j) f) d_j over the dual frame."""
     fr = pair.epm_frame()
-    return [_anchor_derivative(pair.chart, e, f) for e in fr.es]
+    return [derivative_along(e, f) for e in fr.es]
 
 
 def dbar_section(pair: GKPair, coeffs):
@@ -334,8 +327,8 @@ def dbar_section(pair: GKPair, coeffs):
 
     out = {}
     for i, j in itertools.combinations(range(m), 2):
-        w = _anchor_derivative(chart, es[i], s_eval(es[j])) \
-            - _anchor_derivative(chart, es[j], s_eval(es[i])) \
+        w = derivative_along(es[i], s_eval(es[j])) \
+            - derivative_along(es[j], s_eval(es[i])) \
             - s_eval(dorfman(es[i], es[j]))
         if not w.is_zero():
             out[(i, j)] = w

@@ -12,6 +12,10 @@ implicit and the canonical form unique: fractions are reduced by a true
 multivariate gcd and the denominator is normalised (leading coefficient 1,
 no overall exp factor), so two scalars are equal iff their stored forms
 are identical.
+
+The gcd (`poly_gcd`) keeps no state between calls. Its last path is a
+heuristic gcd over Z[i] built from Gaussian-integer gcds of evaluations,
+accepted only when it divides both operands (`_heu_gcd`).
 """
 
 from __future__ import annotations
@@ -371,41 +375,62 @@ def _p_div_exact(a, b):
     Runs on Gaussian integers: a = A/da and b = B/db (`zi_split`). Let lc be
     the leading coefficient of B and n = N(lc) = lc * conj(lc). The
     Z[i]-content of B divides lc, so by Gauss's lemma B | A over Q(i) iff
-    B | n*A over Z[i], and then every quotient coefficient is a Gaussian
-    integer. Each step divides the remainder's leading coefficient by lc
-    exactly; a nonzero divmod remainder or a negative exponent means a is
-    not a multiple of b; the first step's exponent test runs before the
-    split. The remainder is keyed by (total degree, exponent), so `max`
-    picks the same leading term as the graded order of `_leading`.
+    B | n*A over Z[i] (`_zi_quotient`), and then every quotient coefficient
+    is a Gaussian integer. The first step's exponent test runs before the
+    split.
     """
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if not a:
         return {}
-    dl, lb = max((sum(k), k) for k in b)
-    lead = max((sum(k), k) for k in a)
-    if any(map(_lt, lead[1], lb)):
+    lb = _leading(b)
+    if any(map(_lt, _leading(a), lb)):
         return None
     ia, da = zi_split(a)
     ib, db = zi_split(b)
-    terms = [(sum(k), k, u, v) for k, (u, v) in ib.items()]
     br, bi = ib[lb]
     n = br * br + bi * bi
-    r = {(sum(k), k): (x * n, y * n) for k, (x, y) in ia.items()}
+    if n != 1:
+        ia = {k: (x * n, y * n) for k, (x, y) in ia.items()}
+    q = _zi_quotient(ia, ib)
+    if q is None:
+        return None
+    if db != 1:
+        q = {k: (x * db, y * db) for k, (x, y) in q.items()}
+    return zi_join(q, da * n)
+
+
+def _zi_quotient(a, b):
+    """A/B for Gaussian-integer polynomials when the quotient has Gaussian
+    integer coefficients, else None.
+
+    Each step divides the remainder's leading coefficient by lc(B) exactly;
+    a nonzero divmod remainder or a negative exponent means no such
+    quotient. The remainder is keyed by (total degree, exponent), so `max`
+    picks the same leading term as the graded order of `_leading`.
+    """
+    dl, lb = max((sum(k), k) for k in b)
+    br, bi = b[lb]
+    n = br * br + bi * bi
+    # the other terms of B as offsets from its leading term
+    terms = [(sum(k) - dl, tuple(map(_sub, k, lb)), u, v)
+             for k, (u, v) in b.items() if k != lb]
+    r = {(sum(k), k): c for k, c in a.items()}
     q = {}
     while r:
-        x, y = r[lead]
+        lead = max(r)
+        x, y = r.pop(lead)
         exp = tuple(map(_sub, lead[1], lb))
-        if any(e < 0 for e in exp):
+        if min(exp) < 0:
             return None
         qr, mr = divmod(x * br + y * bi, n)
         qi, mi = divmod(y * br - x * bi, n)
         if mr or mi:
             return None
-        q[exp] = (qr * db, qi * db)
-        dq = lead[0] - dl
-        for d, k, u, v in terms:
-            key = (d + dq, tuple(map(_add, k, exp)))
+        q[exp] = (qr, qi)
+        d0, k0 = lead
+        for d, off, u, v in terms:
+            key = (d0 + d, tuple(map(_add, k0, off)))
             sr, si = r.get(key, (0, 0))
             sr -= u * qr - v * qi
             si -= u * qi + v * qr
@@ -413,19 +438,12 @@ def _p_div_exact(a, b):
                 r[key] = (sr, si)
             else:
                 r.pop(key, None)
-        lead = max(r, default=None)
-    return zi_join(q, da * n)
+    return q
 
 
 def _mono_content(d):
-    it = iter(d)
-    first = next(it)
-    mins = list(first)
-    for k in it:
-        for j, e in enumerate(k):
-            if e < mins[j]:
-                mins[j] = e
-    return tuple(mins)
+    """Slot-wise minimum of the keys: the largest monomial dividing d."""
+    return tuple(map(min, zip(*d)))
 
 
 def _shift_down(d, by):
@@ -448,66 +466,6 @@ def _monic(d):
 
 def _deg_in(d, v):
     return max(k[v] for k in d)
-
-
-def _uni_view(d, v):
-    """Split by degree in variable v: {deg: poly-in-rest (v-exponent zeroed)}."""
-    out = {}
-    for k, c in d.items():
-        e = k[v]
-        _acc(out.setdefault(e, {}), k[:v] + (0,) + k[v + 1:], c)
-    return {e: p for e, p in out.items() if p}
-
-
-def _uni_assemble(coeffs, v):
-    out = {}
-    for e, p in coeffs.items():
-        for k, c in p.items():
-            key = k[:v] + (e,) + k[v + 1:]
-            out[key] = c
-    return out
-
-
-def _uni_mul_shift(coeffs, mult, shift):
-    """coeffs * mult * var^shift in the uni view."""
-    out = {}
-    for e, p in coeffs.items():
-        out[e + shift] = _p_mul(p, mult)
-    return {e: p for e, p in out.items() if p}
-
-
-def _uni_sub(a, b):
-    out = {e: dict(p) for e, p in a.items()}
-    for e, p in b.items():
-        slot = out.setdefault(e, {})
-        for k, c in p.items():
-            _acc(slot, k, -c)
-        if not slot:
-            out.pop(e, None)
-    return out
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder lb^k * a mod b of two uni views (keyed by degree)."""
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        # r := lb*r - lr*v^(dr-db)*b
-        r = _uni_sub(_uni_mul_shift(r, lb, 0), _uni_mul_shift(b, lr, dr - db))
-        r = {e: p for e, p in r.items() if p}
-    return r
-
-
-def _content_list(polys):
-    g = {}
-    for p in polys:
-        g = poly_gcd(g, p)
-        if len(g) == 1 and not any(next(iter(g))):  # constant gcd
-            return _monic(g)
-    return g
 
 
 # -- evaluation-based coprimality proof -------------------------------------
@@ -590,30 +548,131 @@ def _gcd_known_trivial(a, b, shared):
     return True
 
 
-class _FactorRegistry:
-    """Nontrivial gcd factors seen so far, peeled by exact division later."""
-
-    def __init__(self, cap=128):
-        self.cap = cap
-        self.by_nvars = {}
-
-    def add(self, p):
-        if not p or len(p) == 1:
-            return
-        p = _monic(_shift_down(p, _mono_content(p)))
-        if len(p) == 1:
-            return
-        nv = len(next(iter(p)))
-        bucket = self.by_nvars.setdefault(nv, {})
-        key = frozenset(p.items())
-        if key not in bucket and len(bucket) < self.cap:
-            bucket[key] = p
-
-    def candidates(self, nv):
-        return list(self.by_nvars.get(nv, {}).values())
+# -- heuristic gcd over Z[i] ------------------------------------------------
 
 
-_REGISTRY = _FactorRegistry()
+def _zi_gcd(a, b):
+    """A gcd of two Gaussian integers (re, im), up to a unit, on ints.
+
+    With both imaginary parts 0 it is `math.gcd`. Otherwise the integer
+    content e of the four parts comes out first, so the gcd g of the rest
+    has no rational integer factor, n = N(g) = gcd(N a, N b, Re a*conj(b),
+    Im a*conj(b)) and (g) = {u + iv : u = s*v (mod n)}. s comes from an
+    element whose v is a unit mod n, and Cornacchia's half-Euclid on (n, s)
+    (1908) gives n = x^2 + y^2 with g = x + iy, y signed so x = s*y (mod n).
+    """
+    (ar, ai), (br, bi) = a, b
+    if not (ai or bi):
+        return math.gcd(ar, br), 0
+    e = math.gcd(ar, ai, br, bi)
+    ar, ai, br, bi = ar // e, ai // e, br // e, bi // e
+    n = math.gcd(ar * ar + ai * ai, br * br + bi * bi,
+                 ar * br + ai * bi, ai * br - ar * bi)
+    for u, v in ((ar, ai), (br, bi)):
+        if math.gcd(v, n) == 1:
+            s = u * pow(v, -1, n) % n
+            break
+    else:
+        # Euclid on the imaginary parts of i*n, a, i*a, b, i*b mod n (their
+        # gcd is 1), carrying the real parts, ends at the element u + 1*i
+        u, v = 0, n
+        for x, y in ((ar, ai), (-ai, ar), (br, bi), (-bi, br)):
+            x, y = x % n, y % n
+            while y:
+                q = v // y
+                u, v, x, y = x, y, u - q * x, v - q * y
+        s = u % n
+    r, x, root = n, s, math.isqrt(n - 1)
+    while x > root:  # x^2 >= n
+        r, x = x, r % x
+    y = math.isqrt(n - x * x)
+    return e * x, e * (y if (x - s * y) % n == 0 else -y)
+
+
+def _zi_primitive(d):
+    """(content, primitive part) of a Gaussian-integer polynomial."""
+    it = iter(d.values())
+    c = next(it)
+    for z in it:
+        if abs(c[0]) + abs(c[1]) == 1:
+            break
+        c = _zi_gcd(c, z)
+    if c == (1, 0):
+        return c, d
+    cr, ci = c
+    n = cr * cr + ci * ci
+    return c, {k: ((x * cr + y * ci) // n, (y * cr - x * ci) // n)
+               for k, (x, y) in d.items()}
+
+
+def _zi_at(d, v, xi):
+    """d with slot v set to the integer xi (its exponent becomes 0)."""
+    out = {}
+    for k, (x, y) in d.items():
+        key = k[:v] + (0,) + k[v + 1:]
+        w = xi ** k[v]
+        re, im = out.get(key, (0, 0))
+        out[key] = (re + x * w, im + y * w)
+    return {k: c for k, c in out.items() if c != (0, 0)}
+
+
+def _zi_digits(gamma, v, xi):
+    """The polynomial in slot v whose value at xi is gamma, from the base-xi
+    digits of each coefficient, taken in [-xi/2, xi/2) for the real and the
+    imaginary part separately."""
+    half = xi // 2
+    out = {}
+    for k, (x, y) in gamma.items():
+        e = 0
+        while x or y:
+            dx, dy = (x + half) % xi - half, (y + half) % xi - half
+            if dx or dy:
+                out[k[:v] + (e,) + k[v + 1:]] = (dx, dy)
+            x, y, e = (x - dx) // xi, (y - dy) // xi, e + 1
+    return out
+
+
+def _heu_gcd(a, b):
+    """A gcd over Z[i] of two nonzero Gaussian-integer polynomials, up to a
+    unit: the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic
+    Comput. 7, 1989), which builds it from gcds of evaluations and so needs
+    nothing from earlier calls.
+
+    Each level splits off the Z[i] contents and multiplies their gcd back in
+    at the end. It sets one slot v, present in either operand, to an integer
+    xi and recurses; with no slot left the gcd is `_zi_gcd`. The base-xi
+    digits of the gcd gamma of the images give G with G(xi) = gamma, and the
+    primitive part G' of G is accepted when it divides both operands over
+    Z[i] (`_zi_quotient`); otherwise, or when xi is a root of A or B (an
+    image is 0), xi grows by 73794/27011 and the level runs again. With |A|
+    the largest |re| + |im| of a coefficient, xi starts at
+    4*min(|A|, |B|) + 4; over Z the factor is 2, and 4 covers the sqrt 2 of
+    a Gaussian coefficient box.
+
+    Acceptance: an accepted G' divides D = gcd(A, B), so D = G'*h. D(xi)
+    divides gamma = cont(G)*G'(xi), so h(xi) divides cont(G). The roots of h
+    are roots of A and of B, so they lie within 1 + min(|A|, |B|) and
+    |h(xi)| >= 3*xi/4 > xi/sqrt 2 >= |cont(G)| unless h is a unit: G' is the
+    gcd.
+
+    Termination: gamma differs from D(xi) by gcd(Ahat(xi), Bhat(xi)) of the
+    cofactors Ahat = A/D and Bhat = B/D. That factor divides their resultant,
+    so it is bounded, and it is nonconstant for only finitely many xi, as
+    are the roots of A and B; past them the digits of gamma are those of D.
+    """
+    (ca, a), (cb, b) = _zi_primitive(a), _zi_primitive(b)
+    c, zero = _zi_gcd(ca, cb), (0,) * len(next(iter(a)))
+    v = next((j for j, top in enumerate(map(max, zip(*a, *b))) if top), None)
+    if v is None:
+        return {zero: c}
+    xi = 4 * min(max(abs(x) + abs(y) for x, y in d.values()) for d in (a, b)) + 4
+    while True:
+        ia, ib = _zi_at(a, v, xi), _zi_at(b, v, xi)
+        if ia and ib:
+            g = _zi_primitive(_zi_digits(_heu_gcd(ia, ib), v, xi))[1]
+            if _zi_quotient(a, g) is not None and _zi_quotient(b, g) is not None:
+                return g if c == (1, 0) else zi_mul(g, {zero: c})
+        xi = xi * 73794 // 27011
 
 
 def poly_gcd(a, b):
@@ -621,82 +680,32 @@ def poly_gcd(a, b):
 
     The paths in order: the common monomial content; a mod-p proof that the
     rest is coprime (`_gcd_known_trivial`); exact division of one operand by
-    the other; peeling registered factors; then primitive pseudo-remainder
-    sequences in one variable.
+    the other; then the heuristic gcd over Z[i] (`_heu_gcd`), exact because
+    it accepts only a divisor of both operands read off large enough points,
+    and finite because only finitely many points are unlucky. No path keeps
+    state, so a gcd does not depend on what ran before it.
     """
     if not a:
         return _monic(dict(b))
     if not b:
         return _monic(dict(a))
     ma, mb = _mono_content(a), _mono_content(b)
-    common = tuple(min(x, y) for x, y in zip(ma, mb))
-    a = _shift_down(a, ma)
-    b = _shift_down(b, mb)
+    common = tuple(map(min, ma, mb))
+    a, b = _shift_down(a, ma), _shift_down(b, mb)
     g_mono = {common: QQI_ONE}
     if len(a) == 1 or len(b) == 1:
         return g_mono
-    # a coprime pair can neither divide nor be peeled: prove coprimality first
-    nv = len(next(iter(a)))
-    shared = [v for v in range(nv) if _deg_in(a, v) > 0 and _deg_in(b, v) > 0]
+    # a coprime pair cannot divide: prove coprimality first
+    shared = [v for v in range(len(common))
+              if _deg_in(a, v) > 0 and _deg_in(b, v) > 0]
     if not shared or _gcd_known_trivial(a, b, shared):
         return g_mono
-    qa = _p_div_exact(a, b)
-    if qa is not None:
+    if _p_div_exact(a, b) is not None:
         return _p_mul(_monic(b), g_mono)
-    qb = _p_div_exact(b, a)
-    if qb is not None:
+    if _p_div_exact(b, a) is not None:
         return _p_mul(_monic(a), g_mono)
-    deg_cap = min(max(sum(k) for k in a), max(sum(k) for k in b))
-    g_peel = None
-    for f in _REGISTRY.candidates(nv):
-        if max(sum(k) for k in f) > deg_cap:
-            continue
-        while True:
-            qa = _p_div_exact(a, f)
-            if qa is None:
-                break
-            qb = _p_div_exact(b, f)
-            if qb is None:
-                break
-            a, b = qa, qb
-            g_peel = f if g_peel is None else _p_mul(g_peel, f)
-            if len(a) == 1 or len(b) == 1:
-                break
-        if len(a) == 1 or len(b) == 1:
-            break
-    if g_peel is not None:
-        inner = poly_gcd(a, b)
-        return _monic(_p_mul(_p_mul(g_peel, inner), g_mono))
-    v = min(shared, key=lambda w: min(_deg_in(a, w), _deg_in(b, w)))
-    ua, ub = _uni_view(a, v), _uni_view(b, v)
-    ca = _content_list(list(ua.values()))
-    cb = _content_list(list(ub.values()))
-    cont = poly_gcd(ca, cb)
-    pa = {e: _p_div_exact(p, ca) for e, p in ua.items()}
-    pb = {e: _p_div_exact(p, cb) for e, p in ub.items()}
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while True:
-        if not pb:
-            g = pa
-            break
-        if max(pb) == 0:
-            g = {0: {(0,) * nv: QQI_ONE}}
-            break
-        r = _pseudo_rem(pa, pb)
-        if not r:
-            g = pb
-            break
-        rc = _content_list(list(r.values()))
-        r = {e: _p_div_exact(p, rc) for e, p in r.items()}
-        pa, pb = pb, r
-    gg = _uni_assemble(g, v)
-    gg = _shift_down(gg, _mono_content(gg))
-    out = _p_mul(_p_mul(_monic(gg), _monic(cont) if cont else {(0,) * nv: QQI_ONE}), g_mono)
-    out = _monic(out)
-    _REGISTRY.add(out)
-    _REGISTRY.add(gg)
-    return out
+    g = _heu_gcd(zi_split(a)[0], zi_split(b)[0])
+    return _p_mul(_monic(zi_join(g, 1)), g_mono)
 
 
 # ---------------------------------------------------------------------------

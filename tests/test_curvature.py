@@ -80,12 +80,7 @@ def test_gric_fs_cp2():
 
 def test_cp2_three_lines_is_einstein():
     """The paper's generalized Kahler-Einstein structure from three lines on
-    CP^2: E+- have dims (2, 2), gric is closed, gric = -6 omega and gr = 12.
-
-    It runs after `test_gric_fs_cp2`, with the factors that test leaves in
-    the process-global gcd registry. In that order, sums taken over the
-    product of their denominators instead of the lcm send `rho` of this
-    scene into the pseudo-remainder gcd for more than 5 minutes."""
+    CP^2: E+- have dims (2, 2), gric is closed, gric = -6 omega and gr = 12."""
     pair = cp2_three_lines().pair()
     frame = pair.epm_frame()
     assert (len(frame.eplus), len(frame.eminus)) == (2, 2)
@@ -93,6 +88,31 @@ def test_cp2_three_lines_is_einstein():
     assert rep.flags["gric_closed"]
     assert rep.gric == pair.omega.scale(-6)
     assert rep.gr == pair.chart.const(12)
+
+
+def test_toric_cp2_scalar_curvature_is_twice_abreus():
+    """Toric CP^2 in action-angle coordinates (m1, t1, m2, t2), not Einstein:
+    theta_k = sum_j G_kj dm_j + i dt_k with G the Hessian of Guillemin's
+    potential 1/2 sum_r l_r log l_r (facets m1, m2, 1 - m1 - m2) plus
+    m1^2 m2/10 + m2^3/20. Abreu's formula (Int. J. Math. 9, 1998) gives
+    gr = 2 S_Abreu = -sum_ij d_i d_j (G^-1)_ij. Without a memory of earlier
+    gcds its pseudo-remainder gcds ran past 300 s."""
+    m = sympy.symbols("m1 m2")
+    potential = (sum(x * sympy.log(x) for x in (*m, 1 - m[0] - m[1])) / 2
+                 + m[0] ** 2 * m[1] / 10 + m[1] ** 3 / 20)
+    hess = sympy.hessian(potential, m)
+    det = sympy.cancel(hess.det())
+    inv = [[sympy.cancel(x / det) for x in row] for row in hess.adjugate().tolist()]
+    abreu2 = -sum(sympy.diff(inv[i][j], m[i], m[j])
+                  for i in range(2) for j in range(2))
+    chart = Chart(2, ("m1", "t1", "m2", "t2"), (False, True, False, True))
+    thetas = [chart.form({(0,): str(hess[k, 0]), (2,): str(hess[k, 1]),
+                          (2 * k + 1,): "i"}) for k in range(2)]
+    pair = GKPair(ComplexVolumeGCS(chart, thetas), chart.zero_form(),
+                  chart.form({(0, 1): 1, (2, 3): 1}))
+    gr = gric_gr(pair).gr
+    assert not gr.is_const()
+    assert gr == chart.sc(str(sympy.cancel(abreu2)))
 
 
 def test_gr_complex_matches_gr_fs():

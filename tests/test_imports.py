@@ -95,9 +95,10 @@ def test_no_dead_module_level_names():
 
 def test_no_mutable_module_level_values():
     """No module-level name in src/gkcurv/ is bound to a dict, list or set,
-    or to an instance of a gkcurv class other than QQi, except the gcd
-    factor registry (the one remaining global cache, listed so it stays
-    visible) and the scene catalogue."""
+    or to an instance of a gkcurv class other than QQi, except the scene
+    catalogue; and no code there rebinds a module-level or enclosing name
+    (`global`, `nonlocal`) or memoizes through functools.cache or
+    lru_cache, so no global cache can come back through late binding."""
     mutable = []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"gkcurv.{path.stem}")
@@ -107,7 +108,14 @@ def test_no_mutable_module_level_values():
             if isinstance(value, (dict, list, set)) or (
                     cls.__module__.startswith("gkcurv.") and cls is not QQi):
                 mutable.append(f"{path.stem}.{name}")
-    assert mutable == ["examples.CATALOG", "scalars._REGISTRY"]
+    assert mutable == ["examples.CATALOG"]
+    late = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            or {getattr(node, f, None) for f in ("id", "attr", "name")}
+            & {"cache", "lru_cache"}]
+    assert late == []
 
 
 def test_every_error_type_is_raised():

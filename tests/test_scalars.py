@@ -435,6 +435,33 @@ def _gcd_pairs():
                 a = _rand_poly(rng, nv, rng.randint(2, 4), top=2)
                 b = _rand_poly(rng, nv, rng.randint(2, 4), top=2)
             out.append((xs, a, b, _monic_sympy_gcd(a, b, xs)))
+    # a squared planted factor, a variable that only `a` has, and planted
+    # factors with Gaussian coefficients
+    for nv in (2, 3, 4):
+        xs = sympy.symbols(f"x1:{nv + 1}")
+        g = {**_rand_poly(rng, nv, 2, top=1), (0,) * nv: QQi(1)}
+        gg = _p_mul(g, g)
+        below = {k[:-1] + (0,): c for k, c in g.items()}
+        last = {(0,) * (nv - 1) + (1,): QQi(1), (0,) * nv: _rand_qqi(rng)}
+        pairs = [(_p_mul(gg, _rand_poly(rng, nv, 2, top=1)),
+                  _p_mul(gg, _rand_poly(rng, nv, 2, top=1))),
+                 (_p_mul(gg, _rand_poly(rng, nv, 2, top=1)),
+                  _p_mul(g, _rand_poly(rng, nv, 3, top=1))),
+                 (_p_mul(_p_mul(below, last), _rand_poly(rng, nv, 2, top=1)),
+                  _p_mul(below, {k[:-1] + (0,): c for k, c in
+                                 _rand_poly(rng, nv, 3, top=2).items()}))]
+        for _ in range(2):
+            gi = {k: QQi(rng.randint(-4, 4), rng.choice((-3, -1, 1, 2)))
+                  for k in _rand_poly(rng, nv, 3, top=2)}
+            pairs.append((_p_mul(gi, _rand_poly(rng, nv, 2, top=2)),
+                          _p_mul(gi, _rand_poly(rng, nv, 3, top=2))))
+        out += [(xs, a, b, _monic_sympy_gcd(a, b, xs)) for a, b in pairs]
+    # the heuristic gcd's first point xi = 4*|b| + 4 = 16 is a root of
+    # a = (x1 + 1)(x1 - 16), so its first image of a is 0
+    xs = sympy.symbols("x1:3")
+    a = {(2, 0): QQi(1), (1, 0): QQi(-15), (0, 0): QQi(-16)}
+    b = {(2, 0): QQi(1), (1, 0): QQi(3), (0, 0): QQi(2)}
+    out.append((xs, a, b, _monic_sympy_gcd(a, b, xs)))
     return out
 
 
@@ -445,17 +472,63 @@ def test_poly_gcd_matches_monic_sympy_gcd():
         assert poly_gcd(a, b) == want
 
 
-def test_coprime_pairs_return_from_the_proof_without_prs(monkeypatch):
+def test_coprime_pairs_return_from_the_proof_without_heuristic_gcd(monkeypatch):
     pairs = [p for p in _gcd_pairs() if len(p[3]) == 1]
     assert len(pairs) >= 10
 
     def forbidden(*args):
-        raise AssertionError("coprime pair reached division or PRS")
+        raise AssertionError("coprime pair reached division or the heuristic gcd")
 
     monkeypatch.setattr(scalars, "_p_div_exact", forbidden)
-    monkeypatch.setattr(scalars, "_pseudo_rem", forbidden)
+    monkeypatch.setattr(scalars, "_heu_gcd", forbidden)
     for xs, a, b, want in pairs:
         assert poly_gcd(a, b) == want
+
+
+def _ref_zi_gcd(a, b):
+    """Gaussian Euclid with quotients rounded to the nearest Gaussian integer."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+def _zi_product(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def test_zi_gcd_matches_gaussian_euclid():
+    """Up to a unit, on seeded pairs: planted and random gcds with parts of
+    8 to 5,000 bits (norms of about 10^4 bits), zero imaginary parts, units,
+    a shared integer content, and pairs where a's imaginary part is not a
+    unit mod n = N(gcd)."""
+    rng = random.Random(47)
+
+    def rand(bits):
+        return rng.randint(-2 ** bits, 2 ** bits), rng.randint(-2 ** bits, 2 ** bits)
+
+    cases = [((6, 0), (4, 0)), ((0, 0), (-9, 0)), ((1, 0), (0, 1)),
+             ((0, -1), (7, 3)), ((12, 18), (30, -6)),
+             # n = 5 and Im a = 0: s comes from b
+             ((5, 0), (3, 4)),
+             # gcd 4+7i, n = 65: none of the imaginary parts of a, i*a, b,
+             # i*b (10, 15, 13, 26) is a unit mod 65
+             ((15, 10), (26, 13))]
+    for bits, count in ((8, 40), (64, 20), (5000, 1)):
+        for _ in range(count):
+            g = rand(bits)
+            cases.append((_zi_product(g, rand(bits)), _zi_product(g, rand(bits))))
+            cases.append((rand(bits), rand(bits)))
+            e = rng.randint(2, 2 ** 12)
+            x, y = _zi_product(g, rand(bits)), _zi_product(g, rand(bits))
+            cases.append(((e * x[0], e * x[1]), (e * y[0], e * y[1])))
+            cases.append(((rand(bits)[0], 0), (rand(bits)[0], 0)))
+    for a, b in cases:
+        x, y = _ref_zi_gcd(a, b)
+        assert scalars._zi_gcd(a, b) in {(x, y), (-y, x), (-x, -y), (y, -x)}
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +679,8 @@ def test_proof_verdicts_match_the_inverse_per_step_proof():
 
 
 def test_proof_verdicts_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
-    """Every (a, b, shared) that reaches the proof during gric_gr of CP^2,
-    from an empty factor registry so the inputs do not depend on test order."""
-    monkeypatch.setattr(scalars, "_REGISTRY", scalars._FactorRegistry())
+    """Every (a, b, shared) that reaches the proof during gric_gr of CP^2;
+    poly_gcd keeps no state, so the inputs do not depend on test order."""
     pair = CATALOG["fubini_study_cp2"]().pair()
     calls = []
     proof = scalars._gcd_known_trivial

@@ -236,7 +236,7 @@ def test_obstruction_assembly_matches_sequential_sums():
 
 
 # poly_gcd calls of eta_N_extract(j1) plus n3.spin_act(psi) on t4_nonintegrable
-# with an empty factor registry: 357 with one normalization per output
+# (poly_gcd keeps no state between calls): 357 with one normalization per output
 # coefficient, 680 when every partial product and sum was normalized
 T4_NONINTEGRABLE_GCD_CALLS = 357
 
@@ -253,7 +253,6 @@ def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
         calls.append(1)
         return gcd(a, b)
 
-    monkeypatch.setattr(scalars, "_REGISTRY", scalars._FactorRegistry())
     monkeypatch.setattr(scalars, "poly_gcd", counted)
     res = eta_N_extract(pair.j1)
     assert not res.n3.is_zero()
