@@ -6,6 +6,10 @@ commutation/positivity report, the C+/C- simultaneous frames with
 G-normalised dual frames, type-(0,0) diagnostics, generalized Hamiltonian
 elements, the mixed second algebroid differential on functions, and the
 pointwise trace pairing used by the deformation symplectic form.
+
+J_psi is -i on ker exp(b - i omega) and +i on ker exp(b + i omega), so the
+frames are the meets E+- = E1 n ker exp(b -+ i omega).  Each is one kernel on
+the coefficients of J1's closed-form annihilator frame, with no J matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
                      dorfman, pair_tt, wedge_sum)
-from .linalg import (kernel_basis, mat_commutator, mat_inverse, mat_is_zero,
-                     mat_mul, mat_sub, mat_trace, mat_vec)
+from .linalg import (kernel_basis, mat_add, mat_commutator, mat_inverse,
+                     mat_is_zero, mat_mul, mat_sub, mat_trace, mat_vec, rref)
 from .scalars import QQi, Point, ScalarExpr
 from .spinor import (GCStruct, SymplecticGCS, _hat_matrix, hat_inverse,
                      symplectic_block_matrix)
@@ -150,7 +154,12 @@ def _jacobi_min_eigenvalue(a):
 
 
 class EpmFrame:
-    """Simultaneous eigenframes: E+ = E1 n E2, E- = E1 n conj(E2)."""
+    """Simultaneous eigenframes: E+ = E1 n E2, E- = E1 n conj(E2).
+
+    E2 = ker exp(b - i omega) is J_psi's -i bundle, so E+- = E1 n
+    ker exp(b -+ i omega).  Each is listed in the basis kernel_basis gives
+    the kernel of (J1 + i) stacked on (J_psi +- i); see _meet_annihilator.
+    """
 
     __slots__ = ("chart", "eplus", "eminus", "dplus", "dminus")
 
@@ -173,27 +182,35 @@ class EpmFrame:
         return [e.conj() for e in self.es]
 
 
-def _intersect_eigen(chart, j1, j2, s1: QQi, s2: QQi):
-    """Kernel of (J1 - s1) stacked with (J2 - s2)."""
-    dim4 = 2 * chart.dim
-    rows = []
-    for block, s in ((j1, s1), (j2, s2)):
-        for r in range(dim4):
-            row = [block[r][c] - (chart.const(s) if r == c else chart.zero_s())
-                   for c in range(dim4)]
-            rows.append(row)
-    return [GenVec.from_column(chart, k) for k in kernel_basis(rows)]
+def _meet_annihilator(chart, frame, z: Form):
+    """E1 n ker exp(z) for the frame f_k of E1, in the stacked kernel's basis.
+
+    e = sum_k c_k f_k lies in ker exp(z) iff xi(e) + i_{X(e)} z = 0: one
+    dim x dim kernel on the coefficients c.  kernel_basis of the stacked
+    (J1 - s1; J2 - s2) returned the one basis of the meet that is the
+    identity on that matrix's free columns, and column j is free iff some
+    vector of the meet has its last nonzero entry at j.  These are the
+    pivots of the span row-reduced with its columns reversed, so that
+    reduction, read back with rows and columns reversed, is the same basis.
+    """
+    dim = chart.dim
+    fmat = [list(row) for row in zip(*(e.column() for e in frame))]
+    cons = mat_add(mat_mul(_hat_matrix(chart, z), fmat[:dim]), fmat[dim:])
+    rows = rref([mat_vec(fmat, c)[::-1] for c in kernel_basis(cons)])[0]
+    return [GenVec.from_column(chart, row[::-1]) for row in reversed(rows)]
 
 
 def epm_split(pair: GKPair) -> EpmFrame:
-    """Symbolic simultaneous eigenframe; fails if dimensions are not (n, n)."""
+    """E+- = E1 n ker exp(b -+ i omega), met inside J1's annihilator frame.
+
+    Raises DimensionMismatch unless both meets have dimension n, as for a
+    pair whose structures do not commute or whose metric is degenerate.
+    """
     chart = pair.chart
-    j1 = pair.j1.j_matrix()
-    j2 = pair.jpsi_matrix()
-    mi = QQi(0, -1)
-    pi = QQi(0, 1)
-    eplus = _intersect_eigen(chart, j1, j2, mi, mi)
-    eminus = _intersect_eigen(chart, j1, j2, mi, pi)
+    frame = pair.j1.annihilator()
+    iw = pair.omega.scale(QQi(0, 1))
+    eplus = _meet_annihilator(chart, frame, pair.b - iw)
+    eminus = _meet_annihilator(chart, frame, pair.b + iw)
     if len(eplus) != chart.n or len(eminus) != chart.n:
         raise DimensionMismatch(
             f"eigenspace dims ({len(eplus)}, {len(eminus)}), expected "

@@ -227,17 +227,19 @@ def _hat_matrix(chart: Chart, two_form: Form):
 
 
 def _jmat_from_frame(chart: Chart, frame):
-    dim4 = 2 * chart.dim
+    """J = S D S^-1 for S = (frame | conj frame) and D = diag(-i, +i): the
+    columns of S are scaled by D's entries in place of a product with D."""
+    dim = chart.dim
     cols = [e.column() for e in frame] + [e.conj().column() for e in frame]
-    smat = [[cols[c][r] for c in range(dim4)] for r in range(dim4)]
+    smat = [[cols[c][r] for c in range(2 * dim)] for r in range(2 * dim)]
     sinv = mat_inverse(smat)
     if sinv is None:
         raise ImpureSpinor("frame and its conjugate do not span")
     mi = chart.const(QQi(0, -1))
     pi = chart.const(QQi(0, 1))
-    d = [[(mi if r < dim4 // 2 else pi) if r == c else chart.zero_s()
-          for c in range(dim4)] for r in range(dim4)]
-    return mat_mul(mat_mul(smat, d), sinv)
+    sd = [[x * (mi if c < dim else pi) for c, x in enumerate(row)]
+          for row in smat]
+    return mat_mul(sd, sinv)
 
 
 # ---------------------------------------------------------------------------

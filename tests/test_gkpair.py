@@ -7,11 +7,12 @@ from gkcurv.errors import DimensionMismatch, WrongBidegree
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              hyperkahler_t4)
 from gkcurv.genalg import GenVec, PolyVec, genvec_wedge, pair_tt
-from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
-                           compatibility_check, ddbar_pm, epm_split,
-                           hamiltonian_element, jdot_matrix,
+from gkcurv.gkpair import (GKPair, _dual_frame, _jacobi_min_eigenvalue,
+                           bidegree_split, compatibility_check, ddbar_pm,
+                           epm_split, hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
-from gkcurv.linalg import mat_add, mat_commutator, mat_is_zero, mat_mul
+from gkcurv.linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
+                           mat_mul)
 from gkcurv.scalars import Point, QQi
 from gkcurv.spinor import SymplecticGCS
 
@@ -111,6 +112,57 @@ def test_epm_failure_on_noncommuting_pair():
     assert not mat_is_zero(mat_commutator(pair.j1.j_matrix(),
                                           pair.jpsi_matrix()))
     with pytest.raises(DimensionMismatch):
+        epm_split(pair)
+
+
+def _stacked_epm(pair):
+    """E+ and E- as the kernels of (J1 + i) stacked on (J_psi +- i)."""
+    chart = pair.chart
+    dim4 = 2 * chart.dim
+
+    def meet(s2):
+        rows = []
+        for block, s in ((pair.j1.j_matrix(), QQi(0, -1)),
+                         (pair.jpsi_matrix(), s2)):
+            rows += [[block[r][c] - (chart.const(s) if r == c
+                                     else chart.zero_s())
+                      for c in range(dim4)] for r in range(dim4)]
+        return [GenVec.from_column(chart, k) for k in kernel_basis(rows)]
+
+    return meet(QQi(0, -1)), meet(QQi(0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_epm_split_matches_stacked_kernel(name):
+    """Same vectors in the same order as the stacked 8n x 4n kernel."""
+    pair = CATALOG[name]().pair()
+    eplus, eminus = _stacked_epm(pair)
+    fr = epm_split(pair)
+    assert fr.eplus == eplus and fr.eminus == eminus
+    assert fr.dplus == _dual_frame(pair.chart, eplus)
+    assert fr.dminus == _dual_frame(pair.chart, eminus)
+
+
+def _degenerate_pair():
+    chart = chart_flat(1)
+    w = flat_omega_form(chart)
+    return GKPair(SymplecticGCS(chart, chart.zero_form(), w),
+                  chart.zero_form(), -w)
+
+
+def _noncommuting_pair():
+    scene = flat_kahler(2)
+    w = scene.chart.form({(0, 1): 1, (2, 3): 1, (0, 2): Fraction(1, 3)})
+    return GKPair(scene.j1, scene.chart.zero_form(), w)
+
+
+@pytest.mark.parametrize("make, dims", [(_degenerate_pair, (2, 0)),
+                                        (_noncommuting_pair, (0, 0))])
+def test_epm_failure_dims_match_stacked_kernel(make, dims):
+    pair = make()
+    assert tuple(len(es) for es in _stacked_epm(pair)) == dims
+    with pytest.raises(DimensionMismatch,
+                       match=rf"eigenspace dims \({dims[0]}, {dims[1]}\)"):
         epm_split(pair)
 
 

@@ -2,15 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from gkcurv import scalars
 from gkcurv.examples import CATALOG, flat_omega_form, flat_volume_forms
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
-from gkcurv.linalg import mat_mul, mat_vec
+from gkcurv.linalg import mat_inverse, mat_mul, mat_vec
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
-                           SymplecticGCS, eta_N_extract, integrability,
-                           purity_nondeg, type_number)
+                           SymplecticGCS, _jmat_from_frame, eta_N_extract,
+                           integrability, purity_nondeg, type_number)
 
 
 def _jmat_apply(jmat, e):
@@ -99,6 +101,24 @@ def test_jmat_eigen_annihilator(chart4):
     for e in J.annihilator():
         got = _jmat_apply(jm, e)
         assert got == e.scale(QQi(0, -1))
+
+
+def _jmat_two_products(chart, frame):
+    """J = (S D) S^-1 with the dense diagonal D = diag(-i, .., +i, ..)."""
+    dim4 = 2 * chart.dim
+    cols = [e.column() for e in frame] + [e.conj().column() for e in frame]
+    smat = [[cols[c][r] for c in range(dim4)] for r in range(dim4)]
+    d = [[chart.const(QQi(0, -1) if r < dim4 // 2 else QQi(0, 1)) if r == c
+          else chart.zero_s() for c in range(dim4)] for r in range(dim4)]
+    return mat_mul(mat_mul(smat, d), mat_inverse(smat))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_jmat_from_frame_matches_two_product_formula(name):
+    j1 = CATALOG[name]().j1
+    frame = j1.annihilator()
+    assert _jmat_from_frame(j1.chart, frame) == \
+        _jmat_two_products(j1.chart, frame)
 
 
 def test_beta_deform_spinor(chart4):
