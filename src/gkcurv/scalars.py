@@ -13,9 +13,12 @@ multivariate gcd and the denominator is normalised (leading coefficient 1,
 no overall exp factor), so two scalars are equal iff their stored forms
 are identical.
 
-The gcd (`poly_gcd`) keeps no state between calls. Its last path is a
-heuristic gcd over Z[i] built from Gaussian-integer gcds of evaluations,
-accepted only when it divides both operands (`_heu_gcd`).
+The gcd keeps no state between calls. Its last path is a heuristic gcd
+over Z[i] built from Gaussian-integer gcds of evaluations, accepted only
+when it divides both operands (`_heu_gcd`). `_gcd_cofactors` returns the gcd
+with both cofactors, which every path has at hand (an exact quotient, the
+heuristic's acceptance quotients or a key shift), so a reduction
+(`_cross_reduce`) divides no more after the gcd; `poly_gcd` is the gcd alone.
 """
 
 from __future__ import annotations
@@ -315,8 +318,18 @@ def _acc(d, key, c):
 # ---------------------------------------------------------------------------
 
 
-def _leading(d):  # graded order: total degree, then lex
-    return max(d, key=lambda e: (sum(e), e))
+def _graded(e):  # graded order: total degree, then lex
+    return sum(e), e
+
+
+def _leading(d):
+    return max(d, key=_graded)
+
+
+def _graded_first(d):
+    """d with its keys in the graded order, largest first, as an exact
+    quotient lists them (`_zi_quotient`)."""
+    return {k: d[k] for k in sorted(d, key=_graded, reverse=True)}
 
 
 def _p_scale(d, c: QQi):
@@ -464,10 +477,6 @@ def _monic(d):
     return _p_scale(d, c.inverse())
 
 
-def _deg_in(d, v):
-    return max(k[v] for k in d)
-
-
 # -- evaluation-based coprimality proof -------------------------------------
 #
 # Soundness: let G = gcd(a, b) and v a shared variable.  When p divides no
@@ -524,7 +533,8 @@ def _gcd_known_trivial(a, b, shared):
     (za, da), (zb, db) = zi_split(a), zi_split(b)
     if da % _P == 0 or db % _P == 0:
         return False  # a denominator vanishes mod p
-    top, slots = max(map(max, (*za, *zb))), len(next(iter(za)))
+    deg_a, deg_b = (list(map(max, zip(*z))) for z in (za, zb))
+    top, slots = max(deg_a + deg_b), len(deg_a)
     weighted = {}
     for v in shared:
         for point in _EVAL_POINTS:
@@ -536,8 +546,8 @@ def _gcd_known_trivial(a, b, shared):
                      for w in (math.prod(map(_getitem, rows, k)) % _P,)]
                     for z in (za, zb)]
             ta, tb = weighted[point]
-            ua = _image_modp(ta, v, _deg_in(za, v) + 1)
-            ub = _image_modp(tb, v, _deg_in(zb, v) + 1)
+            ua = _image_modp(ta, v, deg_a[v] + 1)
+            ub = _image_modp(tb, v, deg_b[v] + 1)
             if ua[-1] == (0, 0) or ub[-1] == (0, 0):
                 continue  # degree dropped; point invalid for this argument
             if not _coprime_modp(ua, ub):
@@ -589,6 +599,13 @@ def _zi_gcd(a, b):
     return e * x, e * (y if (x - s * y) % n == 0 else -y)
 
 
+def _zi_div(z, c):
+    """z/c for Gaussian integers (re, im) where c divides z."""
+    (x, y), (cr, ci) = z, c
+    n = cr * cr + ci * ci
+    return (x * cr + y * ci) // n, (y * cr - x * ci) // n
+
+
 def _zi_primitive(d):
     """(content, primitive part) of a Gaussian-integer polynomial."""
     it = iter(d.values())
@@ -599,10 +616,7 @@ def _zi_primitive(d):
         c = _zi_gcd(c, z)
     if c == (1, 0):
         return c, d
-    cr, ci = c
-    n = cr * cr + ci * ci
-    return c, {k: ((x * cr + y * ci) // n, (y * cr - x * ci) // n)
-               for k, (x, y) in d.items()}
+    return c, {k: _zi_div(z, c) for k, z in d.items()}
 
 
 def _zi_at(d, v, xi):
@@ -633,21 +647,22 @@ def _zi_digits(gamma, v, xi):
 
 
 def _heu_gcd(a, b):
-    """A gcd over Z[i] of two nonzero Gaussian-integer polynomials, up to a
-    unit: the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic
-    Comput. 7, 1989), which builds it from gcds of evaluations and so needs
-    nothing from earlier calls.
+    """(G, A/G, B/G) for two nonzero Gaussian-integer polynomials A and B,
+    with G a gcd over Z[i], up to a unit: the heuristic gcd of Char, Geddes
+    and Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989), which builds it from
+    gcds of evaluations and so needs nothing from earlier calls.
 
-    Each level splits off the Z[i] contents and multiplies their gcd back in
-    at the end. It sets one slot v, present in either operand, to an integer
-    xi and recurses; with no slot left the gcd is `_zi_gcd`. The base-xi
-    digits of the gcd gamma of the images give G with G(xi) = gamma, and the
-    primitive part G' of G is accepted when it divides both operands over
-    Z[i] (`_zi_quotient`); otherwise, or when xi is a root of A or B (an
-    image is 0), xi grows by 73794/27011 and the level runs again. With |A|
-    the largest |re| + |im| of a coefficient, xi starts at
+    Each level splits off the Z[i] contents and multiplies their gcd c back
+    in at the end. It sets one slot v, present in either operand, to an
+    integer xi and recurses on the gcd alone; with no slot left the gcd is
+    `_zi_gcd`. The base-xi digits of the gcd gamma of the images give G with
+    G(xi) = gamma, and the primitive part G' of G is accepted when it divides
+    both operands over Z[i] (`_zi_quotient`); otherwise, or when xi is a root
+    of A or B (an image is 0), xi grows by 73794/27011 and the level runs
+    again. With |A| the largest |re| + |im| of a coefficient, xi starts at
     4*min(|A|, |B|) + 4; over Z the factor is 2, and 4 covers the sqrt 2 of
-    a Gaussian coefficient box.
+    a Gaussian coefficient box. The cofactors are the acceptance test's own
+    quotients: A/G = (cont(A)/c) * A'/G'.
 
     Acceptance: an accepted G' divides D = gcd(A, B), so D = G'*h. D(xi)
     divides gamma = cont(G)*G'(xi), so h(xi) divides cont(G). The roots of h
@@ -663,20 +678,25 @@ def _heu_gcd(a, b):
     (ca, a), (cb, b) = _zi_primitive(a), _zi_primitive(b)
     c, zero = _zi_gcd(ca, cb), (0,) * len(next(iter(a)))
     v = next((j for j, top in enumerate(map(max, zip(*a, *b))) if top), None)
-    if v is None:
-        return {zero: c}
-    xi = 4 * min(max(abs(x) + abs(y) for x, y in d.values()) for d in (a, b)) + 4
-    while True:
-        ia, ib = _zi_at(a, v, xi), _zi_at(b, v, xi)
-        if ia and ib:
-            g = _zi_primitive(_zi_digits(_heu_gcd(ia, ib), v, xi))[1]
-            if _zi_quotient(a, g) is not None and _zi_quotient(b, g) is not None:
-                return g if c == (1, 0) else zi_mul(g, {zero: c})
-        xi = xi * 73794 // 27011
+    g = qa = qb = {zero: (1, 0)}  # both primitive parts when no slot is left
+    if v is not None:
+        xi = 4 * min(max(abs(x) + abs(y) for x, y in d.values()) for d in (a, b)) + 4
+        while True:
+            ia, ib = _zi_at(a, v, xi), _zi_at(b, v, xi)
+            if ia and ib:
+                g = _zi_primitive(_zi_digits(_heu_gcd(ia, ib)[0], v, xi))[1]
+                qa = _zi_quotient(a, g)
+                qb = None if qa is None else _zi_quotient(b, g)
+                if qb is not None:
+                    break
+            xi = xi * 73794 // 27011
+    return tuple(d if u == (1, 0) else zi_mul(d, {zero: u})
+                 for d, u in ((g, c), (qa, _zi_div(ca, c)), (qb, _zi_div(cb, c))))
 
 
-def poly_gcd(a, b):
-    """Monic gcd in QQi[vars].
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) for nonzero a and b, with g their monic gcd in
+    QQi[vars]; the cofactors are a and b themselves when g is 1.
 
     The paths in order: the common monomial content; a mod-p proof that the
     rest is coprime (`_gcd_known_trivial`); exact division of one operand by
@@ -684,28 +704,53 @@ def poly_gcd(a, b):
     it accepts only a divisor of both operands read off large enough points,
     and finite because only finitely many points are unlucky. No path keeps
     state, so a gcd does not depend on what ran before it.
+
+    No cofactor costs a division of its own. Past the monomial contents
+    (a = x^ma * a'), each path has a gcd G of a' and b' with a'/G and b'/G:
+    the quotient and 1 when one operand divides the other, the acceptance
+    quotients of the heuristic. Then g = x^common * G/lc(G) and a/g =
+    x^(ma - common) * lc(G) * a'/G. Those quotients list their keys in the
+    graded order, largest first, as an exact division by g does
+    (`_zi_quotient`); a shift or a scale keeps that order, and the cofactors
+    of a bare monomial gcd are sorted into it.
     """
-    if not a:
-        return _monic(dict(b))
-    if not b:
-        return _monic(dict(a))
     ma, mb = _mono_content(a), _mono_content(b)
     common = tuple(map(min, ma, mb))
-    a, b = _shift_down(a, ma), _shift_down(b, mb)
-    g_mono = {common: QQI_ONE}
-    if len(a) == 1 or len(b) == 1:
-        return g_mono
-    # a coprime pair cannot divide: prove coprimality first
-    shared = [v for v in range(len(common))
-              if _deg_in(a, v) > 0 and _deg_in(b, v) > 0]
-    if not shared or _gcd_known_trivial(a, b, shared):
-        return g_mono
-    if _p_div_exact(a, b) is not None:
-        return _p_mul(_monic(b), g_mono)
-    if _p_div_exact(b, a) is not None:
-        return _p_mul(_monic(a), g_mono)
-    g = _heu_gcd(zi_split(a)[0], zi_split(b)[0])
-    return _p_mul(_monic(zi_join(g, 1)), g_mono)
+    sa, sb = _shift_down(a, ma), _shift_down(b, mb)
+    found = None
+    if len(sa) > 1 and len(sb) > 1:
+        # a coprime pair cannot divide: prove coprimality first
+        deg_a, deg_b = (map(max, zip(*d)) for d in (sa, sb))
+        shared = [v for v, (x, y) in enumerate(zip(deg_a, deg_b)) if x and y]
+        if shared and not _gcd_known_trivial(sa, sb, shared):
+            one = {(0,) * len(common): QQI_ONE}
+            if (q := _p_div_exact(sa, sb)) is not None:
+                found = sb, q, one
+            elif (q := _p_div_exact(sb, sa)) is not None:
+                found = sa, one, q
+            else:
+                (za, da), (zb, db) = zi_split(sa), zi_split(sb)
+                g, qa, qb = _heu_gcd(za, zb)
+                if len(g) > 1:
+                    found = zi_join(g, 1), zi_join(qa, da), zi_join(qb, db)
+    if found is None:  # the gcd is the monomial x^common
+        if not any(common):
+            return {common: QQI_ONE}, a, b
+        qa, qb = _shift_down(a, common), _shift_down(b, common)
+        return {common: QQI_ONE}, _graded_first(qa), _graded_first(qb)
+    g, qa, qb = found
+    lc = g[_leading(g)]
+    return (_shift_down(_p_scale(g, lc.inverse()), tuple(-e for e in common)),
+            _shift_down(_p_scale(qa, lc), tuple(map(_sub, common, ma))),
+            _shift_down(_p_scale(qb, lc), tuple(map(_sub, common, mb))))
+
+
+def poly_gcd(a, b):
+    """Monic gcd in QQi[vars]: the monic nonzero operand when one is 0, else
+    the first element of `_gcd_cofactors`, whose paths it shares."""
+    if not (a and b):
+        return _monic(dict(a or b))
+    return _gcd_cofactors(a, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +1002,9 @@ def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
 
 
 def _cross_reduce(a: TrigPoly, b: TrigPoly):
-    """Divide out the gcd of two trig-polynomials (pairwise reduction)."""
+    """Divide out the gcd of two trig-polynomials (pairwise reduction): the
+    cofactors of `_gcd_cofactors`, with the terms and key order of an exact
+    division by the gcd, or a and b themselves when the gcd is 1."""
     if a.is_const() or b.is_const():
         return a, b
     m = a.nvars
@@ -965,12 +1012,11 @@ def _cross_reduce(a: TrigPoly, b: TrigPoly):
     low = (0,) * m + tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
     pa = _shift_down(a.terms, low)
     pb = _shift_down(b.terms, low)
-    g = poly_gcd(pa, pb)
-    if not g or (len(g) == 1 and not any(next(iter(g)))):
+    _, qa, qb = _gcd_cofactors(pa, pb)
+    if qa is pa:
         return a, b
     high = tuple(-f for f in low)
-    return (TrigPoly(m, _shift_down(_p_div_exact(pa, g), high)),
-            TrigPoly(m, _shift_down(_p_div_exact(pb, g), high)))
+    return TrigPoly(m, _shift_down(qa, high)), TrigPoly(m, _shift_down(qb, high))
 
 
 def _unit_normalize(pn, pd, m):

@@ -6,6 +6,7 @@ a short allowlist, and every error type it defines is raised somewhere."""
 import ast
 import collections
 import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -128,3 +129,20 @@ def test_every_error_type_is_raised():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name)}
     assert sorted(types - raised - {"GKCurvError"}) == []
+
+
+def test_span_targets_resolve():
+    """Every (module, attribute) that the benchmark's tracer wraps
+    (`SPAN_TARGETS` in perfbench/spans.py, loaded by path) exists in gkcurv,
+    so a rename fails here and not in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr in spans.SPAN_TARGETS:
+        target = importlib.import_module(f"gkcurv.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert len(spans.SPAN_TARGETS) > 10 and missing == []

@@ -21,6 +21,10 @@ from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
 NAMES = ("x1", "x2", "x3", "x4")
 # (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2
 FS_CP2_PROOF_TRUE_CALLS = (175, 220)
+# _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs, all
+# of them the gcd's own exact-division attempts; 197 when _cross_reduce
+# divided both operands by the gcd again
+FS_CP2_DIV_EXACT_CALLS = 83
 
 
 def S(text, names=NAMES):
@@ -483,6 +487,110 @@ def test_coprime_pairs_return_from_the_proof_without_heuristic_gcd(monkeypatch):
     monkeypatch.setattr(scalars, "_heu_gcd", forbidden)
     for xs, a, b, want in pairs:
         assert poly_gcd(a, b) == want
+
+
+def _shift(d, by):
+    return {tuple(x - y for x, y in zip(k, by)): c for k, c in d.items()}
+
+
+def _divide_twice(a, b):
+    """_cross_reduce with no cofactors from the gcd: poly_gcd, then both
+    operands divided by it, inside the shift to nonnegative frequencies."""
+    if a.is_const() or b.is_const():
+        return a, b
+    m = a.nvars
+    low = (0,) * m + tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
+    pa, pb = _shift(a.terms, low), _shift(b.terms, low)
+    g = poly_gcd(pa, pb)
+    if len(g) == 1 and not any(next(iter(g))):
+        return a, b
+    return tuple(TrigPoly(m, _shift(_p_div_exact(p, g), [-f for f in low]))
+                 for p in (pa, pb))
+
+
+def _reduces_as_dividing_twice(a, b, got):
+    """Asserts that got = _cross_reduce(a, b) has the terms and key order of
+    _divide_twice(a, b), and is a and b themselves when the gcd is 1;
+    returns whether the gcd was nontrivial."""
+    want = _divide_twice(a, b)
+    if want[0] is a:
+        assert got[0] is a and got[1] is b
+    for x, y in zip(got, want):
+        assert x.nvars == y.nvars
+        assert list(x.terms.items()) == list(y.terms.items())
+    return want[0] is not a
+
+
+def _trig(d):
+    """A gcd pair's polynomial as a TrigPoly: its slots, padded to an even
+    count, split into monomial and frequency halves."""
+    pad = (0,) * (len(next(iter(d))) % 2)
+    return TrigPoly((len(next(iter(d))) + 1) // 2, {k + pad: c for k, c in d.items()})
+
+
+def _e(nv, *terms):  # (c, key) is c * x^mono * exp(i freq.x), key = mono + freq
+    return TrigPoly(nv, {k: scalars.as_qqi(c) for c, k in terms})
+
+
+# Bare monomial gcds. The first three reached _cross_reduce in the torus
+# moment check, with keys that a shift alone would list in another order
+# than the exact division by the gcd does.
+MONOMIAL_GCD_PAIRS = [
+    (_e(2, (Fraction(1, 16), (0, 0, 0, 5)), (Fraction(1, 16), (0, 0, 0, 7))),
+     _e(2, (Fraction(1, 64), (0, 0, 0, 6)))),
+    (_e(2, (QQi(0, Fraction(-1, 4)), (0, 0, 0, 10)), (QQi(0, Fraction(1, 4)), (0, 0, 0, 14))),
+     _e(2, (Fraction(-1, 64), (0, 0, 0, 12)))),
+    (_e(4, (Fraction(-1, 16), (0, 0, 0, 0, 5, 0, 0, 0)), (Fraction(-1, 16), (0, 0, 0, 0, 7, 0, 0, 0))),
+     _e(4, (Fraction(1, 64), (0, 0, 0, 0, 6, 0, 0, 0)))),
+    (S("x1*x2 + x1^2").num, S("x1^3*x2 - 2*x1*x2^2").num),
+    (S("x1^2*(x1 + x2)*cos(x2)").num, S("x1*(x1 - x2)*sin(2*x2)").num),
+]
+
+
+def test_cross_reduce_matches_dividing_twice(monkeypatch):
+    """The cofactors the gcd hands back have the terms and the key order of
+    two exact divisions by it, on every path: the gcd pairs (both ways round
+    in the frequency slots), bare monomial gcds, single-term, constant and
+    negative-frequency operands."""
+    heuristic = []
+    heu_gcd = scalars._heu_gcd
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda a, b: heuristic.append(1) or heu_gcd(a, b))
+    pairs = [(f(a), f(b)) for _, a, b, _ in _gcd_pairs()
+             for f in (_trig, lambda d: _trig(d).conj())]
+    pairs += MONOMIAL_GCD_PAIRS + [
+        (S("x1^2*x2").num, S("x1*x2 + x1").num),
+        (S("3").num, S("x1 + 1").num),
+        (S("x1 + 1").num, TrigPoly.expi(4, (0, -3, 0, 0))),
+        (S("cos(x1)").num, S("sin(2*x1)").num),
+        (S("cos(x1) + sin(x2)").num, S("cos(x1)*sin(x2) - sin(x1)^2").num),
+        (S("(x1 - 1)*cos(x1 - x2)").num, S("(x1^2 - 1)*sin(x1 - x2)^2").num)]
+    nontrivial = [_reduces_as_dividing_twice(a, b, _cross_reduce(a, b)) for a, b in pairs]
+    assert sum(nontrivial) >= 60 and not all(nontrivial) and heuristic
+
+
+def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
+    """Every reduction in building CP^2 and its gric_gr matches dividing
+    twice, and no reduction divides after its gcd: a count repeats exactly,
+    so the count of exact divisions catches a return to two divisions
+    without timing."""
+    calls, divisions = [], []
+    reduce, divide = scalars._cross_reduce, scalars._p_div_exact
+
+    def recorded(a, b):
+        calls.append((a, b, reduce(a, b)))
+        return calls[-1][-1]
+
+    def counted(a, b):
+        divisions.append(1)
+        return divide(a, b)
+
+    monkeypatch.setattr(scalars, "_cross_reduce", recorded)
+    monkeypatch.setattr(scalars, "_p_div_exact", counted)
+    gric_gr(CATALOG["fubini_study_cp2"]().pair())
+    assert len(divisions) == FS_CP2_DIV_EXACT_CALLS
+    monkeypatch.undo()
+    nontrivial = sum(_reduces_as_dividing_twice(*call) for call in calls)
+    assert nontrivial >= 50 and len(calls) > nontrivial
 
 
 def _ref_zi_gcd(a, b):
