@@ -19,6 +19,10 @@ when it divides both operands (`_heu_gcd`). `_gcd_cofactors` returns the gcd
 with both cofactors, which every path has at hand (an exact quotient, the
 heuristic's acceptance quotients or a key shift), so a reduction
 (`_cross_reduce`) divides no more after the gcd; `poly_gcd` is the gcd alone.
+The operands' form settles some operations with no gcd and no general
+product: a product with a constant is a scale (none by 1), a product of two
+scalars over the denominator 1 stays over it, a conjugate stays coprime, and
+`is_real` compares numerators alone over a real denominator.
 """
 
 from __future__ import annotations
@@ -274,10 +278,15 @@ class TrigPoly:
     def __mul__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
+        # a constant factor keeps the other's keys in order, as _p_mul does
+        if other.is_const():
+            return self.scale(other.const_value())
+        if self.is_const():
+            return other.scale(self.const_value())
         return TrigPoly(self.nvars, _p_mul(self.terms, other.terms))
 
     def scale(self, c: QQi):
-        return TrigPoly(self.nvars, _p_scale(self.terms, c))
+        return self if c == QQI_ONE else TrigPoly(self.nvars, _p_scale(self.terms, c))
 
     def conj(self):
         m = self.nvars
@@ -335,6 +344,8 @@ def _graded_first(d):
 def _p_scale(d, c: QQi):
     if c.is_zero():
         return {}
+    if c == QQI_ONE:
+        return d
     return {k: v * c for k, v in d.items()}
 
 
@@ -469,12 +480,7 @@ def _shift_down(d, by):
 
 
 def _monic(d):
-    if not d:
-        return d
-    c = d[_leading(d)]
-    if c == QQI_ONE:
-        return d
-    return _p_scale(d, c.inverse())
+    return _p_scale(d, d[_leading(d)].inverse()) if d else d
 
 
 # -- evaluation-based coprimality proof -------------------------------------
@@ -824,10 +830,12 @@ class ScalarExpr:
         return self.num.const_value()  # a canonical constant has den == 1
 
     def is_real(self):
-        # num/den == conj(num)/conj(den), cross-multiplied: no gcd needed
-        if self.den.is_const():
+        # num/den == conj(num)/conj(den), cross-multiplied: no gcd needed;
+        # a real den (den 1 among them) cancels from both sides
+        cden = self.den.conj()
+        if cden == self.den:
             return self.num == self.num.conj()
-        return self.num * self.den.conj() == self.num.conj() * self.den
+        return self.num * cden == self.num.conj() * self.den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -869,7 +877,10 @@ class ScalarExpr:
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return -(self - o)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -887,6 +898,9 @@ class ScalarExpr:
         if self.is_const():
             return ScalarExpr(self.nvars, o.num.scale(self.num.const_value()),
                               o.den, _normalized=True)
+        # over the denominator 1 there is nothing to reduce
+        if self.den.is_const() and o.den.is_const():
+            return ScalarExpr(self.nvars, self.num * o.num, self.den, _normalized=True)
         n1, d2 = _cross_reduce(self.num, o.den)
         n2, d1 = _cross_reduce(o.num, self.den)
         return ScalarExpr(self.nvars, n1 * n2, d1 * d2, _coprime=True)
@@ -911,6 +925,8 @@ class ScalarExpr:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, k: int):
@@ -925,7 +941,9 @@ class ScalarExpr:
         return out
 
     def conj(self):
-        return ScalarExpr(self.nvars, self.num.conj(), self.den.conj())
+        # a ring automorphism keeps a canonical pair coprime: only the unit
+        # normalization is left
+        return ScalarExpr(self.nvars, self.num.conj(), self.den.conj(), _coprime=True)
 
     def partial(self, k: int):
         if not 0 <= k < self.nvars:

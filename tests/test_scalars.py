@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import math
 import operator
@@ -14,17 +15,23 @@ from gkcurv import scalars
 from gkcurv.curvature import gric_gr
 from gkcurv.errors import DivisionByZero, EvaluationPole, FieldClosureError
 from gkcurv.examples import CATALOG
+from gkcurv.forms import Chart
+from gkcurv.genalg import GenVec, keyed_sum, wedge_sum
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
                             _p_div_exact, _p_mul, poly_gcd)
 
 NAMES = ("x1", "x2", "x3", "x4")
-# (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2
-FS_CP2_PROOF_TRUE_CALLS = (175, 220)
+# (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2;
+# (175, 220) when conj reduced its conjugated pair by a gcd again
+FS_CP2_PROOF_TRUE_CALLS = (151, 196)
 # _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs, all
 # of them the gcd's own exact-division attempts; 197 when _cross_reduce
 # divided both operands by the gcd again
 FS_CP2_DIV_EXACT_CALLS = 83
+# _p_mul calls over the same run; 295 when a product with a constant was a
+# general product and is_real cross-multiplied over a real denominator
+FS_CP2_P_MUL_CALLS = 219
 
 
 def S(text, names=NAMES):
@@ -571,10 +578,11 @@ def test_cross_reduce_matches_dividing_twice(monkeypatch):
 def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
     """Every reduction in building CP^2 and its gric_gr matches dividing
     twice, and no reduction divides after its gcd: a count repeats exactly,
-    so the count of exact divisions catches a return to two divisions
+    so the count of exact divisions catches a return to two divisions, and
+    the count of products a return to general products with a constant,
     without timing."""
-    calls, divisions = [], []
-    reduce, divide = scalars._cross_reduce, scalars._p_div_exact
+    calls, divisions, products = [], [], []
+    reduce, divide, multiply = scalars._cross_reduce, scalars._p_div_exact, scalars._p_mul
 
     def recorded(a, b):
         calls.append((a, b, reduce(a, b)))
@@ -584,10 +592,16 @@ def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
         divisions.append(1)
         return divide(a, b)
 
+    def counted_product(a, b):
+        products.append(1)
+        return multiply(a, b)
+
     monkeypatch.setattr(scalars, "_cross_reduce", recorded)
     monkeypatch.setattr(scalars, "_p_div_exact", counted)
+    monkeypatch.setattr(scalars, "_p_mul", counted_product)
     gric_gr(CATALOG["fubini_study_cp2"]().pair())
     assert len(divisions) == FS_CP2_DIV_EXACT_CALLS
+    assert len(products) == FS_CP2_P_MUL_CALLS
     monkeypatch.undo()
     nontrivial = sum(_reduces_as_dividing_twice(*call) for call in calls)
     assert nontrivial >= 50 and len(calls) > nontrivial
@@ -1130,3 +1144,235 @@ def test_add_over_lcm_matches_sympy(left, right):
     _assert_canonical(f + g, sym(left) + sym(right), xs, zs)
     _assert_canonical(g + f, sym(left) + sym(right), xs, zs)
     _assert_canonical(f - g, sym(left) - sym(right), xs, zs)
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the routes they replace: the same terms in the same key
+# order, on operands on either side
+# ---------------------------------------------------------------------------
+
+
+CONSTANTS = (QQi(1), QQi(-1), QQi(Fraction(-2, 3), Fraction(1, 5)), QQi(0, 1))
+
+
+def _items(p):
+    return list(p.terms.items())
+
+
+def _old_trig_mul(a, b):
+    """TrigPoly.__mul__ as a general product, constants included."""
+    return TrigPoly(a.nvars, _p_mul(a.terms, b.terms))
+
+
+def _old_scalar_mul(f, g):
+    """ScalarExpr.__mul__ with no path over the denominator 1: a zero or a
+    constant operand scales term by term, any other pair is cross-reduced."""
+    if f.is_zero() or g.is_zero():
+        return f if f.is_zero() else g
+    for c, h in ((g, f), (f, g)):
+        if c.is_const():
+            k = c.num.const_value()
+            return ScalarExpr(f.nvars, TrigPoly(f.nvars, {key: v * k for key, v in
+                                                          h.num.terms.items()}),
+                              h.den, _normalized=True)
+    n1, d2 = _cross_reduce(f.num, g.den)
+    n2, d1 = _cross_reduce(g.num, f.den)
+    return ScalarExpr(f.nvars, _old_trig_mul(n1, n2), _old_trig_mul(d1, d2), _coprime=True)
+
+
+def _old_conj(f):
+    """(num, den) term dicts of conj(f) reduced by a gcd, then given the
+    unit of the canonical form: the old route."""
+    m, num, den = f.nvars, f.num.conj(), f.den.conj()
+    if f.is_zero() or den.is_const():
+        return num.terms, den.terms
+    num, den = _cross_reduce(num, den)
+    low = (0,) * m + tuple(map(min, list(zip(*den.terms))[m:]))
+    inv = den.terms[max(den.terms, key=lambda k: (sum(k), k))].inverse()
+    return tuple({tuple(map(operator.sub, k, low)): c * inv for k, c in p.terms.items()}
+                 for p in (num, den))
+
+
+def _old_is_real(f):
+    if f.den.is_const():
+        return f.num == f.num.conj()
+    return _old_trig_mul(f.num, f.den.conj()) == _old_trig_mul(f.num.conj(), f.den)
+
+
+def _over_one(p):
+    return ScalarExpr(p.nvars, p, TrigPoly.const(p.nvars, 1), _normalized=True)
+
+
+def _trigpolys(nv):
+    coeffs = st.builds(lambda a, b, d: QQi(Fraction(a, d), b), st.integers(-4, 4),
+                       st.integers(-2, 2), st.integers(1, 3)).filter(lambda c: not c.is_zero())
+    keys = st.tuples(*[st.integers(0, 2)] * nv, *[st.integers(-2, 2)] * nv)
+    return st.one_of(st.sampled_from(CONSTANTS).map(lambda c: TrigPoly.const(nv, c)),
+                     st.dictionaries(keys, coeffs, min_size=1, max_size=5).map(
+                         lambda d: TrigPoly(nv, d)))
+
+
+def _trigpoly_pairs():
+    """Seeded pairs: every constant on either side of a random TrigPoly, and
+    random TrigPolys with one another."""
+    rng = random.Random(71)
+    for nv in (1, 2, 4):
+        for _ in range(6):
+            p, q = _rand_trigpoly(rng, nv, rng.randint(1, 5)), _rand_trigpoly(rng, nv, 3)
+            yield p, q
+            for c in CONSTANTS:
+                yield p, TrigPoly.const(nv, c)
+
+
+def _assert_same_products(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert _items(x * y) == _items(_old_trig_mul(x, y))
+        f, g = _over_one(x), _over_one(y)
+        got, want = f * g, _old_scalar_mul(f, g)
+        assert (_items(got.num), _items(got.den)) == (_items(want.num), _items(want.den))
+
+
+def test_products_with_constants_and_over_one_match_the_general_product():
+    for p, q in _trigpoly_pairs():
+        _assert_same_products(p, q)
+        one = TrigPoly.const(p.nvars, 1)
+        assert p * one is p and one * p is p
+        assert scalars._p_scale(p.terms, QQi(1)) is p.terms
+        assert list(scalars._p_scale(p.terms, QQi(-1)).items()) == \
+            [(k, -c) for k, c in p.terms.items()]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2).flatmap(lambda nv: st.tuples(_trigpolys(nv), _trigpolys(nv))))
+def test_products_match_the_general_product_on_generated_operands(pair):
+    _assert_same_products(*pair)
+
+
+def _conj_and_is_real_pool():
+    rng = random.Random(73)
+    texts = ["1/(3 + cos(x1) + i*sin(x1))", "x2/(2 + sin(x1))", "(x1 + i)/(1 + x2^2)",
+             "cos(x2)/(5 + cos(2*x1) + i*sin(x1))", "i*x1 + sin(x2)", "x1^2 - 3",
+             "(x1 - i*x2)/(x1^2 + x2^2 + 1)", "x1/(x1 + i)", "(2 + i)/(x2 - 3*x1)",
+             "x2/(1 + x1^2)", "cos(x2)/(x1^2 + 2*x2 + 5)"]
+    pool = [S(t) for t in texts] + [S(_random_expr(rng)) for _ in range(25)]
+    pool += [f * c for c in (QQi(-1), QQi(0, 1)) for f in pool[:9]]
+    return pool + [f + g.conj() for f, g in zip(pool[:9], pool[1:10])]
+
+
+def _assert_conj_and_is_real(f):
+    num, den = _old_conj(f)
+    got = f.conj()
+    assert (_items(got.num), _items(got.den)) == (list(num.items()), list(den.items()))
+    if not f.den.is_const():
+        # the conjugated pair is coprime: the old gcd returned its inputs
+        a, b = f.num.conj(), f.den.conj()
+        assert all(x is y for x, y in zip(_cross_reduce(a, b), (a, b)))
+    assert f.is_real() == _old_is_real(f) == (got == f)
+
+
+def test_conj_and_is_real_match_the_old_routes():
+    pool = _conj_and_is_real_pool()
+    for f in pool:
+        _assert_conj_and_is_real(f)
+    real_den = [f for f in pool if f.den.conj() == f.den]
+    assert sum(not f.den.is_const() for f in real_den) >= 4
+    assert {f.is_real() for f in real_den if not f.den.is_const()} == {True, False}
+    assert sum(f.den.conj() != f.den for f in pool) >= 20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 2).flatmap(lambda nv: st.tuples(st.just(nv), _trees(nv))))
+def test_conj_and_is_real_match_the_old_routes_on_generated_trees(case):
+    nv, tree = case
+    xs, zs = sympy.symbols(f"x1:{nv + 1}"), sympy.symbols(f"z1:{nv + 1}")
+    built = _build(tree, xs, zs)
+    assume(built is not None)
+    _assert_conj_and_is_real(built[0])
+    _assert_conj_and_is_real(built[0] * QQi(0, 1) + ScalarExpr.coord(nv, 0))
+
+
+# ---------------------------------------------------------------------------
+# Operands are never mutated: results may share their term dicts
+# ---------------------------------------------------------------------------
+
+
+def _polys(x):
+    """Every TrigPoly that x holds: x itself, a scalar's num and den, a
+    section's components, or those of the items of a tuple or list."""
+    if isinstance(x, TrigPoly):
+        return [x]
+    if isinstance(x, ScalarExpr):
+        return [x.num, x.den]
+    if isinstance(x, GenVec):
+        return _polys([*x.v, *x.xi])
+    if isinstance(x, (tuple, list)):
+        return [p for y in x for p in _polys(y)]
+    return []
+
+
+def _snapshot(x):
+    return [(id(p.terms), [(k, c.a, c.b, c.d) for k, c in p.terms.items()])
+            for p in _polys(x)]
+
+
+def _operations(chart, pool):
+    """(name, operands, call) over every pair of the pool: the field
+    operations, conj, partial, the pairwise reduction, and the keyed and
+    wedge sums of products over shared denominators."""
+    rng = random.Random(79)
+    for f in pool:
+        yield "conj", f, f.conj
+        yield "partial", f, lambda f=f: f.partial(0)
+        yield "TrigPoly.conj", f.num, f.num.conj
+        yield "TrigPoly.partial", f.num, lambda f=f: f.num.partial(1)
+        for c in CONSTANTS:
+            yield "TrigPoly.scale", f.num, lambda f=f, c=c: f.num.scale(c)
+        for g in pool:
+            yield "+", (f, g), lambda f=f, g=g: f + g
+            yield "-", (f, g), lambda f=f, g=g: f - g
+            yield "*", (f, g), lambda f=f, g=g: f * g
+            if not g.is_zero():
+                yield "/", (f, g), lambda f=f, g=g: f / g
+            yield "TrigPoly *", (f.num, g.num), lambda f=f, g=g: f.num * g.num
+            yield "TrigPoly +", (f.num, g.num), lambda f=f, g=g: f.num + g.num
+            yield "_cross_reduce", (f.num, g.den), lambda f=f, g=g: _cross_reduce(f.num, g.den)
+            yield "_cross_reduce", (f.num, g.num), lambda f=f, g=g: _cross_reduce(f.num, g.num)
+    for _ in range(6):
+        contribs = []
+        for _ in range(8):
+            f, g = rng.choice(pool), rng.choice(pool)
+            contribs.append((rng.choice("ab"), f.num * g.num, f.den * g.den))
+        yield "keyed_sum", contribs, lambda c=contribs: keyed_sum(chart.nvars, c)
+        vecs = [GenVec.from_column(chart, [rng.choice(pool) for _ in range(2 * chart.dim)])
+                for _ in range(3)]
+        terms = [(rng.choice(pool), *rng.sample(vecs, 2)) for _ in range(3)]
+        yield "wedge_sum", terms, lambda t=terms: wedge_sum(chart, 2, t)
+
+
+def test_no_operation_mutates_its_operands():
+    """Products with 1 and scales by 1 return their operand's term dict; no
+    operation may then write into a dict that a result shares."""
+    chart = Chart.flat(2)
+    pool = [chart.sc(t) for t in ("x1/(2 + cos(x2))", "sin(x1)*x2 - i", "3*x1^2 + cos(x1)",
+                                  "(1 + x1^2)/(x2 - i)", "x2/(1 + x1^2)")]
+    pool += [chart.const(c) for c in (*CONSTANTS, 0)]
+    pool += [pool[0] * pool[5], pool[2] * pool[5]]  # results that share dicts
+    ran = collections.Counter()
+    for name, operands, call in _operations(chart, pool):
+        before = _snapshot(operands)
+        call()
+        assert _snapshot(operands) == before, name
+        ran[name] += 1
+    assert len(ran) == 14 and min(ran.values()) >= 6
+
+
+def test_reflected_operators_refuse_what_coerce_refuses():
+    x = S("x1 + 1")
+    for op in (operator.truediv, operator.sub):
+        with pytest.raises(TypeError, match="'float' and 'ScalarExpr'"):
+            op(1.5, x)
+        with pytest.raises(TypeError, match="'ScalarExpr' and 'float'"):
+            op(x, 1.5)
+    assert x.__rtruediv__(1.5) is NotImplemented and x.__rsub__(1.5) is NotImplemented
+    assert 2 - x == S("1 - x1") and Fraction(1, 2) / x == S("1/(2*x1 + 2)")
