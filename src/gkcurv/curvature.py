@@ -399,16 +399,18 @@ class NilpotentPath:
 def _pad(chart: Chart, x):
     """A scalar, form or section put on `chart`, constant in its one extra
     trailing variable; a zero exponent changes neither the gcd nor the
-    leading term, so a padded canonical scalar is canonical."""
+    leading term, so a padded canonical scalar is canonical, and so is each
+    padded factor of its denominator."""
     if isinstance(x, Form):
         return Form(chart, {i: _pad(chart, c) for i, c in x.terms.items()})
     if isinstance(x, GenVec):
         return GenVec.from_column(chart, [_pad(chart, c) for c in x.column()])
     m = x.nvars
-    num, den = (TrigPoly(chart.nvars, {k[:m] + (0,) + k[m:] + (0,): c
-                                       for k, c in p.terms.items()})
-                for p in (x.num, x.den))
-    return ScalarExpr(chart.nvars, num, den, _normalized=True)
+
+    def pad(p):
+        return TrigPoly(chart.nvars, {k[:m] + (0,) + k[m:] + (0,): c for k, c in p.terms.items()})
+    return ScalarExpr(chart.nvars, pad(x.num), pad(x.den), _normalized=True,
+                      _facs=tuple((pad(f), e) for f, e in x.facs))
 
 
 def _at_zero(s: ScalarExpr) -> ScalarExpr:

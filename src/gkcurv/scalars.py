@@ -22,7 +22,19 @@ heuristic's acceptance quotients or a key shift), so a reduction
 The operands' form settles some operations with no gcd and no general
 product: a product with a constant is a scale (none by 1), a product of two
 scalars over the denominator 1 stays over it, a conjugate stays coprime, and
-`is_real` compares numerators alone over a real denominator.
+`is_real` compares numerators alone over a denominator that is real up to
+an exp shift.
+
+Denominators are kept factored next to their expanded form: `facs` is a
+tuple of (f, e) with pairwise coprime, unit-free f (exp exponents from 0,
+leading coefficient 1) whose powers multiply out to den exactly; () for den
+1, (den, 1) for a fraction built from a raw (num, den). `==`, hashing,
+printing and `eval` read den alone. So no operation takes a gcd of expanded
+denominators: a sum takes its lcm by merging the two lists (`_merge`), and
+its numerator meets only the factors of equal exponent on both sides; a
+product or quotient cancels each numerator against the factors that its own
+denominator lacks, and D2/D1 by exponents; `partial` raises the exponent of
+each factor that x_k moves and takes no gcd of D with D'.
 """
 
 from __future__ import annotations
@@ -69,8 +81,8 @@ class QQi:
         return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        if type(other) is not QQi:
-            other = as_qqi(other)
+        if type(other) is not QQi and (other := _to_qqi(other)) is None:
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _reduced(self.a + other.a, self.b + other.b, d)
@@ -82,14 +94,16 @@ class QQi:
         return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + -as_qqi(other)
+        other = _to_qqi(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return as_qqi(other) - self
+        other = _to_qqi(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        if type(other) is not QQi:
-            other = as_qqi(other)
+        if type(other) is not QQi and (other := _to_qqi(other)) is None:
+            return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         if b or e:
             return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
@@ -106,10 +120,12 @@ class QQi:
         return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
-        return self * as_qqi(other).inverse()
+        other = _to_qqi(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return as_qqi(other) * self.inverse()
+        other = _to_qqi(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def conj(self):
         return _raw(self.a, -self.b, self.d)
@@ -172,14 +188,23 @@ def ipow(k: int) -> QQi:
     return _I_POWERS[k % 4]
 
 
-def as_qqi(x) -> QQi:
+def _to_qqi(x):
+    """x as a QQi, or None for a type that does not coerce (the arithmetic
+    then returns NotImplemented, so a ScalarExpr operand is reflected)."""
     if isinstance(x, QQi):
         return x
     if type(x) is int:
         return _raw(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return QQi(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
+    return None
+
+
+def as_qqi(x) -> QQi:
+    q = _to_qqi(x)
+    if q is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
+    return q
 
 
 def _ratio_str(n, d) -> str:
@@ -765,25 +790,27 @@ def poly_gcd(a, b):
 
 
 class ScalarExpr:
-    """Canonical fraction num/den of TrigPolys over a fixed variable count."""
+    """Canonical fraction num/den of TrigPolys over a fixed variable count;
+    `facs` is den's factor list (module docstring), (den, 1) unless given."""
 
-    __slots__ = ("nvars", "num", "den")
+    __slots__ = ("nvars", "num", "den", "facs")
 
     def __init__(self, nvars, num: TrigPoly, den: TrigPoly, _normalized=False,
-                 _coprime=False):
+                 _facs=None):
         self.nvars = nvars
-        if _normalized:
-            self.num = num
-            self.den = den
-        else:
-            self.num, self.den = _normalize(num, den, coprime=_coprime)
+        if not _normalized:
+            num, den = _normalize(num, den)
+        self.num, self.den = num, den
+        if _facs is None:
+            _facs = () if den.is_const() else ((den, 1),)
+        self.facs = _facs
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def from_qqi(nvars, c) -> "ScalarExpr":
         return ScalarExpr(nvars, TrigPoly.const(nvars, c), TrigPoly.const(nvars, 1),
-                          _normalized=True)
+                          _normalized=True, _facs=())
 
     @staticmethod
     def zero(nvars):
@@ -831,11 +858,14 @@ class ScalarExpr:
 
     def is_real(self):
         # num/den == conj(num)/conj(den), cross-multiplied: no gcd needed;
-        # a real den (den 1 among them) cancels from both sides
-        cden = self.den.conj()
-        if cden == self.den:
-            return self.num == self.num.conj()
-        return self.num * cden == self.num.conj() * self.den
+        # when conj(den) = u*den for a term u (den real up to an exp shift,
+        # den 1 among them), den cancels and conj(num) == u*num is left
+        num, den, cden = self.num, self.den.terms, self.den.conj()
+        la, lb = _leading(cden.terms), _leading(den)
+        u = tuple(map(_sub, la, lb)), cden.terms[la] * den[lb].inverse()
+        if _times_term(den, *u) == cden.terms:
+            return num.conj().terms == _times_term(num.terms, *u)
+        return num * cden == num.conj() * self.den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -856,19 +886,28 @@ class ScalarExpr:
             return o
         if o.is_zero():
             return self
+        m = self.nvars
+        if not (self.facs or o.facs):  # over the denominator 1
+            return ScalarExpr(m, self.num + o.num, self.den, _normalized=True, _facs=())
         if self.den == o.den:
-            return ScalarExpr(self.nvars, self.num + o.num, self.den)
-        # over lcm = D1 (D2/g), g = gcd(D1, D2) (Henrici, J. ACM 3, 1956);
-        # the new numerator may share a factor with g, none if g = 1, which
-        # _cross_reduce signals by returning its inputs
-        d1, d2 = _cross_reduce(self.den, o.den)
-        return ScalarExpr(self.nvars, self.num * d2 + o.num * d1, self.den * d2,
-                          _coprime=d1 is self.den)
+            # the finer of two bases of one den; the sum may share any factor
+            base = [[f, e, e] for f, e in max(self.facs, o.facs, key=len)]
+            num, den = self.num + o.num, self.den
+        else:
+            # over the lcm L = D1*(D2/G) = D2*(D1/G), G = gcd(D1, D2) (Henrici,
+            # J. ACM 3, 1956). A factor whose exponent in D1 differs from that in
+            # D2 divides one of D1/G and D2/G, and neither numerator: not the sum
+            base = _merge(self.facs, o.facs)
+            r1, r2 = _coprime_parts(m, base, self.den, o.den)
+            num, den = self.num * r2 + o.num * r1, self.den * r2
+        return _cancel(m, num, den, [(f, e1) for f, e1, e2 in base if e1 == e2],
+                       [(f, max(e1, e2)) for f, e1, e2 in base if e1 != e2])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.nvars, -self.num, self.den, _normalized=True)
+        return ScalarExpr(self.nvars, -self.num, self.den, _normalized=True,
+                          _facs=self.facs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -893,19 +932,29 @@ class ScalarExpr:
             return o
         # a canonical constant is num/1, and scaling by it keeps canonical form
         if o.is_const():
-            return ScalarExpr(self.nvars, self.num.scale(o.num.const_value()),
-                              self.den, _normalized=True)
+            return self._scaled(o.num.const_value())
         if self.is_const():
-            return ScalarExpr(self.nvars, o.num.scale(self.num.const_value()),
-                              o.den, _normalized=True)
+            return o._scaled(self.num.const_value())
+        m = self.nvars
         # over the denominator 1 there is nothing to reduce
-        if self.den.is_const() and o.den.is_const():
-            return ScalarExpr(self.nvars, self.num * o.num, self.den, _normalized=True)
-        n1, d2 = _cross_reduce(self.num, o.den)
-        n2, d1 = _cross_reduce(o.num, self.den)
-        return ScalarExpr(self.nvars, n1 * n2, d1 * d2, _coprime=True)
+        if not (self.facs or o.facs):
+            return ScalarExpr(m, self.num * o.num, self.den, _normalized=True, _facs=())
+        # a canonical numerator is coprime to its own denominator's factors,
+        # so each numerator meets only the factors that its denominator lacks
+        base = _merge(self.facs, o.facs)
+        n1, left2, k1 = _divide_out(self.num, [(f, e2) for f, e1, e2 in base if not e1])
+        n2, left1, k2 = _divide_out(o.num, [(f, e1) for f, e1, e2 in base if not e2])
+        both = [(f, e1, e2) for f, e1, e2 in base if e1 and e2]
+        d1 = _power_product(m, [*((f, e1) for f, e1, _ in both), *left1]) if k2 else self.den
+        d2 = _power_product(m, [*((f, e2) for f, _, e2 in both), *left2]) if k1 else o.den
+        return ScalarExpr(m, n1 * n2, d1 * d2, _normalized=True, _facs=(
+            *((f, e1 + e2) for f, e1, e2 in both), *left1, *left2))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: QQi):
+        return ScalarExpr(self.nvars, self.num.scale(c), self.den, _normalized=True,
+                          _facs=self.facs)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -916,12 +965,23 @@ class ScalarExpr:
         if self.is_zero():
             return self
         if o.is_const():
-            inv = o.num.const_value().inverse()
-            return ScalarExpr(self.nvars, self.num.scale(inv), self.den,
-                              _normalized=True)
+            return self._scaled(o.num.const_value().inverse())
+        m = self.nvars
         n1, n2 = _cross_reduce(self.num, o.num)
-        d1, d2 = _cross_reduce(self.den, o.den)
-        return ScalarExpr(self.nvars, n1 * d2, d1 * n2, _coprime=True)
+        # D2/D1 cancels exponent by exponent over a coprime base; what is
+        # left of n2 joins the denominator as a factor of its own
+        base = _merge(self.facs, o.facs)
+        r1, r2 = _coprime_parts(m, base, self.den, o.den)
+        num, den = n1 * r2, r1 * n2
+        facs = [(f, e1 - e2) for f, e1, e2 in base if e1 > e2]
+        if not _is_unit(n2):
+            # a repeated factor of n2 that x_k moves divides dn2/dx_k too
+            f = _unit_free(n2)
+            sp = _split(f, next(d for d in map(f.partial, range(m)) if d.terms))
+            new = [(f, 1)] if sp is None else _refined(sp[0], sp[1], 1)
+            facs = [(f, e1 + e2) for f, e1, e2 in _merge(facs, new)]
+        num, den = _unit_normalize(num.terms, den.terms, m)
+        return ScalarExpr(m, num, den, _normalized=True, _facs=tuple(facs))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -941,22 +1001,40 @@ class ScalarExpr:
         return out
 
     def conj(self):
-        # a ring automorphism keeps a canonical pair coprime: only the unit
-        # normalization is left
-        return ScalarExpr(self.nvars, self.num.conj(), self.den.conj(), _coprime=True)
+        # a ring automorphism keeps a canonical pair and a coprime base
+        # coprime: only the unit normalization is left
+        m = self.nvars
+        num, den = _unit_normalize(self.num.conj().terms, self.den.conj().terms, m)
+        return ScalarExpr(m, num, den, _normalized=True,
+                          _facs=tuple((_unit_free(f.conj()), e) for f, e in self.facs))
 
     def partial(self, k: int):
+        """(N/prod f^e)' = (N' P - N sum_f e f' P/f) / (D P), P the product
+        of the f with f' != 0, each refined until coprime to f'. Modulo such
+        an f the numerator is -e N f' P/f, coprime to f, so only the f with
+        f' = 0 are tried against it. No gcd of D with D' is taken."""
         if not 0 <= k < self.nvars:
             raise ValueError("coordinate index out of range")
-        if self.den.is_const():
-            return ScalarExpr(self.nvars, self.num.partial(k), self.den)
-        dden = self.den.partial(k)
-        if dden.is_zero():
-            return ScalarExpr(self.nvars, self.num.partial(k), self.den)
-        # f' = (N'(D/g) - N(D'/g)) / (D (D/g)) with g = gcd(D, D')
-        v, w = _cross_reduce(self.den, dden)
-        num = self.num.partial(k) * v - self.num * w
-        return ScalarExpr(self.nvars, num, self.den * v)
+        m = self.nvars
+        num, den = self.num.partial(k), self.den
+        moving, still, todo = [], [], list(self.facs)
+        while todo:
+            f, e = todo.pop()
+            df = f.partial(k)
+            if df.is_zero():
+                still.append((f, e))
+            elif (s := _split(f, df)) is None:
+                moving.append((f, e, df))
+            else:  # f = g * (f/g) with g = gcd(f, f')
+                todo += _refined(s[0], s[1], e)
+        if moving:
+            s = TrigPoly.zero(m)
+            for j, (_, e, df) in enumerate(moving):
+                others = [(g, 1) for i, (g, _, _) in enumerate(moving) if i != j]
+                s = s + _power_product(m, [(df.scale(QQi(e)), 1), *others])
+            p = _power_product(m, [(f, 1) for f, _, _ in moving])
+            num, den = num * p - self.num * s, den * p
+        return _cancel(m, num, den, still, [(f, e + 1) for f, e, _ in moving])
 
     def real(self):
         half = ScalarExpr.from_qqi(self.nvars, QQi(Fraction(1, 2)))
@@ -1003,7 +1081,7 @@ def _default_names(nvars):
     return tuple(f"x{j+1}" for j in range(nvars))
 
 
-def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
+def _normalize(num: TrigPoly, den: TrigPoly):
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     m = num.nvars
@@ -1014,27 +1092,141 @@ def _normalize(num: TrigPoly, den: TrigPoly, coprime=False):
         if c == QQI_ONE:
             return num, den
         return num.scale(c.inverse()), TrigPoly.const(m, 1)
-    if not coprime:
-        num, den = _cross_reduce(num, den)
+    num, den = _cross_reduce(num, den)
     return _unit_normalize(num.terms, den.terms, m)
 
 
-def _cross_reduce(a: TrigPoly, b: TrigPoly):
-    """Divide out the gcd of two trig-polynomials (pairwise reduction): the
-    cofactors of `_gcd_cofactors`, with the terms and key order of an exact
-    division by the gcd, or a and b themselves when the gcd is 1."""
+def _split(a: TrigPoly, b: TrigPoly):
+    """(g, a/g, b/g) for a gcd g of two trig-polynomials, or None when it is
+    1; the cofactors have the terms and key order of an exact division."""
     if a.is_const() or b.is_const():
-        return a, b
+        return None
     m = a.nvars
     # one exp factor makes both plain polynomials; it never changes the gcd
     low = (0,) * m + tuple(min(0, *col) for col in list(zip(*a.terms, *b.terms))[m:])
     pa = _shift_down(a.terms, low)
     pb = _shift_down(b.terms, low)
-    _, qa, qb = _gcd_cofactors(pa, pb)
+    g, qa, qb = _gcd_cofactors(pa, pb)
     if qa is pa:
-        return a, b
+        return None
     high = tuple(-f for f in low)
-    return TrigPoly(m, _shift_down(qa, high)), TrigPoly(m, _shift_down(qb, high))
+    return (TrigPoly(m, g), TrigPoly(m, _shift_down(qa, high)),
+            TrigPoly(m, _shift_down(qb, high)))
+
+
+def _cross_reduce(a: TrigPoly, b: TrigPoly):
+    """a and b with their gcd divided out, or themselves when it is 1."""
+    s = _split(a, b)
+    return (a, b) if s is None else s[1:]
+
+
+# -- factored denominators: a product of unit-free factors is unit-free, so
+# a list of them multiplies out to the canonical den exactly
+
+
+def _unit_free(p: TrigPoly) -> TrigPoly:
+    return _unit_normalize({}, p.terms, p.nvars)[1]
+
+
+def _is_unit(p: TrigPoly) -> bool:
+    """Whether p is one term c * exp(i k.x)."""
+    return len(p.terms) == 1 and not any(next(iter(p.terms))[:p.nvars])
+
+
+def _times_term(d, key, c):
+    """d times the term c * x^key (key may have negative entries)."""
+    return _p_scale(_shift_down(d, tuple(-k for k in key)), c)
+
+
+def _power_product(m, pairs) -> TrigPoly:
+    """The product of f^e over the (f, e) pairs."""
+    out = TrigPoly.const(m, 1)
+    for f, e in pairs:
+        for _ in range(e):
+            out = out * f
+    return out
+
+
+def _coprime_parts(m, base, d1, d2):
+    """(D1/G, D2/G) for G = gcd(D1, D2), read off a coprime base of the two
+    (`_merge`)."""
+    if not any(e1 and e2 for _, e1, e2 in base):
+        return d1, d2
+    return (_power_product(m, [(f, e1 - e2) for f, e1, e2 in base if e1 > e2]),
+            _power_product(m, [(f, e2 - e1) for f, e1, e2 in base if e2 > e1]))
+
+
+def _merge(f1, f2):
+    """Coprime base of two factor lists: [f, e1, e2] entries whose f^e1
+    multiply out to the product of f1 and whose f^e2 to that of f2.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
+    replaces a pair with a gcd g != 1 by g, f/g and b/g. Entries that divide
+    one list's product alone are coprime, so no gcd runs between them."""
+    base = [[f, e, 0] for f, e in f1]
+    todo = [[f, 0, e] for f, e in reversed(f2)]
+    if not (base and todo):
+        return base + todo
+    while todo:
+        item = todo.pop()
+        f, a1, a2 = item
+        for j, (b, b1, b2) in enumerate(base):
+            if b == f:
+                base[j] = [b, a1 + b1, a2 + b2]
+                break
+            if not (a1 or b1) or not (a2 or b2):
+                continue  # both divide one list's product alone
+            s = _split(f, b)
+            if s is not None:
+                g, q, r = s
+                del base[j]
+                todo += [[_unit_free(p), x, y]
+                         for p, x, y in ((g, a1 + b1, a2 + b2), (q, a1, a2), (r, b1, b2))
+                         if not _is_unit(p)]
+                break
+        else:
+            base.append(item)
+    return base
+
+
+def _refined(g: TrigPoly, h: TrigPoly, e: int):
+    """(g h)^e as a coprime list of (f, e)."""
+    return [(p, x + y) for p, x, y in _merge([(_unit_free(g), e)], [(_unit_free(h), e)])]
+
+
+def _divide_out(n: TrigPoly, entries):
+    """(n over each f of a coprime list of (f, e) as often as f divides it,
+    up to e; the entries with what is left of e; the count of divisions). A
+    factor that shares a proper factor g with n is refined into g and f/g."""
+    left, k, todo = [], 0, list(reversed(entries))
+    while todo:
+        f, e = todo.pop()
+        while e and (s := _split(n, f)) is not None:
+            g, q, r = s
+            if not _is_unit(r):
+                todo += _refined(g, r, e)
+                break
+            (key, c), = r.terms.items()  # n/f = q/r for the unit r = f/g
+            n = TrigPoly(n.nvars, _p_scale(_shift_down(q.terms, key), c.inverse()))
+            e, k = e - 1, k + 1
+        else:
+            if e:
+                left.append((f, e))
+    return n, left, k
+
+
+def _cancel(m, num: TrigPoly, den: TrigPoly, tested, kept=()):
+    """num/den over den's coprime list, split into the entries `tested`,
+    which num may share, and `kept`; a den that loses factors is multiplied
+    out again from what is left."""
+    if num.is_zero():
+        return ScalarExpr.zero(m)
+    if not tested:
+        return ScalarExpr(m, num, den, _normalized=True, _facs=tuple(kept))
+    num, left, k = _divide_out(num, tested)
+    facs = (*left, *kept)
+    return ScalarExpr(m, num, _power_product(m, facs) if k else den,
+                      _normalized=True, _facs=facs)
 
 
 def _unit_normalize(pn, pd, m):

@@ -119,6 +119,32 @@ def test_no_mutable_module_level_values():
     assert late == []
 
 
+def _mutable_container(node):
+    return isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                             ast.SetComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"})
+
+
+def test_no_class_level_or_default_argument_containers():
+    """No class body in src/gkcurv/ binds a mutable container and no function
+    takes one as a default value: either outlives a call as a module-level
+    value does, so a gcd or factor cache cannot come back that way."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                values = [stmt.value for stmt in node.body
+                          if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                values = node.args.defaults + node.args.kw_defaults
+            else:
+                continue
+            found += [f"{path.name}:{v.lineno}" for v in values
+                      if v is not None and _mutable_container(v)]
+    assert found == []
+
+
 def test_every_error_type_is_raised():
     """Each GKCurvError subclass in errors.py is raised somewhere in src/."""
     errors = ast.parse((SRC / "errors.py").read_text())

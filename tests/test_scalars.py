@@ -1,6 +1,7 @@
 import cmath
 import collections
 import functools
+import itertools
 import math
 import operator
 import random
@@ -23,15 +24,20 @@ from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
 
 NAMES = ("x1", "x2", "x3", "x4")
 # (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2;
-# (175, 220) when conj reduced its conjugated pair by a gcd again
-FS_CP2_PROOF_TRUE_CALLS = (151, 196)
+# (175, 220) when conj reduced its conjugated pair by a gcd again, (151, 196)
+# when denominators were reduced by gcds of expanded products
+FS_CP2_PROOF_TRUE_CALLS = (40, 60)
 # _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs, all
 # of them the gcd's own exact-division attempts; 197 when _cross_reduce
-# divided both operands by the gcd again
-FS_CP2_DIV_EXACT_CALLS = 83
+# divided both operands by the gcd again, 83 with expanded denominators
+FS_CP2_DIV_EXACT_CALLS = 28
 # _p_mul calls over the same run; 295 when a product with a constant was a
-# general product and is_real cross-multiplied over a real denominator
-FS_CP2_P_MUL_CALLS = 219
+# general product and is_real cross-multiplied over a real denominator, 219
+# with expanded denominators (a factored one is multiplied out again where
+# it loses a factor, from smaller products)
+FS_CP2_P_MUL_CALLS = 245
+# _gcd_cofactors calls over the same run; 264 with expanded denominators
+FS_CP2_GCD_CALLS = 124
 
 
 def S(text, names=NAMES):
@@ -179,6 +185,22 @@ def test_is_real_matches_conj_equality():
             if x.is_real() and x.den.conj() != x.den:
                 uncanonical_real += 1
     assert uncanonical_real >= 10
+
+
+def test_is_real_over_a_real_denominator_up_to_an_exp_shift_takes_no_product(monkeypatch):
+    """2 + cos(x1) is stored as 1 + 4 e^{i x1} + e^{2 i x1}, whose conjugate is
+    e^{-2 i x1} times itself: is_real compares conj(num) with the shifted num."""
+    pool = [S(t) for t in ("x2/(2 + cos(x1))", "i*x2/(2 + cos(x1))", "sin(x1)/(3 + cos(2*x1))",
+                           "(x1 + i)/(5 + cos(x1 - x2))", "x2/(3 + cos(x1) + i*sin(x1))")]
+    assert pool[0].den.conj() != pool[0].den
+    products = []
+    multiply = scalars._p_mul
+    monkeypatch.setattr(scalars, "_p_mul", lambda a, b: products.append(1) or multiply(a, b))
+    assert [f.is_real() for f in pool[:4]] == [True, False, True, False]
+    assert products == []
+    assert pool[4].is_real() is False and products
+    monkeypatch.undo()
+    assert all(f.is_real() == (f.conj() == f) for f in pool)
 
 
 def test_product_to_sum_canonical():
@@ -576,17 +598,26 @@ def test_cross_reduce_matches_dividing_twice(monkeypatch):
 
 
 def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
-    """Every reduction in building CP^2 and its gric_gr matches dividing
-    twice, and no reduction divides after its gcd: a count repeats exactly,
-    so the count of exact divisions catches a return to two divisions, and
-    the count of products a return to general products with a constant,
-    without timing."""
-    calls, divisions, products = [], [], []
-    reduce, divide, multiply = scalars._cross_reduce, scalars._p_div_exact, scalars._p_mul
+    """Every reduction in building CP^2 and its gric_gr, and in the E+-
+    frame of the three-lines scene, matches dividing twice, and no reduction
+    divides after its gcd: a count over the Fubini-Study run repeats exactly,
+    so the count of exact divisions catches a return to two divisions, the
+    count of products a return to general products with a constant, and
+    the count of gcds a return to gcds of expanded denominators, without
+    timing. The reductions are recorded at `_split`, which both
+    `_cross_reduce` and the factor-by-factor routes call."""
+    calls, divisions, products, gcds = [], [], [], []
+    split, divide, multiply = scalars._split, scalars._p_div_exact, scalars._p_mul
+    gcd = scalars._gcd_cofactors
 
     def recorded(a, b):
-        calls.append((a, b, reduce(a, b)))
-        return calls[-1][-1]
+        got = split(a, b)
+        calls.append((a, b, (a, b) if got is None else got[1:]))
+        return got
+
+    def counted_gcd(a, b):
+        gcds.append(1)
+        return gcd(a, b)
 
     def counted(a, b):
         divisions.append(1)
@@ -596,12 +627,17 @@ def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
         products.append(1)
         return multiply(a, b)
 
-    monkeypatch.setattr(scalars, "_cross_reduce", recorded)
+    monkeypatch.setattr(scalars, "_split", recorded)
     monkeypatch.setattr(scalars, "_p_div_exact", counted)
     monkeypatch.setattr(scalars, "_p_mul", counted_product)
+    monkeypatch.setattr(scalars, "_gcd_cofactors", counted_gcd)
     gric_gr(CATALOG["fubini_study_cp2"]().pair())
     assert len(divisions) == FS_CP2_DIV_EXACT_CALLS
     assert len(products) == FS_CP2_P_MUL_CALLS
+    assert len(gcds) == FS_CP2_GCD_CALLS
+    # with factored denominators Fubini-Study reduces less; the E+- frame of
+    # the three-lines scene adds reductions of several factors
+    CATALOG["cp2_three_lines"]().pair().epm_frame()
     monkeypatch.undo()
     nontrivial = sum(_reduces_as_dividing_twice(*call) for call in calls)
     assert nontrivial >= 50 and len(calls) > nontrivial
@@ -1177,7 +1213,9 @@ def _old_scalar_mul(f, g):
                               h.den, _normalized=True)
     n1, d2 = _cross_reduce(f.num, g.den)
     n2, d1 = _cross_reduce(g.num, f.den)
-    return ScalarExpr(f.nvars, _old_trig_mul(n1, n2), _old_trig_mul(d1, d2), _coprime=True)
+    num, den = scalars._unit_normalize(_old_trig_mul(n1, n2).terms,
+                                       _old_trig_mul(d1, d2).terms, f.nvars)
+    return ScalarExpr(f.nvars, num, den, _normalized=True)
 
 
 def _old_conj(f):
@@ -1367,6 +1405,22 @@ def test_no_operation_mutates_its_operands():
     assert len(ran) == 14 and min(ran.values()) >= 6
 
 
+def test_qqi_operators_hand_a_scalar_to_its_reflected_operator():
+    """QQi arithmetic returns NotImplemented for what it cannot coerce, so a
+    ScalarExpr on the right gets its reflected operator; a float still
+    raises TypeError."""
+    x = S("x1 + 1")
+    assert QQi(0, 1) * x == S("i*x1 + i") and QQi(2) + x == S("x1 + 3")
+    assert QQi(1) - x == S("-x1") and QQi(1) / x == S("1/(x1 + 1)")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert getattr(QQi(1), f"__{op.__name__}__")(x) is NotImplemented
+        with pytest.raises(TypeError, match="'QQi' and 'float'"):
+            op(QQi(1), 1.5)
+        with pytest.raises(TypeError, match="'float' and 'QQi'"):
+            op(1.5, QQi(1))
+    assert QQi(1) - 2 == -1 and 2 - QQi(1) == 1 and 2 / QQi(3) == Fraction(2, 3)
+
+
 def test_reflected_operators_refuse_what_coerce_refuses():
     x = S("x1 + 1")
     for op in (operator.truediv, operator.sub):
@@ -1376,3 +1430,125 @@ def test_reflected_operators_refuse_what_coerce_refuses():
             op(x, 1.5)
     assert x.__rtruediv__(1.5) is NotImplemented and x.__rsub__(1.5) is NotImplemented
     assert 2 - x == S("1 - x1") and Fraction(1, 2) / x == S("1/(2*x1 + 2)")
+
+
+# ---------------------------------------------------------------------------
+# Factored denominators: the factor-by-factor routes against sympy.cancel and
+# against the expanded fraction rebuilt through one gcd
+# ---------------------------------------------------------------------------
+
+
+# Base factors in x1, x2: 1 + x1^2 and its square entered as one polynomial,
+# two factors with the proper common factor x1 - 1, a trig factor, x2, and a
+# divisor e^{i x2} (x1 + 1) whose exp factor is a unit
+FACTOR_LEAVES = [S(t, ("x1", "x2")) for t in (
+    "1/(1 + x1^2)", "x2/(1 + 2*x1^2 + x1^4)", "(x1 + 2)/(x1^2 - 1)", "x2/(x1^2 + x1 - 2)",
+    "sin(x2)/(2 + cos(x2))", "(x1 - 1)/x2", "(1 + x1^2)/(x2*(x1 + 2))", "x1 - 1",
+    "x1/((cos(x2) + i*sin(x2))*(x1 + 1))")]
+
+
+def _assert_factored(s):
+    """s.facs: unit-free factors, pairwise coprime, whose powers multiply out
+    to den."""
+    m = s.nvars
+    product = TrigPoly.const(m, 1)
+    for f, e in s.facs:
+        assert e >= 1 and not f.is_const()
+        assert all(min(k[m + j] for k in f.terms) == 0 for j in range(m))
+        assert f.terms[max(f.terms, key=lambda k: (sum(k), k))] == 1
+        for _ in range(e):
+            product = product * f
+    assert product == s.den
+    for (f, _), (g, _) in itertools.combinations(s.facs, 2):
+        assert poly_gcd(f.terms, g.terms) == {(0,) * 2 * m: 1}
+
+
+def _sym_scalar(s, xs, zs):
+    return _sym_trig(s.num, xs, zs) / _sym_trig(s.den, xs, zs)
+
+
+def _factored_step(f, g, op, xs, zs):
+    """op on f and g three ways: the factored route, sympy, and the expanded
+    fraction (num, den) reduced through one gcd by ScalarExpr(nvars, num, den)."""
+    nv = f.nvars
+    if op in "de":  # d/dx1, d/dx2
+        k = "de".index(op)
+        got = f.partial(k)
+        e = _sym_scalar(f, xs, zs)
+        want = sympy.diff(e, xs[k]) + sympy.I * zs[k] * sympy.diff(e, zs[k])
+        raw = (f.num.partial(k) * f.den - f.num * f.den.partial(k), f.den * f.den)
+    else:
+        got = {"+": f + g, "-": f - g, "*": f * g, "/": f / g}[op]
+        a, b = _sym_scalar(f, xs, zs), _sym_scalar(g, xs, zs)
+        want = {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[op]
+        raw = {"+": (f.num * g.den + g.num * f.den, f.den * g.den),
+               "-": (f.num * g.den - g.num * f.den, f.den * g.den),
+               "*": (f.num * g.num, f.den * g.den),
+               "/": (f.num * g.den, f.den * g.num)}[op]
+    _assert_canonical(got, want, xs, zs)
+    _assert_factored(got)
+    rebuilt = ScalarExpr(nv, *raw)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    return got
+
+
+def _factored_walk(steps):
+    """Apply (op, i, j) steps to a pool that starts at FACTOR_LEAVES and
+    grows by each result of depth 1 (an operation on leaves), so that sympy
+    meets fractions of two levels at most; returns the results."""
+    xs, zs = sympy.symbols("x1:3"), sympy.symbols("z1:3")
+    pool, out = [(f, 0) for f in FACTOR_LEAVES], []
+    for op, i, j in steps:
+        (f, df), (g, dg) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "/" and g.is_zero():
+            continue
+        out.append(_factored_step(f, g, op, xs, zs))
+        if max(df, dg) == 0 and not out[-1].is_const():
+            pool.append((out[-1], 1))
+    return out
+
+
+def test_factored_routes_match_sympy_and_the_one_gcd_route():
+    rng = random.Random(21)
+    steps = [(rng.choice("+-*/de"), rng.randrange(24), rng.randrange(24)) for _ in range(40)]
+    got = _factored_walk([(op, i, i) for op in "de" for i in range(len(FACTOR_LEAVES))] + steps)
+    factors = [f for s in got for f, _ in s.facs]
+    # refinement ran: 1 + x1^2 meets its square, x1 - 1 splits off x1^2 - 1
+    one_plus, shared = S("1/(1 + x1^2)", ("x1", "x2")), S("1/(x1 - 1)", ("x1", "x2"))
+    assert one_plus.den in factors and shared.den in factors
+    assert any(e >= 2 for s in got for _, e in s.facs)
+    assert max(len(s.facs) for s in got) >= 3
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from("+-*/de"), st.integers(0, 12), st.integers(0, 12)),
+                min_size=1, max_size=5))
+def test_factored_routes_match_sympy_on_generated_walks(steps):
+    _factored_walk(steps)
+
+
+def test_every_scalar_of_the_cp2_curvature_scenes_is_factored(monkeypatch):
+    """Every scalar built while fubini_study_cp2 is built and its gric_gr
+    runs, and while cp2_three_lines is built and its E+- frame is found,
+    carries a coprime, unit-free factor list that multiplies out to its
+    denominator. Fubini-Study has the one factor 1 + |x|^2, in powers; the
+    three lines add 1 + x1^2 + x2^2 and 1 + x3^2 + x4^2."""
+    made = []
+    init = ScalarExpr.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ScalarExpr, "__init__", recorded)
+    gric_gr(CATALOG["fubini_study_cp2"]().pair())
+    assert any(e >= 3 for s in made for _, e in s.facs)
+    CATALOG["cp2_three_lines"]().pair().epm_frame()
+    monkeypatch.undo()
+    seen = {}
+    for s in made:
+        seen.setdefault((id(s.facs), id(s.den)), s)
+    assert len(made) > 1000 and max(len(s.facs) for s in seen.values()) >= 2
+    for s in seen.values():
+        _assert_factored(s)
