@@ -1,9 +1,11 @@
 """Dense exact linear algebra over any field-like entry type.
 
 Entries must support +, -, *, /, is_zero() and + int; used with ScalarExpr
-and QQi.  Every solve, kernel and inverse reduces with the one routine rref,
-whose pivot selection prefers the structurally simplest nonzero entry, which
-keeps symbolic elimination from inflating fractions.
+and QQi.  Every solve and kernel, and every inverse but the Pfaffian one of
+a 2-form (`spinor.hat_inverse`), reduces with the one routine rref, whose
+pivot selection prefers the structurally simplest nonzero entry, which keeps
+symbolic elimination from inflating fractions.  Products skip the terms
+with a zero factor, which are most of them for the sparse matrices here.
 """
 
 from __future__ import annotations
@@ -18,22 +20,23 @@ def complexity(x) -> int:
     return 1
 
 
+def _dot(xs, ys):
+    """sum x*y over the pairs with no zero factor, in index order; x + 0 and
+    0 + x are x itself, so the sum is the one the dense loop builds."""
+    s = None
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            s = x * y if s is None else s + x * y
+    return xs[0] * ys[0] if s is None else s
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for t in range(1, k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum_entries([a[i][j] * v[j] for j in range(len(v))]) for i in range(len(a))]
+    return [_dot(row, v) for row in a]
 
 
 def sum_entries(xs):

@@ -1197,21 +1197,28 @@ def _refined(g: TrigPoly, h: TrigPoly, e: int):
 def _divide_out(n: TrigPoly, entries):
     """(n over each f of a coprime list of (f, e) as often as f divides it,
     up to e; the entries with what is left of e; the count of divisions). A
-    factor that shares a proper factor g with n is refined into g and f/g."""
+    factor that shares a proper factor g with n is refined into g and f/g.
+
+    Each division is tried exactly first: n shifted to exp exponents >= 0
+    is a polynomial, and f, unit-free, has no exp factor, so f divides n iff
+    it divides the shifted n in the polynomial ring. The gcd (`_split`) runs
+    only once that fails, to tell a coprime f from a proper common factor."""
+    m = n.nvars
     left, k, todo = [], 0, list(reversed(entries))
     while todo:
         f, e = todo.pop()
-        while e and (s := _split(n, f)) is not None:
-            g, q, r = s
-            if not _is_unit(r):
-                todo += _refined(g, r, e)
+        while e:
+            low = (0,) * m + tuple(min(0, *col) for col in list(zip(*n.terms))[m:])
+            q = _p_div_exact(_shift_down(n.terms, low), f.terms)
+            if q is None:
                 break
-            (key, c), = r.terms.items()  # n/f = q/r for the unit r = f/g
-            n = TrigPoly(n.nvars, _p_scale(_shift_down(q.terms, key), c.inverse()))
+            n = TrigPoly(m, _shift_down(q, tuple(-x for x in low)))
             e, k = e - 1, k + 1
-        else:
-            if e:
+        if e:
+            if (s := _split(n, f)) is None:
                 left.append((f, e))
+            else:
+                todo += _refined(s[0], s[2], e)
     return n, left, k
 
 

@@ -121,10 +121,27 @@ def b_transport_matrix(chart: Chart, b: Form):
 
 
 def hat_inverse(chart: Chart, w: Form, name="omega"):
-    """Inverse of the matrix of v -> i_v w; raises DegenerateOmega if none."""
-    winv = mat_inverse(_hat_matrix(chart, w))
-    if winv is None:
+    """Inverse of the matrix W of v -> i_v w for a 2-form w, by Pfaffian
+    cofactors read off e = exp(w), which holds every w^k/k!.
+
+    Pf is e's coefficient on (0, ..., dim-1) and c_ij its coefficient on
+    the sorted complement of {i, j} (1 when dim = 2). For i < j,
+    (W^-1)_ij = (-1)^(i+j+1) c_ij / Pf and (W^-1)_ji = -(W^-1)_ij. Since
+    det W = Pf^2, raises DegenerateOmega when Pf is 0.
+    """
+    if any(len(i) != 2 for i in w.terms):
+        raise ValueError(f"{name} must be a 2-form")
+    dim = chart.dim
+    e = w.exp().terms
+    pf = e.get(tuple(range(dim)))
+    if pf is None:
         raise DegenerateOmega(f"{name} is not symplectic")
+    winv = [[chart.zero_s()] * dim for _ in range(dim)]
+    for i, j in itertools.combinations(range(dim), 2):
+        c = e.get(tuple(k for k in range(dim) if k != i and k != j))
+        if c is not None:
+            x = c / pf
+            winv[i][j], winv[j][i] = (x, -x) if (i + j) % 2 else (-x, x)
     return winv
 
 

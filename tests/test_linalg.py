@@ -10,7 +10,7 @@ from gkcurv.linalg import (kernel_basis, mat_inverse, mat_mul, mat_vec, rref,
                            solve_exact)
 from gkcurv.scalars import QQi, ScalarExpr
 
-from conftest import chart_flat
+from conftest import chart_flat, random_scalar
 
 
 def _system(chart, rows):
@@ -209,3 +209,63 @@ def test_sympy_oracle_on_random_qqi_matrices():
             else:
                 assert inv == _from_sympy(smat.inv())
     assert singular >= 3 and deficient >= 10
+
+
+def _dense_mat_mul(a, b):
+    """The product loop that adds every term, those with a zero factor too."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            s = a[i][0] * b[0][j]
+            for t in range(1, len(b)):
+                s = s + a[i][t] * b[t][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _layout(x):
+    """Terms in key order and the factored denominator of a ScalarExpr."""
+    return list(x.num.terms.items()), list(x.den.terms.items()), x.facs
+
+
+def test_zero_skipping_products_build_the_dense_loops_terms():
+    """mat_mul and mat_vec skip products with a zero factor; on sparse
+    matrices of fractions, with all-zero rows and columns and a sum that
+    cancels part way, each entry keeps the dense loop's terms, key order and
+    denominator factors."""
+    chart = chart_flat(1, periodic=True)
+    rng = random.Random(20161226)
+    zero, one = chart.zero_s(), chart.one_s()
+    dens = [one, chart.sc("1 + x1^2"), chart.sc("2 + cos(x2)"), chart.sc("x1 + x2")]
+
+    def entry():
+        if rng.random() < 0.5:
+            return zero
+        return random_scalar(rng, chart, max_terms=3) / rng.choice(dens)
+
+    skipped = total = longer = 0
+    for _ in range(20):
+        n, k, m = rng.randint(1, 4), rng.randint(3, 6), rng.randint(1, 4)
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        a[rng.randrange(n)] = [zero] * k
+        col = rng.randrange(m)
+        for row in b:
+            row[col] = zero
+        b[1] = list(b[0])
+        a.append([one, -one] + [entry() for _ in range(k - 2)])
+        want = _dense_mat_mul(a, b)
+        assert [[_layout(x) for x in r] for r in mat_mul(a, b)] == \
+            [[_layout(x) for x in r] for r in want]
+        v = [row[0] for row in b]
+        assert [_layout(x) for x in mat_vec(a, v)] == \
+            [_layout(r[0]) for r in want]
+        kept = [sum(not (x.is_zero() or y.is_zero()) for x, y in zip(r, v))
+                for r in a]
+        skipped += len(a) * len(v) - sum(kept)
+        total += len(a) * len(v)
+        longer += sum(c >= 3 for c in kept)
+    # most products are skipped, and some sums still add three or more terms
+    assert 0.5 * total < skipped < total and longer >= 3

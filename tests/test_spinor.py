@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv import scalars
-from gkcurv.examples import CATALOG, flat_omega_form, flat_volume_forms
+from gkcurv import linalg, scalars
+from gkcurv.errors import DegenerateOmega
+from gkcurv.examples import (CATALOG, flat_omega_form, flat_volume_forms,
+                             type00_perturbed)
+from gkcurv.forms import Chart
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
-from gkcurv.linalg import mat_inverse, mat_mul, mat_vec
+from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
-                           SymplecticGCS, _jmat_from_frame, eta_N_extract,
-                           integrability, purity_nondeg, type_number)
+                           SymplecticGCS, _hat_matrix, _jmat_from_frame,
+                           eta_N_extract, hat_inverse, integrability,
+                           purity_nondeg, type_number)
 
 
 def _jmat_apply(jmat, e):
@@ -279,3 +283,69 @@ def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
     assert not res.n3.is_zero()
     assert res.n3.spin_act(psi).is_zero()
     assert 0 < len(calls) <= T4_NONINTEGRABLE_GCD_CALLS
+
+
+def _hat_inverse_cases():
+    """(chart, 2-form): flat dims 2, 4 and 6 with constant, polynomial and
+    trig coefficients, the two CP^2 scenes and complex 2-forms."""
+    cases = []
+    for n in (1, 2, 3):
+        chart = Chart.flat(n)
+        pairs = list(itertools.combinations(range(chart.dim), 2))
+        cases.append((chart, chart.form({ij: k * k - 3 * k + 1
+                                         for k, ij in enumerate(pairs)})))
+        poly = {(2 * k, 2 * k + 1): f"1 + x{k + 1}^2" for k in range(n)}
+        cases.append((chart, chart.form({**poly, (0, chart.dim - 1): "x2*x1 - 3"})))
+        trig = {(2 * k, 2 * k + 1): f"2 + cos(x{2 * k + 2})" for k in range(n)}
+        cases.append((chart, chart.form({**trig, (0, chart.dim - 1): "sin(x1)/3"})))
+    for name in ("fubini_study_cp2", "cp2_three_lines"):
+        pair = CATALOG[name]().pair()
+        cases.append((pair.chart, pair.omega))
+    scene = type00_perturbed()
+    chart = scene.chart
+    B, w1, w2 = scene.expected["type00_data"]
+    dz1, dz2 = flat_volume_forms(chart)
+    cases.append((chart, w1))
+    cases.append((chart, B + w1.scale(QQi(0, 1))))
+    cases.append((chart, dz1.wedge(dz2) + dz1.conj().wedge(dz2.conj()).scale(
+        chart.sc("x1 + i*x2"))))
+    return cases
+
+
+def test_hat_inverse_matches_rref_inverse():
+    """The Pfaffian-cofactor inverse equals Gauss-Jordan on the hat matrix
+    entry by entry and inverts it."""
+    cases = _hat_inverse_cases()
+    assert {c.dim for c, _ in cases} == {2, 4, 6}
+    assert any(not w.is_real() for _, w in cases)
+    for chart, w in cases:
+        wmat = _hat_matrix(chart, w)
+        winv = hat_inverse(chart, w)
+        assert winv == mat_inverse(wmat)
+        assert mat_mul(wmat, winv) == mat_identity(chart.dim, chart.one_s(),
+                                                   chart.zero_s())
+
+
+def test_hat_inverse_rejects_degenerate_and_mixed_forms(chart4):
+    with pytest.raises(DegenerateOmega, match="w1 is not symplectic"):
+        hat_inverse(chart4, chart4.form({(0, 1): 1}), "w1")
+    with pytest.raises(DegenerateOmega):
+        hat_inverse(chart4, chart4.zero_form())
+    # exp of a mixed form would give the wrong cofactors
+    with pytest.raises(ValueError):
+        hat_inverse(chart4, flat_omega_form(chart4) + chart4.volume())
+
+
+def test_fubini_study_jpsi_matrix_runs_no_rref(monkeypatch):
+    pair = CATALOG["fubini_study_cp2"]().pair()
+    calls = []
+    rref = linalg.rref
+
+    def counted(*args):
+        calls.append(1)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    jpsi = pair.jpsi_matrix()
+    assert not calls
+    _check_j_squared(pair.chart, jpsi)
