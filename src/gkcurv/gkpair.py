@@ -9,7 +9,8 @@ pointwise trace pairing used by the deformation symplectic form.
 
 J_psi is -i on ker exp(b - i omega) and +i on ker exp(b + i omega), so the
 frames are the meets E+- = E1 n ker exp(b -+ i omega).  Each is one kernel on
-the coefficients of J1's closed-form annihilator frame, with no J matrix.
+the coefficients of J1's closed-form annihilator frame; the dual frames are
+rows of the joint eigen-projectors of J1 and J_psi, with no inverse.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, NotRealStructure, WrongBidegree)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
-                     dorfman, pair_tt, wedge_sum)
-from .linalg import (kernel_basis, mat_add, mat_commutator, mat_inverse,
-                     mat_is_zero, mat_mul, mat_sub, mat_trace, mat_vec, rref)
-from .scalars import QQi, Point, ScalarExpr
-from .spinor import (GCStruct, SymplecticGCS, _hat_matrix, hat_inverse,
-                     symplectic_block_matrix)
+                     dorfman, keyed_sum, pair_tt, wedge_sum)
+from .linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
+                     mat_mul, mat_sub, mat_trace, mat_vec, rref)
+from .scalars import QQi, Point, ScalarExpr, ipow
+from .spinor import GCStruct, SymplecticGCS, _hat_matrix, pfaffian_inverse
 
 
 class GKPair:
@@ -52,6 +52,7 @@ class GKPair:
         self._jpsi_mat = None
         self._ghat = None
         self._frame = None
+        self._volume = None
 
     def psi(self) -> Form:
         return self.jpsi.spinor()
@@ -60,13 +61,25 @@ class GKPair:
         return self.psi().conj()
 
     def spinor_volume(self) -> ScalarExpr:
-        """<psi, conj psi> as a scalar: the volume of every torus pairing."""
-        return self.psi().mukai_scalar(self.psibar())
+        """<psi, conj psi> = (2i)^n Pf(omega), the volume of every torus
+        pairing, built once.
+
+        The Mukai pairing is the top part of psi ^ sigma(conj psi), and
+        sigma(e^Z) = e^-Z for a 2-form Z, so it is the top part of
+        e^(b + i omega) ^ e^(-b + i omega) = e^(2i omega), which is
+        (2i)^n omega^n/n!.  Pf(omega), the coefficient of omega^n/n!, is the
+        top coefficient of J_psi's exp(omega).
+        """
+        if self._volume is None:
+            chart = self.chart
+            pf = self.jpsi.omega_exp().terms.get(tuple(range(chart.dim)),
+                                                 chart.zero_s())
+            self._volume = pf * (ipow(chart.n) * 2 ** chart.n)
+        return self._volume
 
     def jpsi_matrix(self):
         if self._jpsi_mat is None:
-            self._jpsi_mat = symplectic_block_matrix(self.chart, self.b,
-                                                     self.omega)
+            self._jpsi_mat = self.jpsi.block_matrix()
         return self._jpsi_mat
 
     def ghat(self):
@@ -183,7 +196,8 @@ class EpmFrame:
 
 
 def _meet_annihilator(chart, frame, z: Form):
-    """E1 n ker exp(z) for the frame f_k of E1, in the stacked kernel's basis.
+    """E1 n ker exp(z) for the frame f_k of E1, in the stacked kernel's
+    basis, with that basis's free columns.
 
     e = sum_k c_k f_k lies in ker exp(z) iff xi(e) + i_{X(e)} z = 0: one
     dim x dim kernel on the coefficients c.  kernel_basis of the stacked
@@ -191,49 +205,76 @@ def _meet_annihilator(chart, frame, z: Form):
     identity on that matrix's free columns, and column j is free iff some
     vector of the meet has its last nonzero entry at j.  These are the
     pivots of the span row-reduced with its columns reversed, so that
-    reduction, read back with rows and columns reversed, is the same basis.
+    reduction, read back with rows and columns reversed, is the same basis:
+    its i-th vector is 1 on the i-th free column and 0 on the others.
     """
     dim = chart.dim
     fmat = [list(row) for row in zip(*(e.column() for e in frame))]
     cons = mat_add(mat_mul(_hat_matrix(chart, z), fmat[:dim]), fmat[dim:])
-    rows = rref([mat_vec(fmat, c)[::-1] for c in kernel_basis(cons)])[0]
-    return [GenVec.from_column(chart, row[::-1]) for row in reversed(rows)]
+    rows, _, pivots = rref([mat_vec(fmat, c)[::-1]
+                            for c in kernel_basis(cons)])
+    return ([GenVec.from_column(chart, row[::-1]) for row in reversed(rows)],
+            [2 * dim - 1 - p for p in reversed(pivots)])
 
 
 def epm_split(pair: GKPair) -> EpmFrame:
-    """E+- = E1 n ker exp(b -+ i omega), met inside J1's annihilator frame.
+    """E+- = E1 n ker exp(b -+ i omega), met inside J1's annihilator frame,
+    with dual frames read off the joint eigen-projectors (`_dual_frame`).
 
     Raises DimensionMismatch unless both meets have dimension n, as for a
-    pair whose structures do not commute or whose metric is degenerate.
+    pair whose structures do not commute or whose metric is degenerate, and
+    when the duals fail 2<d_i, e_j> = delta_ij, as for a J1 matrix that
+    disagrees with J1's frame.
     """
     chart = pair.chart
     frame = pair.j1.annihilator()
     iw = pair.omega.scale(QQi(0, 1))
-    eplus = _meet_annihilator(chart, frame, pair.b - iw)
-    eminus = _meet_annihilator(chart, frame, pair.b + iw)
+    eplus, fplus = _meet_annihilator(chart, frame, pair.b - iw)
+    eminus, fminus = _meet_annihilator(chart, frame, pair.b + iw)
     if len(eplus) != chart.n or len(eminus) != chart.n:
         raise DimensionMismatch(
             f"eigenspace dims ({len(eplus)}, {len(eminus)}), expected "
             f"({chart.n}, {chart.n})")
-    dplus = _dual_frame(chart, eplus)
-    dminus = _dual_frame(chart, eminus)
+    dplus = _dual_frame(pair, eplus, fplus, QQi(0, -1))
+    dminus = _dual_frame(pair, eminus, fminus, QQi(0, 1))
     return EpmFrame(chart, eplus, eminus, dplus, dminus)
 
 
-def _dual_frame(chart, es):
-    """Frame of conj(span) normalised so 2<d_i, e_j> = delta_ij."""
-    ebars = [e.conj() for e in es]
-    n = len(es)
-    p = [[pair_tt(ebars[i], es[j]) * 2 for j in range(n)] for i in range(n)]
-    pinv = mat_inverse(p)
-    if pinv is None:
-        raise DimensionMismatch("degenerate pairing between frame and conjugate")
+def _dual_frame(pair: GKPair, es, free, s: QQi):
+    """Frame d_i of conj(span es) with 2<d_i, e_j> = delta_ij, read off
+    rows of the joint eigen-projector of J1 and J_psi (`GKPair.jpsi_matrix`).
+
+    es is the basis of E = {J1 = -i} n {J_psi = s} that is 1 on its i-th
+    free column f_i and 0 on the others (`_meet_annihilator`).  Once both
+    meets have dimension n, E+, E- and their conjugates are joint
+    eigenspaces that span T + T*, so Pi = (1 + i J1)(1 - s J_psi)/4
+    projects onto E along the other three, and (Pi x)[f_i] is the i-th
+    coefficient of x's part in E: delta_ij on e_j, 0 on the other three
+    spaces.  The eigenbundles of J1 and of J_psi are isotropic, so 2<d, .>
+    also vanishes there for d in conj E, and since 2<d, x> = d.xi(x.v) +
+    d.v(x.xi), d_i has d_i.xi = row[:dim] and d_i.v = row[dim:] for
+    row f_i of Pi.  The identity is checked exactly, each pairing summed
+    over its denominators by `keyed_sum`, and raises DimensionMismatch
+    when it fails.
+    """
+    chart = pair.chart
+    dim = chart.dim
+    j1, jpsi = pair.j1.j_matrix(), pair.jpsi_matrix()
+    one, i, quarter = chart.one_s(), QQi(0, 1), QQi(Fraction(1, 4))
     duals = []
-    for i in range(n):
-        d = GenVec.zero(chart)
-        for k in range(n):
-            d = d + ebars[k].scale(pinv[i][k])
-        duals.append(d)
+    for f in free:
+        a = [x * i + one if c == f else x * i for c, x in enumerate(j1[f])]
+        row = [(x + y * -s) * quarter
+               for x, y in zip(a, mat_mul([a], jpsi)[0])]
+        duals.append(GenVec(chart, row[dim:], row[:dim]))
+    got = keyed_sum(chart.nvars, (
+        ((k, j), x.num * y.num, x.den * y.den)
+        for k, d in enumerate(duals) for j, e in enumerate(es)
+        for x, y in zip(d.xi + d.v, e.v + e.xi)
+        if not (x.is_zero() or y.is_zero())))
+    if got != {(k, k): one for k in range(len(es))}:
+        raise DimensionMismatch("dual frame fails 2<d_i, e_j> = delta_ij: "
+                                "J1's matrix disagrees with its frame")
     return duals
 
 
@@ -307,7 +348,7 @@ def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
     """e = v - i_v b with i_v omega = df; satisfies e.psi = i df.psi exactly."""
     chart = pair.chart
     df = chart.func(f).ext_d()
-    v = mat_vec(hat_inverse(chart, pair.omega),
+    v = mat_vec(pfaffian_inverse(chart, pair.jpsi.omega_exp()),
                 [df.coefficient((k,)) for k in range(chart.dim)])
     e = ad_b(pair.b, GenVec.vector(chart, v), check_closed=False)
     psi = pair.psi()
@@ -405,20 +446,25 @@ def random_compat_bivector(pair: GKPair, rng) -> PolyVec:
 
 
 def bidegree_split(pair: GKPair, h: PolyVec):
-    """Coefficients of h over Lambda^2(E + conj E); raises on (1,1) residue."""
+    """Coefficients of h over Lambda^2(E + conj E); raises on (1,1) residue.
+
+    The frame es + conj(es) has the dual functionals x -> 2<D_p, x> for
+    D = duals + conj(duals): 2<d_i, e_j> = delta_ij, and every other pairing
+    lies in conj L1, in L1 or in one J_psi eigenbundle, which are isotropic.
+    So the inverse of the frame matrix has the rows (D_p.xi; D_p.v), and the
+    coefficient matrix of h is that inverse times h's times its transpose.
+    """
     chart = pair.chart
     fr = pair.epm_frame()
-    frame = fr.es + fr.conj_frame()
-    cols = [e.column() for e in frame]
-    smat = [[cols[c][r] for c in range(len(cols))] for r in range(2 * chart.dim)]
-    sinv = mat_inverse(smat)
+    duals = fr.duals + [d.conj() for d in fr.duals]
+    sinv = [list(d.xi + d.v) for d in duals]
     m = 2 * chart.dim
     hmat = [[chart.zero_s() for _ in range(m)] for _ in range(m)]
     for (a, b), c in h.coef.items():
         hmat[a][b] = c
         hmat[b][a] = -c
     tr = mat_mul(mat_mul(sinv, hmat), [list(r) for r in zip(*sinv)])
-    half = len(frame) // 2
+    half = m // 2
     out20, out02 = {}, {}
     for i in range(m):
         for j in range(i + 1, m):

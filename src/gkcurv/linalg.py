@@ -1,10 +1,12 @@
 """Dense exact linear algebra over any field-like entry type.
 
 Entries must support +, -, *, /, is_zero() and + int; used with ScalarExpr
-and QQi.  Every solve and kernel, and every inverse but the Pfaffian one of
-a 2-form (`spinor.hat_inverse`), reduces with the one routine rref, whose
+and QQi.  Every solve and kernel reduces with the one routine rref, whose
 pivot selection prefers the structurally simplest nonzero entry, which keeps
-symbolic elimination from inflating fractions.  Products skip the terms
+symbolic elimination from inflating fractions.  So does every inverse
+(`mat_inverse`, for `spinor._jmat_from_frame` and `rational_inverse`) but
+those read off closed forms: the Pfaffian one of a 2-form
+(`spinor.pfaffian_inverse`) and the E+- dual frames (`gkpair._dual_frame`).  Products skip the terms
 with a zero factor, which are most of them for the sparse matrices here.
 """
 

@@ -65,7 +65,7 @@ class GCStruct:
 
 
 class SymplecticGCS(GCStruct):
-    """phi = exp(b + i omega) for a real 2-form b and real symplectic omega.
+    """phi = exp(b + i omega) for real 2-forms b and omega, omega symplectic.
 
     The endomorphism follows the annihilator convention shared by every
     constructor: J = -i exactly on ker(phi).  The quoted block matrix
@@ -78,9 +78,19 @@ class SymplecticGCS(GCStruct):
         super().__init__(chart)
         if not (b.is_real() and omega.is_real()):
             raise NotRealStructure("symplectic data must be real 2-forms")
+        if any(len(i) != 2 for i in (*b.terms, *omega.terms)):
+            raise ValueError("symplectic data must be 2-forms")
         self.b = b
         self.omega = omega
         self.z = b + omega.scale(QQi(0, 1))
+        self._omega_exp = None
+
+    def omega_exp(self) -> Form:
+        """exp(omega), built once: its top coefficient is Pf(omega) and its
+        others are the cofactors that `pfaffian_inverse` reads."""
+        if self._omega_exp is None:
+            self._omega_exp = self.omega.exp()
+        return self._omega_exp
 
     def _build_spinor(self):
         return self.z.exp()
@@ -91,22 +101,21 @@ class SymplecticGCS(GCStruct):
                 for k in range(self.chart.dim)]
 
     def _build_jmat(self):
-        block = symplectic_block_matrix(self.chart, self.b, self.omega)
-        return [[-x for x in row] for row in block]
+        return [[-x for x in row] for row in self.block_matrix()]
 
-
-def symplectic_block_matrix(chart: Chart, b: Form, omega: Form):
-    """Ad_{e^b} (0, -w^{-1}; w, 0) Ad_{e^{-b}}: +i on ker exp(b + i omega)."""
-    dim = chart.dim
-    W = _hat_matrix(chart, omega)
-    Winv = hat_inverse(chart, omega)
-    j0 = [[chart.zero_s()] * (2 * dim) for _ in range(2 * dim)]
-    for r in range(dim):
-        for c in range(dim):
-            j0[r][dim + c] = -Winv[r][c]
-            j0[dim + r][c] = W[r][c]
-    return mat_mul(mat_mul(b_transport_matrix(chart, b), j0),
-                   b_transport_matrix(chart, -b))
+    def block_matrix(self):
+        """Ad_{e^b} (0, -w^{-1}; w, 0) Ad_{e^{-b}}: +i on ker exp(b + i omega)."""
+        chart = self.chart
+        dim = chart.dim
+        W = _hat_matrix(chart, self.omega)
+        Winv = pfaffian_inverse(chart, self.omega_exp())
+        j0 = [[chart.zero_s()] * (2 * dim) for _ in range(2 * dim)]
+        for r in range(dim):
+            for c in range(dim):
+                j0[r][dim + c] = -Winv[r][c]
+                j0[dim + r][c] = W[r][c]
+        return mat_mul(mat_mul(b_transport_matrix(chart, self.b), j0),
+                       b_transport_matrix(chart, -self.b))
 
 
 def b_transport_matrix(chart: Chart, b: Form):
@@ -121,24 +130,32 @@ def b_transport_matrix(chart: Chart, b: Form):
 
 
 def hat_inverse(chart: Chart, w: Form, name="omega"):
-    """Inverse of the matrix W of v -> i_v w for a 2-form w, by Pfaffian
-    cofactors read off e = exp(w), which holds every w^k/k!.
+    """Inverse of the matrix W of v -> i_v w for a 2-form w, by the Pfaffian
+    cofactors of `pfaffian_inverse` read off exp(w). Raises ValueError for
+    a form with a part of degree other than 2, whose exp would give wrong
+    cofactors."""
+    if any(len(i) != 2 for i in w.terms):
+        raise ValueError(f"{name} must be a 2-form")
+    return pfaffian_inverse(chart, w.exp(), name)
+
+
+def pfaffian_inverse(chart: Chart, e: Form, name="omega"):
+    """W^-1 for the matrix W of v -> i_v w, read off e = exp(w), which holds
+    every w^k/k! of the 2-form w.
 
     Pf is e's coefficient on (0, ..., dim-1) and c_ij its coefficient on
     the sorted complement of {i, j} (1 when dim = 2). For i < j,
     (W^-1)_ij = (-1)^(i+j+1) c_ij / Pf and (W^-1)_ji = -(W^-1)_ij. Since
     det W = Pf^2, raises DegenerateOmega when Pf is 0.
     """
-    if any(len(i) != 2 for i in w.terms):
-        raise ValueError(f"{name} must be a 2-form")
     dim = chart.dim
-    e = w.exp().terms
-    pf = e.get(tuple(range(dim)))
+    coeffs = e.terms
+    pf = coeffs.get(tuple(range(dim)))
     if pf is None:
         raise DegenerateOmega(f"{name} is not symplectic")
     winv = [[chart.zero_s()] * dim for _ in range(dim)]
     for i, j in itertools.combinations(range(dim), 2):
-        c = e.get(tuple(k for k in range(dim) if k != i and k != j))
+        c = coeffs.get(tuple(k for k in range(dim) if k != i and k != j))
         if c is not None:
             x = c / pf
             winv[i][j], winv[j][i] = (x, -x) if (i + j) % 2 else (-x, x)

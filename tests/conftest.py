@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.forms import Chart
+from gkcurv.genalg import GenVec, pair_tt
+from gkcurv.linalg import mat_inverse
 from gkcurv.scalars import QQi, ScalarExpr
 
 
@@ -60,3 +62,20 @@ def random_form(rng, chart, degrees=None, trig=True, mono=True, max_terms=2):
                 continue
             terms[idx] = terms.get(idx, chart.zero_s()) + c
     return chart.form(terms)
+
+
+def pairing_inverse_duals(chart, es):
+    """Oracle for the E+- dual frames, independent of the J matrices: P^-1
+    applied to conj(es), for the pairing matrix P_ij = 2<conj e_i, e_j>."""
+    ebars = [e.conj() for e in es]
+    n = len(es)
+    p = [[pair_tt(ebars[i], es[j]) * 2 for j in range(n)] for i in range(n)]
+    pinv = mat_inverse(p)
+    assert pinv is not None
+    duals = []
+    for i in range(n):
+        d = GenVec.zero(chart)
+        for k in range(n):
+            d = d + ebars[k].scale(pinv[i][k])
+        duals.append(d)
+    return duals

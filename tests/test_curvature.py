@@ -90,13 +90,12 @@ def test_cp2_three_lines_is_einstein():
     assert rep.gr == pair.chart.const(12)
 
 
-def test_toric_cp2_scalar_curvature_is_twice_abreus():
+def toric_cp2():
     """Toric CP^2 in action-angle coordinates (m1, t1, m2, t2), not Einstein:
     theta_k = sum_j G_kj dm_j + i dt_k with G the Hessian of Guillemin's
     potential 1/2 sum_r l_r log l_r (facets m1, m2, 1 - m1 - m2) plus
-    m1^2 m2/10 + m2^3/20. Abreu's formula (Int. J. Math. 9, 1998) gives
-    gr = 2 S_Abreu = -sum_ij d_i d_j (G^-1)_ij. Without a memory of earlier
-    gcds its pseudo-remainder gcds ran past 300 s."""
+    m1^2 m2/10 + m2^3/20. Returns the pair and twice Abreu's scalar
+    curvature (Int. J. Math. 9, 1998), -sum_ij d_i d_j (G^-1)_ij, as text."""
     m = sympy.symbols("m1 m2")
     potential = (sum(x * sympy.log(x) for x in (*m, 1 - m[0] - m[1])) / 2
                  + m[0] ** 2 * m[1] / 10 + m[1] ** 3 / 20)
@@ -110,9 +109,17 @@ def test_toric_cp2_scalar_curvature_is_twice_abreus():
                           (2 * k + 1,): "i"}) for k in range(2)]
     pair = GKPair(ComplexVolumeGCS(chart, thetas), chart.zero_form(),
                   chart.form({(0, 1): 1, (2, 3): 1}))
+    return pair, str(sympy.cancel(abreu2))
+
+
+def test_toric_cp2_scalar_curvature_is_twice_abreus():
+    """gr == 2 S_Abreu on the non-Einstein toric CP^2 of `toric_cp2`.
+    Without a memory of earlier gcds its pseudo-remainder gcds ran past
+    300 s."""
+    pair, abreu2 = toric_cp2()
     gr = gric_gr(pair).gr
     assert not gr.is_const()
-    assert gr == chart.sc(str(sympy.cancel(abreu2)))
+    assert gr == pair.chart.sc(abreu2)
 
 
 def test_gr_complex_matches_gr_fs():

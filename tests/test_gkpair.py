@@ -7,16 +7,17 @@ from gkcurv.errors import DimensionMismatch, WrongBidegree
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              hyperkahler_t4)
 from gkcurv.genalg import GenVec, PolyVec, genvec_wedge, pair_tt
-from gkcurv.gkpair import (GKPair, _dual_frame, _jacobi_min_eigenvalue,
-                           bidegree_split, compatibility_check, ddbar_pm,
-                           epm_split, hamiltonian_element, jdot_matrix,
+from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
+                           compatibility_check, ddbar_pm, epm_split,
+                           hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
-from gkcurv.linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
-                           mat_mul)
+from gkcurv.linalg import (kernel_basis, mat_add, mat_commutator, mat_inverse,
+                           mat_is_zero, mat_mul, mat_vec)
 from gkcurv.scalars import Point, QQi
-from gkcurv.spinor import SymplecticGCS
+from gkcurv.spinor import FrameGCS, SymplecticGCS
 
-from conftest import chart_flat
+from conftest import chart_flat, pairing_inverse_duals
+from test_curvature import toric_cp2
 
 
 def test_flat_kahler_compatibility():
@@ -139,8 +140,90 @@ def test_epm_split_matches_stacked_kernel(name):
     eplus, eminus = _stacked_epm(pair)
     fr = epm_split(pair)
     assert fr.eplus == eplus and fr.eminus == eminus
-    assert fr.dplus == _dual_frame(pair.chart, eplus)
-    assert fr.dminus == _dual_frame(pair.chart, eminus)
+    assert fr.dplus == pairing_inverse_duals(pair.chart, eplus)
+    assert fr.dminus == pairing_inverse_duals(pair.chart, eminus)
+
+
+# every catalogue scene, flat T^6 (n = 3) and the non-Einstein toric CP^2
+PAIRS = {**{name: lambda name=name: CATALOG[name]().pair() for name in CATALOG},
+         "flat_kahler_c3": lambda: flat_kahler(3).pair(),
+         "toric_cp2": lambda: toric_cp2()[0]}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_projector_duals_match_the_pairing_inverse(name):
+    """The duals read off rows of the joint eigen-projector equal P^-1
+    applied to the conjugate frame, and are joint eigenvectors: J1 d = +i d,
+    J_psi d = +i d on conj E+ and -i d on conj E-."""
+    pair = PAIRS[name]()
+    chart = pair.chart
+    fr = pair.epm_frame()
+    assert fr.dplus == pairing_inverse_duals(chart, fr.eplus)
+    assert fr.dminus == pairing_inverse_duals(chart, fr.eminus)
+
+    def apply(mat, d):
+        return GenVec.from_column(chart, mat_vec(mat, d.column()))
+
+    for ds, s in ((fr.dplus, QQi(0, 1)), (fr.dminus, QQi(0, -1))):
+        for d in ds:
+            assert not d.is_zero()
+            assert apply(pair.j1.j_matrix(), d) == d.scale(QQi(0, 1))
+            assert apply(pair.jpsi_matrix(), d) == d.scale(s)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_spinor_volume_is_2i_to_the_n_pfaffian(name):
+    """<psi, conj psi> = (2i)^n Pf(omega) equals the Mukai product, b != 0
+    included (cp2_three_lines, t4_translation_poisson)."""
+    pair = PAIRS[name]()
+    chart = pair.chart
+    vol = pair.spinor_volume()
+    assert vol == pair.psi().mukai_scalar(pair.psibar())
+    pf = pair.omega.exp().coefficient(tuple(range(chart.dim)))
+    assert not pf.is_zero()
+    assert vol == pf * {1: QQi(0, 2), 2: QQi(-4), 3: QQi(0, -8)}[chart.n]
+    if name == "cp2_three_lines":
+        assert not pair.b.is_zero()
+
+
+def test_frame_gcs_with_a_negated_matrix_raises():
+    """A FrameGCS whose supplied matrix is the negated J1 passes the dims
+    check, since the meets are taken in its frame, but its projector rows
+    pair to 0 with the frame, so epm_split raises instead of returning
+    wrong duals."""
+    scene = flat_kahler(2)
+    j1 = scene.j1
+    good = FrameGCS(scene.chart, j1.spinor(), j1.annihilator(), j1.j_matrix())
+    pair = GKPair(good, scene.b, scene.omega)
+    assert epm_split(pair).duals == scene.pair().epm_frame().duals
+    bad = FrameGCS(scene.chart, j1.spinor(), j1.annihilator(),
+                   [[-x for x in row] for row in j1.j_matrix()])
+    with pytest.raises(DimensionMismatch, match="2<d_i, e_j> = delta_ij"):
+        epm_split(GKPair(bad, scene.b, scene.omega))
+
+
+@pytest.mark.parametrize("name", ["flat_kahler_c2", "fubini_study_cp2",
+                                  "t4_nonintegrable", "cp2_three_lines"])
+def test_bidegree_split_matches_the_frame_matrix_inverse(name):
+    """Coefficients read through the duals equal those of S^-1 H S^-T for
+    the frame matrix S = (es | conj es)."""
+    pair = CATALOG[name]().pair()
+    chart = pair.chart
+    fr = pair.epm_frame()
+    cols = [e.column() for e in fr.es + fr.conj_frame()]
+    sinv = mat_inverse([list(row) for row in zip(*cols)])
+    m = 2 * chart.dim
+    h = random_compat_bivector(pair, random.Random(5))
+    hmat = [[chart.zero_s()] * m for _ in range(m)]
+    for (a, b), c in h.coef.items():
+        hmat[a][b], hmat[b][a] = c, -c
+    tr = mat_mul(mat_mul(sinv, hmat), [list(r) for r in zip(*sinv)])
+    half = m // 2
+    want = [{(i % half, j % half): tr[i][j] for i in range(m)
+             for j in range(i + 1, m) if not tr[i][j].is_zero()
+             and (i < half) == (j < half) == low} for low in (True, False)]
+    assert want[0] and want[1]
+    assert bidegree_split(pair, h) == tuple(want)
 
 
 def _degenerate_pair():

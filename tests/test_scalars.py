@@ -22,25 +22,31 @@ from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
                             _p_div_exact, _p_mul, poly_gcd)
 
+from conftest import pairing_inverse_duals
+
 NAMES = ("x1", "x2", "x3", "x4")
 # (proved coprime, all) calls of the mod-p proof in gric_gr of fubini_study_cp2;
 # (175, 220) when conj reduced its conjugated pair by a gcd again, (151, 196)
 # when denominators were reduced by gcds of expanded products, (40, 60) before
-# _divide_out tried the exact division of a numerator by a factor first
-FS_CP2_PROOF_TRUE_CALLS = (40, 45)
+# _divide_out tried the exact division of a numerator by a factor first,
+# (40, 45) when rho took <psi, conj psi> as a Mukai product
+FS_CP2_PROOF_TRUE_CALLS = (34, 39)
 # _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs: the
 # gcd's own exact-division attempts and _divide_out's trial divisions; 197
 # when _cross_reduce divided both operands by the gcd again, 83 with expanded
-# denominators, 28 before _divide_out tried an exact division ahead of a gcd
-FS_CP2_DIV_EXACT_CALLS = 94
+# denominators, 28 before _divide_out tried an exact division ahead of a gcd,
+# 94 when rho took <psi, conj psi> as a Mukai product
+FS_CP2_DIV_EXACT_CALLS = 87
 # _p_mul calls over the same run; 295 when a product with a constant was a
 # general product and is_real cross-multiplied over a real denominator, 219
 # with expanded denominators (a factored one is multiplied out again where
-# it loses a factor, from smaller products)
-FS_CP2_P_MUL_CALLS = 245
+# it loses a factor, from smaller products), 245 when rho took
+# <psi, conj psi> as a Mukai product
+FS_CP2_P_MUL_CALLS = 244
 # _gcd_cofactors calls over the same run; 264 with expanded denominators, 124
-# when _divide_out took a gcd for every division
-FS_CP2_GCD_CALLS = 109
+# when _divide_out took a gcd for every division, 109 when rho took
+# <psi, conj psi> as a Mukai product
+FS_CP2_GCD_CALLS = 103
 
 
 def S(text, names=NAMES):
@@ -602,8 +608,8 @@ def test_cross_reduce_matches_dividing_twice(monkeypatch):
 
 def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
     """Every reduction in building CP^2 and its gric_gr, and in the E+-
-    frames of both CP^2 scenes, matches dividing twice, and no reduction
-    divides after its gcd: a count over the Fubini-Study run repeats exactly,
+    frames of both CP^2 scenes and their oracle duals, matches dividing
+    twice, and no reduction divides after its gcd: a count over the Fubini-Study run repeats exactly,
     so the count of exact divisions catches a return to two divisions, the
     count of products a return to general products with a constant, and
     the count of gcds a return to gcds of expanded denominators, without
@@ -640,9 +646,13 @@ def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
     assert len(products) == FS_CP2_P_MUL_CALLS
     assert len(gcds) == FS_CP2_GCD_CALLS
     # with factored denominators and trial divisions Fubini-Study reduces
-    # less; the E+- frames add reductions of several factors
-    CATALOG["cp2_three_lines"]().pair().epm_frame()
-    CATALOG["fubini_study_cp2"]().pair().epm_frame()
+    # less; the E+- frames add reductions of several factors, and so does
+    # the pairing-inverse oracle of their duals, which the frames no longer
+    # take
+    for name in ("cp2_three_lines", "fubini_study_cp2"):
+        fr = CATALOG[name]().pair().epm_frame()
+        pairing_inverse_duals(fr.chart, fr.eplus)
+        pairing_inverse_duals(fr.chart, fr.eminus)
     monkeypatch.undo()
     nontrivial = sum(_reduces_as_dividing_twice(*call) for call in calls)
     assert nontrivial >= 50 and len(calls) > nontrivial

@@ -54,9 +54,7 @@ def test_symplectic_jmat(chart2):
     for e in J.annihilator():
         assert _jmat_apply(jm, e) == e.scale(QQi(0, -1))
     # the quoted block form lives on the pairing side of a pair
-    from gkcurv.spinor import symplectic_block_matrix
-    bm = symplectic_block_matrix(chart2, chart2.zero_form(),
-                                 flat_omega_form(chart2))
+    bm = J.block_matrix()
     d1 = GenVec.basis(chart2, 0)
     assert _jmat_apply(bm, d1) == GenVec.basis(chart2, 3)       # J(d1) = dx2
     dx2 = GenVec.basis(chart2, 3)
