@@ -23,7 +23,7 @@ from .gkpair import GKPair, frame_bivector, hamiltonian_element, jdot_matrix
 from .linalg import mat_add, mat_identity, mat_mul, mat_sub, mat_trace, mat_vec
 from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, ipow, zi_mul,
                       zi_split)
-from .spinor import FrameGCS, GCStruct, eta_N_extract, hat_inverse
+from .spinor import FrameGCS, GCStruct, eta_N_extract, pfaffian_inverse
 
 
 @dataclass
@@ -97,8 +97,9 @@ def gric_gr(pair: GKPair, en=None, rho_val=None) -> CurvatureReport:
     p_form = (pmiq + pmiq.conj()).scale(Fraction(1, 2))
     q_form = (pmiq.conj() - pmiq).scale(QQi(0, Fraction(-1, 2)))
     gric = -p_form
-    gr = _top_ratio(p_form.wedge(_wedge_power(pair.omega, chart.n - 1)),
-                    _wedge_power(pair.omega, chart.n)) * chart.n
+    # gr = n p^w^(n-1) / w^n = p^e_(n-1) / Pf, e_k = w^k/k! the parts of exp(w)
+    e = pair.jpsi.omega_exp()
+    gr = _top_ratio(p_form.wedge(e.degree_part(2 * chart.n - 2)), e)
     if not gr.is_real():
         raise ExtractionResidue("scalar invariant is not real")
     flags = {
@@ -112,13 +113,6 @@ def gric_gr(pair: GKPair, en=None, rho_val=None) -> CurvatureReport:
     if lam is not None:
         flags["einstein_constant"] = lam
     return CurvatureReport(rho_val, gric, q_form, gr, en.eta, en.n3, flags)
-
-
-def _wedge_power(w: Form, k: int) -> Form:
-    out = w.chart.func(1)
-    for _ in range(k):
-        out = out.wedge(w)
-    return out
 
 
 def _top_ratio(top: Form, ref: Form) -> ScalarExpr:
@@ -192,16 +186,15 @@ def type00_gric(chart: Chart, B: Form, w1: Form, w2: Form) -> dict:
 
     In the annihilator convention the Ricci-type form is
     +d(B w1^{-1} dlog(w1^n/w2^n)); it agrees exactly with the spinor route
-    run on the same pair.
+    run on the same pair. The powers of w1 and w2 are read off exp(w1) and
+    exp(w2), as in `gric_gr`.
     """
-    rho_val = _top_ratio(_wedge_power(w1, chart.n), _wedge_power(w2, chart.n))
+    e1, e2 = w1.exp(), w2.exp()
+    rho_val = _top_ratio(e1, e2)
     dlog = [rho_val.partial(k) / rho_val for k in range(chart.dim)]
-    v = mat_vec(hat_inverse(chart, w1, "w1"), dlog)
-    alpha = interior(chart, v, B)
-    dalpha = alpha.ext_d()
-    gric = dalpha
-    gr = _top_ratio(dalpha.wedge(_wedge_power(w2, chart.n - 1)),
-                    _wedge_power(w2, chart.n)) * (-chart.n)
+    v = mat_vec(pfaffian_inverse(chart, e1, "w1"), dlog)
+    gric = interior(chart, v, B).ext_d()
+    gr = -_top_ratio(gric.wedge(e2.degree_part(2 * chart.n - 2)), e2)
     return {"rho": rho_val, "gric": gric, "gr": gr}
 
 

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from .calibration import load_fixture, saisho_sides
 from .curvature import rho
-from .examples import anti_self_dual_forms, flat_kahler, hyperkahler_forms
+from .examples import flat_kahler, hyperkahler_type00
 from .forms import Chart
 from .genalg import GenVec, clifford_act, pair_tt, wedge_sum
 from .gkpair import GKPair, jdot_matrix, random_compat_bivector
 from .linalg import mat_vec
 from .scalars import QQi, ScalarExpr
-from .spinor import SymplecticGCS, eta_N_extract
+from .spinor import eta_N_extract
 
 
 def _rand_coeff(rng, chart, trig=True):
@@ -171,8 +171,6 @@ def check_psi_lemma(seed, instances) -> dict:
 def _nonintegrable_pair(rng) -> GKPair:
     """Almost GK pair on a flat chart whose obstruction tensor is nonzero."""
     chart = Chart.flat(2)
-    w_i, w_j, w_k = hyperkahler_forms(chart)
-    asd = anti_self_dual_forms(chart)
     i1, i2 = rng.sample(range(3), 2)
     k = rng.randrange(4)
     if rng.random() < 0.1:
@@ -182,10 +180,8 @@ def _nonintegrable_pair(rng) -> GKPair:
     else:
         f = chart.coord_s(k) * QQi(rng.choice([-2, -1, 1, 2]))
     sign = rng.choice([1, -1])
-    B = w_j + asd[i1].scale(f)
-    w1 = (w_i + w_k).scale(Fraction(1, 2)) + asd[i2].scale(f * QQi(sign))
-    w2 = (w_i - w_k).scale(Fraction(1, 2))
-    return GKPair(SymplecticGCS(chart, B, w1), chart.zero_form(), w2)
+    j1, w2 = hyperkahler_type00(chart, f, f * QQi(sign), i1, i2)
+    return GKPair(j1, chart.zero_form(), w2)
 
 
 def check_n_psi(seed, instances) -> dict:

@@ -1,7 +1,7 @@
 """Almost generalized complex structures from pure-spinor data.
 
-Each structure is built from one of five kinds of defining data (symplectic
-exponential, complex volume form, bivector deformation, explicit polyform,
+Each structure is built from one of four kinds of defining data (symplectic
+exponential exp(b + i omega), complex volume form, bivector deformation,
 explicit spinor with its frame and matrix) and exposes the induced spinor
 line, a closed-form annihilator frame, the endomorphism matrix on T + T*,
 and the unique real (eta, N) splitting of d(phi), whose Lambda^3 part is the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
-                     NotRealStructure, ZeroSpinor)
+                     NotBivector, NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act, exp_spin,
                      keyed_sum, wedge_sum)
@@ -199,7 +199,7 @@ class BetaDeformGCS(GCStruct):
     def __init__(self, chart, beta: PolyVec, base: GCStruct):
         super().__init__(chart)
         if beta.grade != 2 or not beta.vector_only():
-            raise ValueError("beta must be a bivector with vector components")
+            raise NotBivector("beta must be a bivector with vector components")
         self.beta = beta
         self.base = base
 
@@ -217,29 +217,10 @@ class BetaDeformGCS(GCStruct):
                        mat_sub(one, ad))
 
 
-class GenericGCS(GCStruct):
-    """Structure defined by an explicit pure-spinor polyform."""
-
-    def __init__(self, chart, phi: Form):
-        super().__init__(chart)
-        self.phi = phi
-
-    def _build_spinor(self):
-        return self.phi
-
-    def _build_frame(self):
-        chart = self.chart
-        kers = kernel_basis(clifford_matrix(self.phi))
-        if len(kers) != chart.dim:
-            raise ImpureSpinor(
-                f"annihilator has rank {len(kers)}, expected {chart.dim}")
-        return [GenVec.from_column(chart, k) for k in kers]
-
-
 class FrameGCS(GCStruct):
     """Structure given by explicit spinor, annihilator frame and matrix."""
 
-    def __init__(self, chart, phi: Form, frame, jmat=None):
+    def __init__(self, chart, phi: Form, frame, jmat):
         super().__init__(chart)
         self.phi = phi
         self._frame = list(frame)

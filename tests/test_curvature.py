@@ -155,7 +155,7 @@ def _expected_two_term(n):
 def test_hyperkahler_both_routes_vanish():
     scene = hyperkahler_t4()
     chart = scene.chart
-    B, w1, w2 = scene.expected["type00_data"]
+    B, w1, w2 = scene.j1.b, scene.j1.omega, scene.omega
     closed = type00_gric(chart, B, w1, w2)
     assert closed["gric"].is_zero()
     assert closed["gr"].is_zero()
@@ -170,7 +170,7 @@ def test_type00_perturbed_two_routes():
     real part: B + i(w1 - w2) and B + i(w1 + w2)."""
     scene = type00_perturbed()
     chart = scene.chart
-    B, w1, w2 = scene.expected["type00_data"]
+    B, w1, w2 = scene.j1.b, scene.j1.omega, scene.omega
     dz1, dz2 = flat_volume_forms(chart)
     z1 = chart.sc("x1 + i*x2")
     wplus = dz1.wedge(dz2) + dz1.wedge(dz2.conj()).scale(z1)

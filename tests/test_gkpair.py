@@ -252,7 +252,7 @@ def test_epm_failure_dims_match_stacked_kernel(make, dims):
 def test_type00_hyperkahler():
     scene = hyperkahler_t4()
     chart = scene.chart
-    B, w1, w2 = scene.expected["type00_data"]
+    B, w1, w2 = scene.j1.b, scene.j1.omega, scene.omega
     pts = [Point([0, 0, 0, 0]), Point([1, 1, 2, 0])]
     rep = type00_check(chart, B, w1, w2, pts)
     assert rep["pass"]

@@ -29,24 +29,28 @@ NAMES = ("x1", "x2", "x3", "x4")
 # (175, 220) when conj reduced its conjugated pair by a gcd again, (151, 196)
 # when denominators were reduced by gcds of expanded products, (40, 60) before
 # _divide_out tried the exact division of a numerator by a factor first,
-# (40, 45) when rho took <psi, conj psi> as a Mukai product
-FS_CP2_PROOF_TRUE_CALLS = (34, 39)
+# (40, 45) when rho took <psi, conj psi> as a Mukai product, (34, 39) when
+# gr took the powers omega^(n-1) and omega^n by repeated wedges
+FS_CP2_PROOF_TRUE_CALLS = (32, 37)
 # _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs: the
 # gcd's own exact-division attempts and _divide_out's trial divisions; 197
 # when _cross_reduce divided both operands by the gcd again, 83 with expanded
 # denominators, 28 before _divide_out tried an exact division ahead of a gcd,
-# 94 when rho took <psi, conj psi> as a Mukai product
-FS_CP2_DIV_EXACT_CALLS = 87
+# 94 when rho took <psi, conj psi> as a Mukai product, 87 when gr took the
+# powers of omega by repeated wedges
+FS_CP2_DIV_EXACT_CALLS = 81
 # _p_mul calls over the same run; 295 when a product with a constant was a
 # general product and is_real cross-multiplied over a real denominator, 219
 # with expanded denominators (a factored one is multiplied out again where
 # it loses a factor, from smaller products), 245 when rho took
-# <psi, conj psi> as a Mukai product
-FS_CP2_P_MUL_CALLS = 244
+# <psi, conj psi> as a Mukai product, 244 when gr took the powers of omega
+# by repeated wedges
+FS_CP2_P_MUL_CALLS = 227
 # _gcd_cofactors calls over the same run; 264 with expanded denominators, 124
 # when _divide_out took a gcd for every division, 109 when rho took
-# <psi, conj psi> as a Mukai product
-FS_CP2_GCD_CALLS = 103
+# <psi, conj psi> as a Mukai product, 103 when gr took the powers of omega
+# by repeated wedges
+FS_CP2_GCD_CALLS = 101
 
 
 def S(text, names=NAMES):

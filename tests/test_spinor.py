@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from gkcurv import linalg, scalars
-from gkcurv.errors import DegenerateOmega
+from gkcurv.errors import DegenerateOmega, NotBivector
 from gkcurv.examples import (CATALOG, flat_omega_form, flat_volume_forms,
                              type00_perturbed)
 from gkcurv.forms import Chart
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
-from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec
+from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
-from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, GenericGCS,
-                           SymplecticGCS, _hat_matrix, _jmat_from_frame,
+from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, SymplecticGCS,
+                           _hat_matrix, _jmat_from_frame, clifford_matrix,
                            eta_N_extract, hat_inverse, integrability,
                            purity_nondeg, type_number)
 
@@ -123,6 +123,25 @@ def test_jmat_from_frame_matches_two_product_formula(name):
         _jmat_two_products(j1.chart, frame)
 
 
+def _rank(rows):
+    return len(rref(rows)[2])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_closed_forms_match_the_generic_route(name):
+    """J1's matrix equals S D S^-1 on its own frame, and that frame at the
+    origin spans the Clifford kernel of the spinor there."""
+    j1 = CATALOG[name]().j1
+    chart = j1.chart
+    frame = j1.annihilator()
+    assert j1.j_matrix() == _jmat_from_frame(chart, frame)
+    origin = Point([0] * chart.dim)
+    at0 = [[x.eval(origin) for x in e.column()] for e in frame]
+    ann = [[x.eval(origin) for x in e.column()]
+           for e in purity_nondeg(j1.spinor(), origin)["annihilator"]]
+    assert _rank(at0) == _rank(ann) == _rank(at0 + ann) == chart.dim
+
+
 def test_beta_deform_spinor(chart4):
     base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     d1 = GenVec.basis(chart4, 0)
@@ -135,6 +154,15 @@ def test_beta_deform_spinor(chart4):
     for e in J.annihilator():
         assert clifford_act(e, phi).is_zero()
     _check_j_squared(chart4, J.j_matrix())
+
+
+def test_beta_deform_rejects_covector_components(chart4):
+    """A beta with a covector leg is not a bivector deformation; the same
+    typed error as genalg.ad_beta."""
+    base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
+    mixed = genvec_wedge(GenVec.basis(chart4, 0), GenVec.basis(chart4, 5))
+    with pytest.raises(NotBivector, match="vector components"):
+        BetaDeformGCS(chart4, mixed, base)
 
 
 def test_beta_zero_is_base(chart4):
@@ -160,15 +188,18 @@ def test_not_pure(chart4):
 
 
 def test_generic_frame_matches(chart4):
-    """Generic constructor recovers the annihilator of an exponential spinor."""
-    z = chart4.form({(0, 1): 1, (2, 3): 1}).scale(QQi(0, 1)) + \
-        chart4.form({(0, 2): "x4"})
-    J = GenericGCS(chart4, z.exp())
+    """The closed-form frame of exp(b + i omega) with a non-closed b
+    annihilates the spinor and spans the kernel of its Clifford matrix."""
+    J = SymplecticGCS(chart4, chart4.form({(0, 2): "x4"}),
+                      flat_omega_form(chart4))
     phi = J.spinor()
     frame = J.annihilator()
     assert len(frame) == 4
     for e in frame:
         assert clifford_act(e, phi).is_zero()
+    kers = linalg.kernel_basis(clifford_matrix(phi))
+    cols = [e.column() for e in frame]
+    assert len(kers) == 4 and _rank(cols + kers) == 4
 
 
 def test_type_numbers(chart4):
@@ -205,8 +236,8 @@ def test_eta_n_symplectic_closed(chart4):
 
 def test_eta_n_nonintegrable(chart4):
     """Non-closed exponential: d(phi) has a Lambda^3 part, N != 0."""
-    z = flat_omega_form(chart4).scale(QQi(0, 1)) + chart4.form({(0, 1): "x3"})
-    J = GenericGCS(chart4, z.exp())
+    J = SymplecticGCS(chart4, chart4.form({(0, 1): "x3"}),
+                      flat_omega_form(chart4))
     res = eta_N_extract(J)
     phi = J.spinor()
     check = clifford_act(res.eta, phi) + res.n3.spin_act(phi)
@@ -301,7 +332,7 @@ def _hat_inverse_cases():
         cases.append((pair.chart, pair.omega))
     scene = type00_perturbed()
     chart = scene.chart
-    B, w1, w2 = scene.expected["type00_data"]
+    B, w1 = scene.j1.b, scene.j1.omega
     dz1, dz2 = flat_volume_forms(chart)
     cases.append((chart, w1))
     cases.append((chart, B + w1.scale(QQi(0, 1))))
