@@ -1,13 +1,15 @@
 """Curvature of an almost generalized Kahler pair.
 
 The pipeline follows the spinor route: split d(phi) into its (eta, N)
-parts, form Theta = d((-2 J eta + J dlog rho) . conj(psi)), strip the
-spinor exponential to expose the pair of real closed 2-forms hiding in
-Theta, and read off the Ricci-type 2-form and the scalar invariant as a
-top-form ratio against omega^n.  Exact torus integration then yields the
-moment-map pairing, and a nilpotent-factor transport gives an exact
-polynomial path of deformed structures in a symbolic time t, whose exact
-t-derivative checks the moment-map identity.
+parts and form u = J(-2 eta + dlog rho), so that Theta = d(u . conj(psi)).
+For u = X + xi and Zbar = b - i omega, u . e^Zbar = alpha ^ e^Zbar with the
+1-form alpha = xi + i_X Zbar, and dZbar = 0, so Theta = d(alpha) ^ conj(psi):
+the pair of real closed 2-forms hiding in Theta is P - iQ = d(alpha).  The
+Ricci-type 2-form is -P and the scalar invariant a top-form ratio against
+omega^n.  Exact torus integration then yields the moment-map pairing, and a
+nilpotent-factor transport gives an exact polynomial path of deformed
+structures in a symbolic time t, whose exact t-derivative checks the
+moment-map identity.
 """
 
 from __future__ import annotations
@@ -67,33 +69,34 @@ def _dlog(chart: Chart, f: ScalarExpr) -> GenVec:
     return GenVec.covector(chart, [f.partial(k) / f for k in range(chart.dim)])
 
 
-def theta_form(pair: GKPair, en=None, rho_val=None) -> Form:
-    """d((-2 J eta + J dlog rho) . conj psi) -- the curvature 2n-form source."""
+def _u(pair: GKPair, en, rho_val) -> GenVec:
+    """u = J(-2 eta + dlog rho), the section that acts on conj psi."""
     chart = pair.chart
-    if en is None:
-        en = eta_N_extract(pair.j1)
-    if rho_val is None:
-        rho_val = rho(pair)
-    jmat = pair.j1.j_matrix()
-    u = GenVec.from_column(chart, mat_vec(jmat, en.eta.column())).scale(-2)
-    u = u + GenVec.from_column(chart, mat_vec(jmat, _dlog(chart, rho_val).column()))
+    x = en.eta.scale(-2) + _dlog(chart, rho_val)
+    return GenVec.from_column(chart, mat_vec(pair.j1.j_matrix(), x.column()))
+
+
+def theta_form(pair: GKPair) -> Form:
+    """d((-2 J eta + J dlog rho) . conj psi) -- the curvature 2n-form source."""
+    u = _u(pair, eta_N_extract(pair.j1), rho(pair))
     return clifford_act(u, pair.psibar()).ext_d()
 
 
 def gric_gr(pair: GKPair, en=None, rho_val=None) -> CurvatureReport:
-    """Ricci-type 2-form and scalar invariant of the pair."""
+    """Ricci-type 2-form and scalar invariant of the pair.
+
+    With u = X + xi as in `theta_form` and Zbar = b - i omega,
+    u . e^Zbar = alpha ^ e^Zbar for alpha = xi + i_X Zbar; GKPair makes
+    dZbar = 0, so Theta = d(alpha) ^ conj(psi) and P - iQ = d(alpha) exactly.
+    """
     chart = pair.chart
     if en is None:
         en = eta_N_extract(pair.j1)
     if rho_val is None:
         rho_val = rho(pair)
-    theta = theta_form(pair, en, rho_val)
-    # Theta = (P - iQ) ^ conj(psi): strip the exponential by the inverse factor
-    inv = (pair.b - pair.omega.scale(QQi(0, 1))).scale(-1).exp()
-    x = theta.wedge(inv)
-    pmiq = x.degree_part(2)
-    if x != pmiq:
-        raise ExtractionResidue("curvature extraction left non-2-form residue")
+    u = _u(pair, en, rho_val)
+    zbar = pair.b - pair.omega.scale(QQi(0, 1))
+    pmiq = (u.covector_form() + interior(chart, u.v, zbar)).ext_d()
     p_form = (pmiq + pmiq.conj()).scale(Fraction(1, 2))
     q_form = (pmiq.conj() - pmiq).scale(QQi(0, Fraction(-1, 2)))
     gric = -p_form

@@ -50,7 +50,7 @@ class DecompositionFailed(GKCurvError):
 
 
 class ExtractionResidue(GKCurvError):
-    """Curvature extraction left residue outside degree 2; conventions broken."""
+    """The curvature's scalar invariant came out non-real; conventions broken."""
 
 
 class VanishingVolume(GKCurvError):

@@ -129,16 +129,6 @@ def b_transport_matrix(chart: Chart, b: Form):
     return m
 
 
-def hat_inverse(chart: Chart, w: Form, name="omega"):
-    """Inverse of the matrix W of v -> i_v w for a 2-form w, by the Pfaffian
-    cofactors of `pfaffian_inverse` read off exp(w). Raises ValueError for
-    a form with a part of degree other than 2, whose exp would give wrong
-    cofactors."""
-    if any(len(i) != 2 for i in w.terms):
-        raise ValueError(f"{name} must be a 2-form")
-    return pfaffian_inverse(chart, w.exp(), name)
-
-
 def pfaffian_inverse(chart: Chart, e: Form, name="omega"):
     """W^-1 for the matrix W of v -> i_v w, read off e = exp(w), which holds
     every w^k/k! of the 2-form w.

@@ -10,13 +10,14 @@ from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
                               integrate_torus, kahler_oracle_dJdlog,
                               moment_derivative_check, moment_form,
                               moment_pairing, proportionality, rho,
-                              scalar_torus_mean_certified, type00_gric)
+                              scalar_torus_mean_certified, theta_form,
+                              type00_gric)
 from gkcurv.errors import (EvaluationPole, NotExactlyIntegrable, NotMeanZero,
                            NotRealStructure)
 from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
                              flat_omega_form, flat_volume_forms,
                              fubini_study_chart, hyperkahler_t4,
-                             type00_perturbed)
+                             t4_nonintegrable, type00_perturbed)
 from gkcurv.forms import Chart
 from gkcurv.genalg import gen_lie_J
 from gkcurv.gkpair import (GKPair, compatibility_check, frame_bivector,
@@ -24,6 +25,7 @@ from gkcurv.gkpair import (GKPair, compatibility_check, frame_bivector,
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
 from gkcurv.spinor import ComplexVolumeGCS, SymplecticGCS
+from gkcurv.transport import transport_b
 
 from conftest import chart_flat
 from test_scalars import _sym_trig
@@ -122,14 +124,39 @@ def test_toric_cp2_scalar_curvature_is_twice_abreus():
     assert gr == pair.chart.sc(abreu2)
 
 
-def test_gr_complex_matches_gr_fs():
-    pair = fubini_study_chart(1).pair()
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_gr_complex_real_part_is_gr(name):
+    """Re(gr_complex), read through the spinor route's Theta, equals the gr
+    that gric_gr reads off d(alpha): on Kahler scenes, on scenes with
+    b != 0 and on the non-integrable one."""
+    pair = CATALOG[name]().pair()
+    assert gr_complex(pair).real() == gric_gr(pair).gr
+
+
+def _transported_nonintegrable():
+    pair = t4_nonintegrable().pair()
+    return transport_b(pair, pair.chart.form({(0, 1): 1, (2, 3): "x3"}))
+
+
+THETA_PAIRS = {**{name: lambda name=name: CATALOG[name]().pair() for name in CATALOG},
+               "transport_b": _transported_nonintegrable,
+               "nilpotent_t": lambda: _moved_flat_t2()}
+# scenes whose Ricci-type form and Q both vanish
+ZERO_THETA = {"flat_kahler_c1", "flat_kahler_c2", "hyperkahler_t4",
+              "t4_translation_poisson", "generalized_cy_t4"}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_PAIRS))
+def test_theta_is_d_alpha_wedge_conj_psi(name):
+    """Theta ^ exp(-(b - i omega)), Theta built through the spinor route, is
+    exactly the 2-form P - iQ = d(alpha) that gric_gr reads: no part of any
+    other degree is left."""
+    pair = THETA_PAIRS[name]()
     rep = gric_gr(pair)
-    z = gr_complex(pair)
-    assert z.real() == rep.gr
-    pair2 = fubini_study_chart(2).pair()
-    rep2 = gric_gr(pair2)
-    assert gr_complex(pair2).real() == rep2.gr
+    zbar = pair.b - pair.omega.scale(QQi(0, 1))
+    stripped = theta_form(pair).wedge(zbar.scale(-1).exp())
+    assert stripped == rep.gric.scale(-1) - rep.q.scale(QQi(0, 1))
+    assert stripped.is_zero() == (name in ZERO_THETA)
 
 
 def test_gr_two_term_identity():

@@ -15,7 +15,7 @@ from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, SymplecticGCS,
                            _hat_matrix, _jmat_from_frame, clifford_matrix,
-                           eta_N_extract, hat_inverse, integrability,
+                           eta_N_extract, integrability, pfaffian_inverse,
                            purity_nondeg, type_number)
 
 
@@ -314,7 +314,7 @@ def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
     assert 0 < len(calls) <= T4_NONINTEGRABLE_GCD_CALLS
 
 
-def _hat_inverse_cases():
+def _pfaffian_inverse_cases():
     """(chart, 2-form): flat dims 2, 4 and 6 with constant, polynomial and
     trig coefficients, the two CP^2 scenes and complex 2-forms."""
     cases = []
@@ -341,28 +341,29 @@ def _hat_inverse_cases():
     return cases
 
 
-def test_hat_inverse_matches_rref_inverse():
-    """The Pfaffian-cofactor inverse equals Gauss-Jordan on the hat matrix
-    entry by entry and inverts it."""
-    cases = _hat_inverse_cases()
+def test_pfaffian_inverse_matches_rref_inverse():
+    """The Pfaffian-cofactor inverse read off exp(w) equals Gauss-Jordan on
+    the hat matrix entry by entry and inverts it."""
+    cases = _pfaffian_inverse_cases()
     assert {c.dim for c, _ in cases} == {2, 4, 6}
     assert any(not w.is_real() for _, w in cases)
     for chart, w in cases:
         wmat = _hat_matrix(chart, w)
-        winv = hat_inverse(chart, w)
+        winv = pfaffian_inverse(chart, w.exp())
         assert winv == mat_inverse(wmat)
         assert mat_mul(wmat, winv) == mat_identity(chart.dim, chart.one_s(),
                                                    chart.zero_s())
 
 
-def test_hat_inverse_rejects_degenerate_and_mixed_forms(chart4):
+def test_degenerate_and_mixed_forms_are_refused(chart4):
     with pytest.raises(DegenerateOmega, match="w1 is not symplectic"):
-        hat_inverse(chart4, chart4.form({(0, 1): 1}), "w1")
+        pfaffian_inverse(chart4, chart4.form({(0, 1): 1}).exp(), "w1")
     with pytest.raises(DegenerateOmega):
-        hat_inverse(chart4, chart4.zero_form())
+        pfaffian_inverse(chart4, chart4.zero_form().exp())
     # exp of a mixed form would give the wrong cofactors
-    with pytest.raises(ValueError):
-        hat_inverse(chart4, flat_omega_form(chart4) + chart4.volume())
+    with pytest.raises(ValueError, match="must be 2-forms"):
+        SymplecticGCS(chart4, chart4.zero_form(),
+                      flat_omega_form(chart4) + chart4.volume())
 
 
 def test_fubini_study_jpsi_matrix_runs_no_rref(monkeypatch):
