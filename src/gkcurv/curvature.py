@@ -20,12 +20,13 @@ from fractions import Fraction
 from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
                      NotMeanZero, NotRealStructure, VanishingVolume)
 from .forms import Chart, Form
-from .genalg import GenVec, clifford_act, gen_lie_J, genvec_wedge, interior
+from .genalg import GenVec, clifford_act, gen_lie_J, interior
 from .gkpair import GKPair, frame_bivector, hamiltonian_element, jdot_matrix
-from .linalg import mat_add, mat_identity, mat_mul, mat_sub, mat_trace, mat_vec
+from .linalg import mat_mul, mat_trace, mat_vec
 from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, ipow, zi_mul,
                       zi_split)
-from .spinor import FrameGCS, GCStruct, eta_N_extract, pfaffian_inverse
+from .spinor import (FrameGCS, GCStruct, MovedGCS, eta_N_extract,
+                     pfaffian_inverse)
 
 
 @dataclass
@@ -374,21 +375,12 @@ class NilpotentPath:
         chart = replace(self.chart, params=("t",))
         t = chart.coord_s(self.chart.dim)
         j1 = self.pair.j1
+        base = FrameGCS(chart, _pad(chart, j1.spinor()),
+                        [_pad(chart, e) for e in j1.annihilator()],
+                        [[_pad(chart, s) for s in row] for row in j1.j_matrix()])
         pieces = [(_pad(chart, c) * t, _pad(chart, x), _pad(chart, y))
                   for c, x, y in self.all_pieces]
-        # each factor 1 + ad(t c x ^ y) has the inverse 1 - ad(t c x ^ y)
-        m = minv = one = mat_identity(2 * chart.dim, chart.one_s(), chart.zero_s())
-        for ct, x, y in pieces:
-            ad = genvec_wedge(x, y).scale(ct).ad_matrix()
-            m = mat_mul(m, mat_add(one, ad))
-            minv = mat_mul(mat_sub(one, ad), minv)
-        phi = _pad(chart, j1.spinor())
-        for ct, x, y in reversed(pieces):
-            phi = phi + clifford_act(x, clifford_act(y, phi)).scale(ct)
-        frame = [GenVec.from_column(chart, mat_vec(m, _pad(chart, e).column()))
-                 for e in j1.annihilator()]
-        jmat = [[_pad(chart, s) for s in row] for row in j1.j_matrix()]
-        return GKPair(FrameGCS(chart, phi, frame, mat_mul(mat_mul(m, jmat), minv)),
+        return GKPair(MovedGCS(base, pieces),
                       _pad(chart, self.pair.b), _pad(chart, self.pair.omega))
 
 

@@ -6,7 +6,8 @@ spin representation (interior product plus wedge).  Bi- and tri-vectors are
 antisymmetric coefficient arrays over the 4n coordinate basis
 (d/dx1..d/dx2n, dx1..dx2n); their spin action uses the canonical
 antisymmetrized embedding into the Clifford algebra, so mixed-index arrays
-are handled consistently.
+are handled consistently.  Moving a whole structure by spin-group factors
+is `spinor.MovedGCS`; `ad_b` here only moves single sections.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import ChartMismatch, NotBivector, NotClosed
+from .errors import ChartMismatch
 from .forms import Chart, Form, _sort_index
 from .linalg import mat_commutator, mat_vec
 from .scalars import ScalarExpr, _acc
@@ -210,10 +211,6 @@ class PolyVec:
     def is_zero(self):
         return not self.coef
 
-    def vector_only(self):
-        dim = self.chart.dim
-        return all(all(a < dim for a in idx) for idx in self.coef)
-
     def spin_act(self, form: Form) -> Form:
         """Canonical antisymmetrized Clifford action on a form, by Chevalley:
         E_a ^ E_b = E_a E_b - <E_a, E_b> and E_a ^ E_b ^ E_c = E_a E_b E_c
@@ -386,51 +383,16 @@ def lie_form(e: GenVec, form: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# b-field and beta-field actions
+# b-field action
 # ---------------------------------------------------------------------------
 
 
-def ad_b(b: Form, x, check_closed=True):
-    """Closed-2-form action: sections get v - i_v b, forms get e^b ^ x."""
-    if check_closed and not b.ext_d().is_zero():
-        raise NotClosed("b-field must be d-closed")
-    if isinstance(x, GenVec):
-        ivb = interior(x.chart, x.v, b)
-        return GenVec(x.chart, x.v,
-                      [xi - ivb.coefficient((k,)) for k, xi in enumerate(x.xi)])
-    if isinstance(x, Form):
-        return b.exp().wedge(x)
-    raise TypeError("ad_b acts on sections and forms")
-
-
-def ad_beta(beta: PolyVec, x):
-    """Bivector (vectors-only) action by the spin group element exp(beta)."""
-    if beta.grade != 2 or not beta.vector_only():
-        raise NotBivector("beta must be a bivector with vector components only")
-    if isinstance(x, GenVec):
-        return x + beta.ad(x)
-    if isinstance(x, Form):
-        return exp_spin(beta, x)
-    raise TypeError("ad_beta acts on sections and forms")
-
-
-EXP_SPIN_MAX_STEPS = 64
-
-
-def exp_spin(h: PolyVec, form: Form) -> Form:
-    """exp(h) . form as a terminating Clifford series; raises if it has not
-    terminated after EXP_SPIN_MAX_STEPS terms."""
-    out = form
-    term = form
-    k = 1
-    while True:
-        term = h.spin_act(term).scale(Fraction(1, k))
-        if term.is_zero():
-            return out
-        out = out + term
-        k += 1
-        if k > EXP_SPIN_MAX_STEPS:
-            raise ValueError("spin exponential did not terminate")
+def ad_b(b: Form, x: GenVec) -> GenVec:
+    """Action of exp(b) on a section, for any 2-form b (complex allowed):
+    v + xi -> v + xi - i_v b."""
+    ivb = interior(x.chart, x.v, b)
+    return GenVec(x.chart, x.v,
+                  [xi - ivb.coefficient((k,)) for k, xi in enumerate(x.xi)])
 
 
 # ---------------------------------------------------------------------------

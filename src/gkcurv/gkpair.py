@@ -350,7 +350,7 @@ def hamiltonian_element(pair: GKPair, f: ScalarExpr) -> GenVec:
     df = chart.func(f).ext_d()
     v = mat_vec(pfaffian_inverse(chart, pair.jpsi.omega_exp()),
                 [df.coefficient((k,)) for k in range(chart.dim)])
-    e = ad_b(pair.b, GenVec.vector(chart, v), check_closed=False)
+    e = ad_b(pair.b, GenVec.vector(chart, v))
     psi = pair.psi()
     check = clifford_act(e, psi) - df.wedge(psi).scale(QQi(0, 1))
     if not check.is_zero():

@@ -1,11 +1,11 @@
 """Almost generalized complex structures from pure-spinor data.
 
-Each structure is built from one of four kinds of defining data (symplectic
-exponential exp(b + i omega), complex volume form, bivector deformation,
-explicit spinor with its frame and matrix) and exposes the induced spinor
-line, a closed-form annihilator frame, the endomorphism matrix on T + T*,
-and the unique real (eta, N) splitting of d(phi), whose Lambda^3 part is the
-integrability obstruction.
+A structure is given by exp(b + i omega), by a complex volume form, by an
+explicit spinor with its frame and matrix, or as another structure moved by
+spin-group factors exp(c x ^ y) (`MovedGCS`: Poisson deformations, b-field
+transforms, nilpotent paths).  Each exposes its spinor line, a closed-form
+annihilator frame, its matrix on T + T*, and the unique real (eta, N)
+splitting of d(phi), whose Lambda^3 part is the integrability obstruction.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
-                     NotBivector, NotRealStructure, ZeroSpinor)
+                     NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act, exp_spin,
-                     keyed_sum, wedge_sum)
+from .genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act,
+                     genvec_wedge, keyed_sum, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
-                     mat_sub, solve_exact)
+                     mat_sub, mat_vec, solve_exact)
 from .scalars import QQi, Point
 
 
@@ -97,7 +97,7 @@ class SymplecticGCS(GCStruct):
 
     def _build_frame(self):
         """Annihilator of exp(Z): sections v - i_v Z over the coordinate fields."""
-        return [ad_b(self.z, GenVec.basis(self.chart, k), check_closed=False)
+        return [ad_b(self.z, GenVec.basis(self.chart, k))
                 for k in range(self.chart.dim)]
 
     def _build_jmat(self):
@@ -183,28 +183,49 @@ class ComplexVolumeGCS(GCStruct):
         return frame
 
 
-class BetaDeformGCS(GCStruct):
-    """Bivector deformation exp(beta) of a base structure."""
+class MovedGCS(GCStruct):
+    """`base` moved by the spin-group element exp(c1 x1^y1) ... exp(ck xk^yk).
 
-    def __init__(self, chart, beta: PolyVec, base: GCStruct):
-        super().__init__(chart)
-        if beta.grade != 2 or not beta.vector_only():
-            raise NotBivector("beta must be a bivector with vector components")
-        self.beta = beta
+    Each piece (c, x, y) must have x and y isotropic and orthogonal, so that
+    c x^y squares to zero: its factor acts as 1 + c x.y on spinors and as
+    1 + ad(c x^y), with inverse 1 - ad(c x^y), on sections.  Poisson pieces
+    (c, V_i, V_j) of vector fields, b-field pieces (c, dx_i, dx_j) and the
+    (c, e+, e-) pieces of a nilpotent path all qualify; nothing is checked.
+    """
+
+    def __init__(self, base: GCStruct, pieces):
+        super().__init__(base.chart)
         self.base = base
+        self.pieces = list(pieces)
+        self._ads = None
+
+    def _ad_matrices(self):
+        """ad(c x ^ y) of each piece, built once for the frame and for J."""
+        if self._ads is None:
+            self._ads = [genvec_wedge(x, y).scale(c).ad_matrix()
+                         for c, x, y in self.pieces]
+        return self._ads
 
     def _build_spinor(self):
-        return exp_spin(self.beta, self.base.spinor())
+        phi = self.base.spinor()
+        for c, x, y in reversed(self.pieces):
+            phi = phi + clifford_act(x, clifford_act(y, phi)).scale(c)
+        return phi
 
     def _build_frame(self):
-        return [e + self.beta.ad(e) for e in self.base.annihilator()]
+        frame = self.base.annihilator()
+        for ad in reversed(self._ad_matrices()):
+            frame = [e + GenVec.from_column(self.chart, mat_vec(ad, e.column()))
+                     for e in frame]
+        return frame
 
     def _build_jmat(self):
         chart = self.chart
-        one = mat_identity(2 * chart.dim, chart.one_s(), chart.zero_s())
-        ad = self.beta.ad_matrix()
-        return mat_mul(mat_mul(mat_add(one, ad), self.base.j_matrix()),
-                       mat_sub(one, ad))
+        m = minv = one = mat_identity(2 * chart.dim, chart.one_s(), chart.zero_s())
+        for ad in self._ad_matrices():
+            m = mat_mul(m, mat_add(one, ad))
+            minv = mat_mul(mat_sub(one, ad), minv)
+        return mat_mul(mat_mul(m, self.base.j_matrix()), minv)
 
 
 class FrameGCS(GCStruct):

@@ -8,21 +8,20 @@ tested by recomputing on the moved pair.
 from __future__ import annotations
 
 from .forms import AffineMap, Chart, Form, _scalar_affine_sub
-from .genalg import GenVec, ad_b
+from .genalg import GenVec
 from .gkpair import GKPair
 from .linalg import mat_mul, mat_vec
-from .spinor import FrameGCS, b_transport_matrix
+from .spinor import FrameGCS, MovedGCS
 
 
 def transport_b(pair: GKPair, b2: Form) -> GKPair:
-    """Act by the spin-group element of a closed 2-form on the whole pair."""
+    """Act on the whole pair by exp(b2) = prod exp(c_ij dx_i ^ dx_j) for the
+    terms c_ij dx_i ^ dx_j of b2; `GKPair` raises NotClosed when b2 is not
+    closed."""
     chart = pair.chart
-    phi = ad_b(b2, pair.j1.spinor())
-    frame = [ad_b(b2, e, check_closed=False) for e in pair.j1.annihilator()]
-    m = b_transport_matrix(chart, b2)
-    minv = b_transport_matrix(chart, -b2)
-    jmat = mat_mul(mat_mul(m, pair.j1.j_matrix()), minv)
-    return GKPair(FrameGCS(chart, phi, frame, jmat), pair.b + b2, pair.omega)
+    dx = [GenVec.basis(chart, chart.dim + k) for k in range(chart.dim)]
+    pieces = [(c, dx[i], dx[j]) for (i, j), c in b2.terms.items()]
+    return GKPair(MovedGCS(pair.j1, pieces), pair.b + b2, pair.omega)
 
 
 def _block_diag(chart: Chart, p, q):

@@ -22,12 +22,21 @@ def test_wedge_unit(chart4):
     assert a.wedge(chart4.func(1)) == a
 
 
-def test_exp_spinor_dim2(chart2):
+def test_exp_of_i_omega_squared_dim2(chart2):
     # exp(i w) ^ exp(i w) = 1 + 2i dx1^dx2 when w = dx1^dx2, n = 1
     w = chart2.form({(0, 1): 1})
     psi = w.scale(QQi(0, 1)).exp()
     sq = psi.wedge(psi)
     assert sq == chart2.form({(): 1, (0, 1): QQi(0, 2)})
+
+
+def test_exp_of_a_sum_is_the_wedge_of_the_exps(chart4):
+    """exp(b1 + b2) = exp(b1) ^ exp(b2): even forms commute, so this is the
+    composition law of b-field transforms on spinors."""
+    b1 = chart4.form({(0, 1): 1, (0, 2): -2})
+    b2 = chart4.form({(1, 3): 3, (2, 3): "x1"})
+    assert (b1 + b2).exp() == b1.exp().wedge(b2.exp())
+    assert not b1.exp().wedge(b2.exp()).degree_part(4).is_zero()
 
 
 def test_ext_d_basic(chart2):

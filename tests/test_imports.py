@@ -1,7 +1,8 @@
 """Every name a gkcurv module imports is referenced in that module, every
 parameter of its functions is read, every name it defines at module level
-is referenced somewhere, no module-level name holds a mutable value outside
-a short allowlist, and every error type it defines is raised somewhere."""
+and every method of its classes is referenced somewhere, no module-level
+name holds a mutable value outside a short allowlist, and every error type
+it defines is raised somewhere."""
 
 import ast
 import collections
@@ -81,16 +82,36 @@ def _module_level_names(tree):
     return names
 
 
-def test_no_dead_module_level_names():
-    """A module-level def, class or assignment in src/gkcurv/ must be named
-    once more, outside its definition, in src/, tests/ or perfbench/."""
-    words = collections.Counter(
+def _words():
+    return collections.Counter(
         word for folder in ("src", "tests", "perfbench")
         for path in (ROOT / folder).rglob("*.py")
         for word in re.findall(r"\w+", path.read_text()))
+
+
+def test_no_dead_module_level_names():
+    """A module-level def, class or assignment in src/gkcurv/ must be named
+    once more, outside its definition, in src/, tests/ or perfbench/."""
+    words = _words()
     dead = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
             for name in _module_level_names(ast.parse(path.read_text()))
             if words[name] < 2]
+    assert dead == []
+
+
+def test_no_dead_methods():
+    """A non-dunder method of a class in src/gkcurv/ must be named more
+    often in src/, tests/ or perfbench/ than it is defined, so a method
+    whose last caller goes is caught like a module-level name."""
+    methods = [(cls.name, fn.name) for path in sorted(SRC.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    words = _words()
+    defined = collections.Counter(name for _, name in methods)
+    dead = [f"{cls}.{name}" for cls, name in methods if words[name] <= defined[name]]
     assert dead == []
 
 

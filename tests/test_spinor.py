@@ -6,17 +6,20 @@ import pytest
 
 from gkcurv import linalg, scalars
 from gkcurv.errors import DegenerateOmega, NotBivector
-from gkcurv.examples import (CATALOG, flat_omega_form, flat_volume_forms,
+from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
+                             flat_volume_forms, torus_poisson_deform,
                              type00_perturbed)
 from gkcurv.forms import Chart
 from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
-from gkcurv.spinor import (BetaDeformGCS, ComplexVolumeGCS, SymplecticGCS,
+from gkcurv.spinor import (ComplexVolumeGCS, MovedGCS, SymplecticGCS,
                            _hat_matrix, _jmat_from_frame, clifford_matrix,
                            eta_N_extract, integrability, pfaffian_inverse,
                            purity_nondeg, type_number)
+
+from test_curvature import _moved_flat_t2, _transported_nonintegrable
 
 
 def _jmat_apply(jmat, e):
@@ -146,8 +149,7 @@ def test_beta_deform_spinor(chart4):
     base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     d1 = GenVec.basis(chart4, 0)
     d3 = GenVec.basis(chart4, 2)
-    beta = genvec_wedge(d1, d3)
-    J = BetaDeformGCS(chart4, beta, base)
+    J = MovedGCS(base, [(1, d1, d3)])
     phi = J.spinor()
     assert phi.degree_part(2) == base.spinor()
     assert not phi.degree_part(0).is_zero()
@@ -156,20 +158,44 @@ def test_beta_deform_spinor(chart4):
     _check_j_squared(chart4, J.j_matrix())
 
 
-def test_beta_deform_rejects_covector_components(chart4):
-    """A beta with a covector leg is not a bivector deformation; the same
-    typed error as genalg.ad_beta."""
-    base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
-    mixed = genvec_wedge(GenVec.basis(chart4, 0), GenVec.basis(chart4, 5))
-    with pytest.raises(NotBivector, match="vector components"):
-        BetaDeformGCS(chart4, mixed, base)
+def test_beta_deform_rejects_covector_components():
+    """A torus field with a covector part gives no bivector deformation."""
+    base = flat_kahler(2)
+    chart = base.chart
+    mixed = GenVec(chart, [0, 1, 0, 0], [0, 0, 1, 0])
+    v2 = GenVec.vector(chart, [0, 0, 0, 1])
+    with pytest.raises(NotBivector, match="covector part"):
+        torus_poisson_deform(base, [mixed, v2], [chart.coord_s(0), chart.coord_s(2)],
+                             [[0, 1], [-1, 0]])
 
 
 def test_beta_zero_is_base(chart4):
     base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
-    from gkcurv.genalg import PolyVec
-    J = BetaDeformGCS(chart4, PolyVec(chart4, 2), base)
+    J = MovedGCS(base, [])
     assert J.j_matrix() == base.j_matrix()
+    assert J.spinor() == base.spinor()
+
+
+MOVED = {
+    "b_field": _transported_nonintegrable,
+    "cp2_three_lines": lambda: CATALOG["cp2_three_lines"]().pair(),
+    "t4_translation_poisson": lambda: CATALOG["t4_translation_poisson"]().pair(),
+    "nilpotent_path": _moved_flat_t2,
+}
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_frame_annihilates_the_moved_spinor(name):
+    """For 2-form, Poisson and path pieces alike, each moved frame vector
+    kills the moved spinor and the moved J is -i on it: the frame, spinor
+    and matrix are moved by the same spin-group element."""
+    j1 = MOVED[name]().j1
+    assert isinstance(j1, MovedGCS) and j1.pieces
+    phi = j1.spinor()
+    jmat = j1.j_matrix()
+    for e in j1.annihilator():
+        assert clifford_act(e, phi).is_zero()
+        assert _jmat_apply(jmat, e) == e.scale(QQi(0, -1))
 
 
 def test_purity_nondeg(chart2):
@@ -213,9 +239,8 @@ def test_type_numbers(chart4):
     d_z2 = GenVec(chart4, [0, 0, Fraction(1, 2), QQi(0, Fraction(-1, 2))],
                   [0, 0, 0, 0])
     z1z2 = chart4.sc("(x1+i*x2)*(x3+i*x4)")
-    beta_h = genvec_wedge(d_z1.scale(z1z2), d_z2)
-    beta_r = beta_h + beta_h.conj()
-    J = BetaDeformGCS(chart4, beta_r, Jv)
+    J = MovedGCS(Jv, [(1, d_z1.scale(z1z2), d_z2),
+                      (1, d_z1.scale(z1z2).conj(), d_z2.conj())])
     assert type_number(J, Point([1, 0, 1, 0])) == 0
     assert type_number(J, Point([0, 0, 1, 0])) == 2
 
@@ -254,8 +279,7 @@ def test_eta_n_beta_weights(chart4):
     v1 = GenVec.vector(chart4, ["-x2", "x1", 0, 0])
     v2 = GenVec.vector(chart4, [0, 0, "-x4", "x3"])
     lam = Fraction(1, 1)
-    beta = genvec_wedge(v1, v2).scale(lam)
-    J = BetaDeformGCS(chart4, beta, Jv)
+    J = MovedGCS(Jv, [(lam, v1, v2)])
     res = eta_N_extract(J)
     assert res.n3.is_zero()
     # engine value cross-checked against J(V) fields: eta = n2 J V1 - n1 J V2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.curvature import gric_gr
-from gkcurv.errors import SingularMap
+from gkcurv.errors import NotClosed, SingularMap
 from gkcurv.examples import t4_nonintegrable
 from gkcurv.transport import transport_affine, transport_b
 
@@ -32,6 +32,12 @@ def test_closed_b_field_leaves_curvature_unchanged(nonintegrable):
     moved = gric_gr(transport_b(pair, b2))
     assert moved.gric == rep.gric
     assert moved.gr == rep.gr
+
+
+def test_transport_b_refuses_a_b_that_is_not_closed(nonintegrable):
+    pair, _ = nonintegrable
+    with pytest.raises(NotClosed):
+        transport_b(pair, pair.chart.form({(0, 1): "x3"}))
 
 
 def test_affine_transport_pulls_curvature_back(nonintegrable):
