@@ -25,8 +25,7 @@ from .gkpair import GKPair, frame_bivector, hamiltonian_element, jdot_matrix
 from .linalg import mat_mul, mat_trace, mat_vec
 from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, ipow, zi_mul,
                       zi_split)
-from .spinor import (FrameGCS, GCStruct, MovedGCS, eta_N_extract,
-                     pfaffian_inverse)
+from .spinor import FrameGCS, MovedGCS, eta_N_extract, pfaffian_inverse
 
 
 @dataclass
@@ -42,7 +41,8 @@ class CurvatureReport:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self):
-        names = self.gric.chart.coords
+        chart = self.gric.chart
+        names = chart.coords + chart.params
         return {
             "rho": self.rho.to_string(names),
             "gric": str(self.gric),
@@ -175,16 +175,6 @@ def gr_two_term_forms(pair: GKPair):
     return a, b, vol
 
 
-def kahler_oracle_dJdlog(j1: GCStruct, rho_val: ScalarExpr) -> Form:
-    """Independent Ricci oracle -d(J dlog rho), bypassing the spinor route."""
-    chart = j1.chart
-    u = GenVec.from_column(chart,
-                           mat_vec(j1.j_matrix(), _dlog(chart, rho_val).column()))
-    if not all(c.is_zero() for c in u.v):
-        raise VanishingVolume("J dlog rho is not a 1-form; oracle undefined")
-    return -u.covector_form().ext_d()
-
-
 def type00_gric(chart: Chart, B: Form, w1: Form, w2: Form) -> dict:
     """Closed formulas for the type-(0,0) case: data (exp(B+i w1), exp(i w2)).
 
@@ -231,16 +221,6 @@ class TorusIntegral:
         if coeff.is_zero():
             return "0"
         return f"({coeff})*pi^{self.power}"
-
-
-def integrate_torus(top: Form) -> TorusIntegral:
-    """Exact integral of a top form over the torus chart."""
-    chart = top.chart
-    for idx in top.terms:
-        if len(idx) != chart.dim:
-            raise NotExactlyIntegrable("not a top-degree form")
-    return scalar_torus_mean_certified(
-        chart, top.coefficient(tuple(range(chart.dim))))
 
 
 def _trig_one_norm(p: TrigPoly) -> Fraction:

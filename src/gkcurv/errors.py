@@ -73,9 +73,5 @@ class DimensionMismatch(GKCurvError):
     """Simultaneous eigenspaces do not have the expected dimensions."""
 
 
-class WrongBidegree(GKCurvError):
-    """Deformation direction has components outside the allowed bidegrees."""
-
-
 class SceneError(GKCurvError):
     """Scene file failed validation; message carries the offending field."""

@@ -107,7 +107,7 @@ class GenVec:
         return self.chart == other.chart and self.v == other.v and self.xi == other.xi
 
     def __repr__(self):
-        names = self.chart.coords
+        names = self.chart.coords + self.chart.params
         parts = []
         for k, c in enumerate(self.v):
             if not c.is_zero():
@@ -370,16 +370,6 @@ def dorfman(e1: GenVec, e2: GenVec) -> GenVec:
     return GenVec.from_column(e1.chart, [
         a + derivative_along(e1, c)
         for a, c in zip(mat_vec(_bracket_matrix(e1), col), col)])
-
-
-def courant(e1: GenVec, e2: GenVec) -> GenVec:
-    """Courant bracket: the antisymmetric half of the Dorfman bracket."""
-    return (dorfman(e1, e2) - dorfman(e2, e1)).scale(Fraction(1, 2))
-
-
-def lie_form(e: GenVec, form: Form) -> Form:
-    """Spinor Lie derivative d(e.a) + e.(da)."""
-    return clifford_act(e, form).ext_d() + clifford_act(e, form.ext_d())
 
 
 # ---------------------------------------------------------------------------

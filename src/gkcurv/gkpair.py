@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
-                     NotClosed, NotRealStructure, WrongBidegree)
+                     NotClosed, NotRealStructure)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
                      dorfman, keyed_sum, pair_tt, wedge_sum)
@@ -190,9 +190,6 @@ class EpmFrame:
     @property
     def duals(self):
         return self.dplus + self.dminus
-
-    def conj_frame(self):
-        return [e.conj() for e in self.es]
 
 
 def _meet_annihilator(chart, frame, z: Form):
@@ -443,41 +440,6 @@ def random_compat_bivector(pair: GKPair, rng) -> PolyVec:
         if not c.is_zero():
             pieces.append((pair.chart.const(c), es[i], es[j]))
     return frame_bivector(pair, pieces)
-
-
-def bidegree_split(pair: GKPair, h: PolyVec):
-    """Coefficients of h over Lambda^2(E + conj E); raises on (1,1) residue.
-
-    The frame es + conj(es) has the dual functionals x -> 2<D_p, x> for
-    D = duals + conj(duals): 2<d_i, e_j> = delta_ij, and every other pairing
-    lies in conj L1, in L1 or in one J_psi eigenbundle, which are isotropic.
-    So the inverse of the frame matrix has the rows (D_p.xi; D_p.v), and the
-    coefficient matrix of h is that inverse times h's times its transpose.
-    """
-    chart = pair.chart
-    fr = pair.epm_frame()
-    duals = fr.duals + [d.conj() for d in fr.duals]
-    sinv = [list(d.xi + d.v) for d in duals]
-    m = 2 * chart.dim
-    hmat = [[chart.zero_s() for _ in range(m)] for _ in range(m)]
-    for (a, b), c in h.coef.items():
-        hmat[a][b] = c
-        hmat[b][a] = -c
-    tr = mat_mul(mat_mul(sinv, hmat), [list(r) for r in zip(*sinv)])
-    half = m // 2
-    out20, out02 = {}, {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = tr[i][j]
-            if c.is_zero():
-                continue
-            if i < half and j < half:
-                out20[(i, j)] = c
-            elif i >= half and j >= half:
-                out02[(i - half, j - half)] = c
-            else:
-                raise WrongBidegree("direction has a (1,1) component")
-    return out20, out02
 
 
 def jdot_matrix(pair: GKPair, h: PolyVec):

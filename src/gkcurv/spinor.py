@@ -4,8 +4,10 @@ A structure is given by exp(b + i omega), by a complex volume form, by an
 explicit spinor with its frame and matrix, or as another structure moved by
 spin-group factors exp(c x ^ y) (`MovedGCS`: Poisson deformations, b-field
 transforms, nilpotent paths).  Each exposes its spinor line, a closed-form
-annihilator frame, its matrix on T + T*, and the unique real (eta, N)
-splitting of d(phi), whose Lambda^3 part is the integrability obstruction.
+annihilator frame, its matrix on T + T*, its type at a point, and the
+unique real (eta, N) splitting of d(phi), whose Lambda^3 part is the
+integrability obstruction.  Frames are read off each structure's data in
+closed form, not off a pointwise kernel of the Clifford action.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import itertools
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act,
-                     genvec_wedge, keyed_sum, wedge_sum)
+from .genalg import (GenVec, PolyVec, ad_b, clifford_act, genvec_wedge,
+                     keyed_sum, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
                      mat_sub, mat_vec, solve_exact)
 from .scalars import QQi, Point
@@ -269,7 +271,7 @@ def _jmat_from_frame(chart: Chart, frame):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise purity / nondegeneracy / type
+# Pointwise type
 # ---------------------------------------------------------------------------
 
 
@@ -280,37 +282,6 @@ def _eval_form(phi: Form, p: Point):
         if not v.is_zero():
             out[idx] = v
     return out
-
-
-def clifford_matrix(phi: Form):
-    """Matrix of a -> E_a . phi over the 4n coordinate basis; its rows are
-    the multi-indices occurring in some image, in (degree, index) order."""
-    chart = phi.chart
-    cols = [_basis_act(chart, a, phi) for a in range(2 * chart.dim)]
-    idxs = sorted({i for c in cols for i in c.terms}, key=lambda i: (len(i), i))
-    return [[c.coefficient(i) for c in cols] for i in idxs]
-
-
-def purity_nondeg(phi: Form, p: Point) -> dict:
-    """Pointwise purity and nondegeneracy of a spinor by exact rank counts."""
-    dim = phi.chart.dim
-    if not _eval_form(phi, p):
-        raise ZeroSpinor("spinor vanishes at the point")
-    mat = [[x.eval(p) for x in row]
-           for row in clifford_matrix(phi)]
-    kers = kernel_basis(mat)
-    pure = len(kers) == dim
-    nondeg = False
-    if pure:
-        both = [list(k) for k in kers] + [[c.conj() for c in k] for k in kers]
-        gram = [[b[c] for b in both] for c in range(2 * dim)]
-        nondeg = len(kernel_basis(gram)) == 0
-    return {
-        "pure": pure,
-        "nondegenerate": nondeg,
-        "annihilator": [GenVec.from_column(phi.chart, [phi.chart.const(x) for x in k])
-                        for k in kers],
-    }
 
 
 def type_number(J: GCStruct, p: Point) -> int:

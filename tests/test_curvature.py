@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import sympy
 from gkcurv.curvature import (SERIES_MEAN_MAX_ORDER, SERIES_MEAN_TOL,
                               NilpotentPath, _at_zero, _pad, check_mean_zero,
                               gr_complex, gr_two_term_forms, gric_gr,
-                              integrate_torus, kahler_oracle_dJdlog,
                               moment_derivative_check, moment_form,
                               moment_pairing, proportionality, rho,
                               scalar_torus_mean_certified, theta_form,
@@ -19,9 +19,10 @@ from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
                              fubini_study_chart, hyperkahler_t4,
                              t4_nonintegrable, type00_perturbed)
 from gkcurv.forms import Chart
-from gkcurv.genalg import gen_lie_J
+from gkcurv.genalg import GenVec, gen_lie_J
 from gkcurv.gkpair import (GKPair, compatibility_check, frame_bivector,
                            hamiltonian_element, jdot_matrix)
+from gkcurv.linalg import mat_vec
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
 from gkcurv.spinor import ComplexVolumeGCS, SymplecticGCS
@@ -29,6 +30,16 @@ from gkcurv.transport import transport_b
 
 from conftest import chart_flat
 from test_scalars import _sym_trig
+
+
+def kahler_oracle_dJdlog(j1, rho_val):
+    """Independent Ricci oracle -d(J dlog rho), bypassing the spinor route."""
+    chart = j1.chart
+    dlog = GenVec.covector(chart, [rho_val.partial(k) / rho_val
+                                   for k in range(chart.dim)])
+    u = GenVec.from_column(chart, mat_vec(j1.j_matrix(), dlog.column()))
+    assert all(c.is_zero() for c in u.v), "J dlog rho is not a 1-form"
+    return -u.covector_form().ext_d()
 
 
 def test_rho_flat():
@@ -218,16 +229,15 @@ def test_type00_perturbed_two_routes():
 
 def test_integrate_torus():
     chart = chart_flat(1, periodic=True)
-    top = chart.form({(0, 1): "2 + cos(x1)"})
-    val = integrate_torus(top)
+    val = scalar_torus_mean_certified(chart, chart.sc("2 + cos(x1)"))
     assert val.mean == QQi(2) and val.power == 2
     assert str(val) == "(8)*pi^2"
     chart4 = chart_flat(2, periodic=True)
-    assert integrate_torus(chart4.volume()).mean == QQi(1)
+    assert scalar_torus_mean_certified(chart4, chart4.one_s()).mean == QQi(1)
     exact = chart.form({(0,): "sin(x1)*cos(x2)"}).ext_d()
-    assert integrate_torus(exact).is_zero()
+    assert scalar_torus_mean_certified(chart, exact.coefficient((0, 1))).is_zero()
     # a trig-rational integrand gets the certified series mean, 1/sqrt(15)
-    val = integrate_torus(chart.form({(0, 1): "1/(4 + cos(x1))"}))
+    val = scalar_torus_mean_certified(chart, chart.sc("1/(4 + cos(x1))"))
     assert 0 < val.error_bound < SERIES_MEAN_TOL
     assert abs(val.mean.to_complex() - 15 ** -0.5) < 1e-12
     # a series mean is not exact: its printed form carries the bound, scaled
@@ -238,11 +248,11 @@ def test_integrate_torus():
 
 def test_integrate_errors():
     chart = chart_flat(1)
-    with pytest.raises(NotExactlyIntegrable):
-        integrate_torus(chart.volume())
+    with pytest.raises(NotExactlyIntegrable, match="not fully periodic"):
+        scalar_torus_mean_certified(chart, chart.one_s())
     chartp = chart_flat(1, periodic=True)
-    with pytest.raises(NotExactlyIntegrable):
-        integrate_torus(chartp.form({(0, 1): "x1"}))
+    with pytest.raises(NotExactlyIntegrable, match="non-periodic polynomial part"):
+        scalar_torus_mean_certified(chartp, chartp.sc("x1"))
 
 
 def test_moment_pairing_flat():
@@ -302,7 +312,6 @@ def test_torus_integrals_refuse_the_plane():
     jd = jdot_matrix(pair, frame_bivector(pair, pieces))
     calls = [
         lambda: scalar_torus_mean_certified(chart, c),
-        lambda: integrate_torus(chart.form({(0, 1): "2 + cos(x1)"})),
         lambda: check_mean_zero(pair, c),
         lambda: moment_pairing(pair, c, gric_gr(pair).gr),
         lambda: moment_form(pair, lej, jd),
@@ -377,6 +386,15 @@ def _moved_flat_t2():
     frame = pair.epm_frame()
     c = pair.chart.sc("cos(x1)")
     return NilpotentPath(pair, [(c, frame.eplus[0], frame.eminus[0])]).pair_at()
+
+
+def test_a_path_pair_prints_its_time_parameter():
+    """The report and a frame vector of a t-chart pair name t, as
+    `Form.__str__` does: names are the chart's coords + params."""
+    pair = _moved_flat_t2()
+    out = gric_gr(pair).to_dict()
+    for text in (out["rho"], out["gr"], repr(pair.j1.annihilator()[0])):
+        assert re.search(r"\bt\b", text)
 
 
 def test_nilpotent_path_rejects_a_non_real_base():

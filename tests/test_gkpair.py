@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv.errors import DimensionMismatch, WrongBidegree
+from gkcurv.errors import DimensionMismatch
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              hyperkahler_t4)
 from gkcurv.genalg import GenVec, PolyVec, genvec_wedge, pair_tt
-from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, bidegree_split,
-                           compatibility_check, ddbar_pm, epm_split,
-                           hamiltonian_element, jdot_matrix,
+from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, compatibility_check,
+                           ddbar_pm, epm_split, hamiltonian_element, jdot_matrix,
                            random_compat_bivector, trace_pairing, type00_check)
-from gkcurv.linalg import (kernel_basis, mat_add, mat_commutator, mat_inverse,
-                           mat_is_zero, mat_mul, mat_vec)
+from gkcurv.linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
+                           mat_mul, mat_vec)
 from gkcurv.scalars import Point, QQi
 from gkcurv.spinor import FrameGCS, SymplecticGCS
 
@@ -202,30 +201,6 @@ def test_frame_gcs_with_a_negated_matrix_raises():
         epm_split(GKPair(bad, scene.b, scene.omega))
 
 
-@pytest.mark.parametrize("name", ["flat_kahler_c2", "fubini_study_cp2",
-                                  "t4_nonintegrable", "cp2_three_lines"])
-def test_bidegree_split_matches_the_frame_matrix_inverse(name):
-    """Coefficients read through the duals equal those of S^-1 H S^-T for
-    the frame matrix S = (es | conj es)."""
-    pair = CATALOG[name]().pair()
-    chart = pair.chart
-    fr = pair.epm_frame()
-    cols = [e.column() for e in fr.es + fr.conj_frame()]
-    sinv = mat_inverse([list(row) for row in zip(*cols)])
-    m = 2 * chart.dim
-    h = random_compat_bivector(pair, random.Random(5))
-    hmat = [[chart.zero_s()] * m for _ in range(m)]
-    for (a, b), c in h.coef.items():
-        hmat[a][b], hmat[b][a] = c, -c
-    tr = mat_mul(mat_mul(sinv, hmat), [list(r) for r in zip(*sinv)])
-    half = m // 2
-    want = [{(i % half, j % half): tr[i][j] for i in range(m)
-             for j in range(i + 1, m) if not tr[i][j].is_zero()
-             and (i < half) == (j < half) == low} for low in (True, False)]
-    assert want[0] and want[1]
-    assert bidegree_split(pair, h) == tuple(want)
-
-
 def _degenerate_pair():
     chart = chart_flat(1)
     w = flat_omega_form(chart)
@@ -317,27 +292,38 @@ def test_ddbar_pm_quadratic():
     assert (r0 * r0) == pair.chart.const(-4)
 
 
+def _anticommutes_with_j(pair, h):
+    """{ad h, J1} = 0: ad h swaps the +-i eigenbundles of J1 exactly when h
+    lies in Lambda^2 E + Lambda^2 conj(E), with no (1,1) part."""
+    ad, j = h.ad_matrix(), pair.j1.j_matrix()
+    return mat_is_zero(mat_add(mat_mul(ad, j), mat_mul(j, ad)))
+
+
 def test_trace_pairing_zero_and_bidegree():
+    """The zero direction pairs to zero, and a (1,1) direction e ^ conj(e)
+    does not move J1: its ad commutes with J1, so [h, J1] = 0."""
     pair = flat_kahler(2).pair()
     zero_h = PolyVec(pair.chart, 2)
     assert trace_pairing(pair, zero_h, zero_h).is_zero()
-    bad = genvec_wedge(GenVec.basis(pair.chart, 0), GenVec.basis(pair.chart, 4))
-    with pytest.raises(WrongBidegree):
-        bidegree_split(pair, bad)
+    e = pair.epm_frame().es[0]
+    h11 = genvec_wedge(e, e.conj())
+    assert not _anticommutes_with_j(pair, h11)
+    assert mat_is_zero(jdot_matrix(pair, h11))
 
 
 def test_random_compat_bivector_properties():
-    pair = flat_kahler(2).pair()
     rng = random.Random(31)
-    chart = pair.chart
-    j = pair.j1.j_matrix()
-    for _ in range(5):
-        h = random_compat_bivector(pair, rng)
-        assert h.is_real()
-        h20, h02 = bidegree_split(pair, h)  # no (1,1) residue
-        jd = jdot_matrix(pair, h)
-        anti = mat_add(mat_mul(jd, j), mat_mul(j, jd))
-        assert mat_is_zero(anti)
+    for name, draws in [("flat_kahler_c2", 5), ("fubini_study_cp2", 2),
+                        ("cp2_three_lines", 2)]:
+        pair = CATALOG[name]().pair()
+        for _ in range(draws):
+            h = random_compat_bivector(pair, rng)
+            assert h.is_real()
+            assert _anticommutes_with_j(pair, h)
+    # negative control: d/dx1 ^ dx1 on flat C^2 has a (1,1) part
+    pair = flat_kahler(2).pair()
+    bad = genvec_wedge(GenVec.basis(pair.chart, 0), GenVec.basis(pair.chart, 4))
+    assert not _anticommutes_with_j(pair, bad)
 
 
 def test_trace_pairing_antisymmetric_imaginary_part():

@@ -5,21 +5,53 @@ from fractions import Fraction
 import pytest
 
 from gkcurv import linalg, scalars
-from gkcurv.errors import DegenerateOmega, NotBivector
+from gkcurv.errors import DegenerateOmega, NotBivector, ZeroSpinor
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              flat_volume_forms, torus_poisson_deform,
                              type00_perturbed)
 from gkcurv.forms import Chart
-from gkcurv.genalg import (GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt)
+from gkcurv.genalg import (GenVec, PolyVec, _basis_act, clifford_act,
+                           genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (ComplexVolumeGCS, MovedGCS, SymplecticGCS,
-                           _hat_matrix, _jmat_from_frame, clifford_matrix,
+                           _eval_form, _hat_matrix, _jmat_from_frame,
                            eta_N_extract, integrability, pfaffian_inverse,
-                           purity_nondeg, type_number)
+                           type_number)
 
 from test_curvature import _moved_flat_t2, _transported_nonintegrable
+
+
+def clifford_matrix(phi):
+    """Matrix of a -> E_a . phi over the 4n coordinate basis; its rows are
+    the multi-indices occurring in some image, in (degree, index) order."""
+    chart = phi.chart
+    cols = [_basis_act(chart, a, phi) for a in range(2 * chart.dim)]
+    idxs = sorted({i for c in cols for i in c.terms}, key=lambda i: (len(i), i))
+    return [[c.coefficient(i) for c in cols] for i in idxs]
+
+
+def purity_nondeg(phi, p):
+    """Pointwise purity and nondegeneracy of a spinor by exact rank counts:
+    an oracle for the closed-form frames that does not use them."""
+    dim = phi.chart.dim
+    if not _eval_form(phi, p):
+        raise ZeroSpinor("spinor vanishes at the point")
+    mat = [[x.eval(p) for x in row] for row in clifford_matrix(phi)]
+    kers = linalg.kernel_basis(mat)
+    pure = len(kers) == dim
+    nondeg = False
+    if pure:
+        both = [list(k) for k in kers] + [[c.conj() for c in k] for k in kers]
+        gram = [[b[c] for b in both] for c in range(2 * dim)]
+        nondeg = len(linalg.kernel_basis(gram)) == 0
+    return {
+        "pure": pure,
+        "nondegenerate": nondeg,
+        "annihilator": [GenVec.from_column(phi.chart, [phi.chart.const(x) for x in k])
+                        for k in kers],
+    }
 
 
 def _jmat_apply(jmat, e):
