@@ -8,6 +8,14 @@ annihilator frame, its matrix on T + T*, its type at a point, and the
 unique real (eta, N) splitting of d(phi), whose Lambda^3 part is the
 integrability obstruction.  Frames are read off each structure's data in
 closed form, not off a pointwise kernel of the Clifford action.
+
+The splitting first reads the coefficients c of d(phi) on the products of
+one and of three conjugate frame vectors with phi (`EtaN.coeffs`).  For
+exp(b + i omega) they come in closed form from dZ and the minors of omega
+(Jacobi's complementary-minor identity; `_symplectic_coeffs`); every other
+structure row-reduces that Clifford system (`_clifford_coeffs`).  Both
+routes share the assembly of eta and N, its residual check and its
+realness check.
 """
 
 from __future__ import annotations
@@ -298,7 +306,13 @@ def type_number(J: GCStruct, p: Point) -> int:
 
 
 class EtaN:
-    """Result of the unique real splitting d(phi) = eta.phi + N.phi."""
+    """Result of the unique real splitting d(phi) = eta.phi + N.phi.
+
+    `coeffs` lists the c of d(phi) = (sum c_i ebar_i + sum c_ijk ebar_i
+    ebar_j ebar_k) . phi over the conjugate frame ebar of length m: the m
+    singles c_i, then the C(m, 3) triples c_ijk in `itertools.combinations`
+    order.
+    """
 
     __slots__ = ("eta", "eta01", "n3", "n03", "coeffs")
 
@@ -310,30 +324,99 @@ class EtaN:
         self.coeffs = coeffs
 
 
+def _clifford_coeffs(phi: Form, dphi: Form, ebar):
+    """`EtaN.coeffs` of any structure: row-reduce d(phi) against the columns
+    ebar_i . phi and ebar_i . ebar_j . ebar_k . phi."""
+    cols = [clifford_act(e, phi) for e in ebar]
+    cols += [clifford_act(ebar[i], clifford_act(ebar[j], clifford_act(ebar[k], phi)))
+             for i, j, k in itertools.combinations(range(len(ebar)), 3)]
+    idxs = sorted({i for c in cols for i in c.terms} | set(dphi.terms),
+                  key=lambda i: (len(i), i))
+    sol = solve_exact([[c.coefficient(i) for c in cols] for i in idxs],
+                      [dphi.coefficient(i) for i in idxs])
+    if sol is None:
+        raise DecompositionFailed("d(phi) is not of the expected shape")
+    return sol
+
+
+def _minor(w, rows, cols, zero):
+    """det w[rows, cols] by Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return w[rows[0]][cols[0]]
+    out = zero
+    for p, c in enumerate(cols):
+        if not w[rows[0]][c].is_zero():
+            x = w[rows[0]][c] * _minor(w, rows[1:], cols[:p] + cols[p + 1:], zero)
+            out = out - x if p % 2 else out + x
+    return out
+
+
+def _symplectic_coeffs(J: SymplecticGCS, dphi: Form):
+    """`EtaN.coeffs` of exp(Z), Z = b + i omega, in closed form.
+
+    ebar_k . (beta ^ phi) = (i_k beta + a_k ^ beta) ^ phi with
+    a_k = 2i i_k omega, so the triples solve dZ = sum c_ijk a_i ^ a_j ^ a_k,
+    dZ being the 3-form part of d(phi).  With W_ab = omega(d_a, d_b) and
+    det W = Pf^2, Jacobi's complementary-minor identity inverts that
+    system: c_t = (2i)^-3 sum_s dZ_s (-1)^(sum s + sum t) det W[t', s'] / Pf^2,
+    t' and s' the complements.  The singles cancel each triple's 1-form
+    part 2i (W_kj a_i - W_ki a_j + W_ji a_k) c_ijk.  Raises
+    DecompositionFailed when Pf = 0, where the columns are dependent.
+    """
+    chart = J.chart
+    dim = chart.dim
+    zero = chart.zero_s()
+    pf = J.omega_exp().terms.get(tuple(range(dim)))
+    if pf is None:
+        raise DecompositionFailed("d(phi) != 0 and omega is degenerate")
+    w = [list(col) for col in zip(*_hat_matrix(chart, J.omega))]
+    scale = chart.i_s() / (pf * pf * 8)  # (2i)^-3 / Pf^2
+    dz = [(s, [k for k in range(dim) if k not in s], x)
+          for s, x in dphi.terms.items() if len(s) == 3]
+    triples = list(itertools.combinations(range(dim), 3))
+    sol = [zero] * dim
+    for t in triples:
+        tc = [k for k in range(dim) if k not in t]
+        ct = zero
+        for s, sc, x in dz:
+            y = x * _minor(w, tc, sc, zero)
+            ct = ct - y if (sum(s) + sum(t)) % 2 else ct + y
+        sol.append(ct * scale)
+    for (i, j, k), c in zip(triples, sol[dim:]):
+        if c.is_zero():
+            continue
+        c2 = c * QQi(0, 2)
+        sol[i] = sol[i] - w[k][j] * c2
+        sol[j] = sol[j] + w[k][i] * c2
+        sol[k] = sol[k] - w[j][i] * c2
+    return sol
+
+
 def eta_N_extract(J: GCStruct) -> EtaN:
-    """Solve d(phi) = (sum c_i ebar_i + sum c_ijk ebar_i ebar_j ebar_k) . phi."""
+    """Solve d(phi) = (sum c_i ebar_i + sum c_ijk ebar_i ebar_j ebar_k) . phi
+    for the coefficient list `EtaN.coeffs`, then assemble eta = 2 Re(eta01)
+    and N = 2 Re(n03).
+
+    dphi = 0 returns zeros at once.  A `SymplecticGCS` reads the list in
+    closed form (`_symplectic_coeffs`); every other structure row-reduces
+    the Clifford system (`_clifford_coeffs`).  Both routes share the
+    assembly and its two checks: eta.phi + N.phi must reproduce d(phi), and
+    eta and N must be real, else DecompositionFailed.
+    """
     chart = J.chart
     phi = J.spinor()
     dphi = phi.ext_d()
-    ebar = J.conj_annihilator()
-    m = len(ebar)
-    cols = []
-    for i in range(m):
-        cols.append(clifford_act(ebar[i], phi))
+    m = chart.dim
     triples = list(itertools.combinations(range(m), 3))
-    for (i, j, k) in triples:
-        cols.append(clifford_act(ebar[i], clifford_act(ebar[j],
-                    clifford_act(ebar[k], phi))))
-    idxs = sorted({i for c in cols for i in c.terms} | set(dphi.terms),
-                  key=lambda i: (len(i), i))
-    if not idxs:
+    if dphi.is_zero():
         zero_eta = GenVec.zero(chart)
-        return EtaN(zero_eta, zero_eta, PolyVec(chart, 3), PolyVec(chart, 3), [])
-    mat = [[c.coefficient(i) for c in cols] for i in idxs]
-    rhs = [dphi.coefficient(i) for i in idxs]
-    sol = solve_exact(mat, rhs)
-    if sol is None:
-        raise DecompositionFailed("d(phi) is not of the expected shape")
+        return EtaN(zero_eta, zero_eta, PolyVec(chart, 3), PolyVec(chart, 3),
+                    [chart.zero_s()] * (m + len(triples)))
+    ebar = J.conj_annihilator()
+    if isinstance(J, SymplecticGCS):
+        sol = _symplectic_coeffs(J, dphi)
+    else:
+        sol = _clifford_coeffs(phi, dphi, ebar)
     eta01 = GenVec.zero(chart)
     for i in range(m):
         eta01 = eta01 + ebar[i].scale(sol[i])

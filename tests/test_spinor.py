@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gkcurv import linalg, scalars
-from gkcurv.errors import DegenerateOmega, NotBivector, ZeroSpinor
+from gkcurv.errors import (DecompositionFailed, DegenerateOmega, NotBivector,
+                           ZeroSpinor)
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              flat_volume_forms, torus_poisson_deform,
                              type00_perturbed)
@@ -16,8 +18,8 @@ from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
 from gkcurv.scalars import Point, QQi
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (ComplexVolumeGCS, MovedGCS, SymplecticGCS,
-                           _eval_form, _hat_matrix, _jmat_from_frame,
-                           eta_N_extract, integrability, pfaffian_inverse,
+                           _clifford_coeffs, _eval_form, _hat_matrix,
+                           _jmat_from_frame, eta_N_extract, integrability, pfaffian_inverse,
                            type_number)
 
 from test_curvature import _moved_flat_t2, _transported_nonintegrable
@@ -346,9 +348,10 @@ def test_obstruction_assembly_matches_sequential_sums():
 
 # gcd calls (`_gcd_cofactors`, behind every reduction and `poly_gcd`) of
 # eta_N_extract(j1) plus n3.spin_act(psi) on t4_nonintegrable (the gcd keeps no
-# state between calls): 357 with one normalization per output coefficient, 680
-# when every partial product and sum was normalized
-T4_NONINTEGRABLE_GCD_CALLS = 357
+# state between calls): 259 with the closed-form coefficients of exp(b + i w),
+# 274 with the row-reduced Clifford system, 680 when every partial product and
+# sum was normalized
+T4_NONINTEGRABLE_GCD_CALLS = 259
 
 
 def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
@@ -422,8 +425,7 @@ def test_degenerate_and_mixed_forms_are_refused(chart4):
                       flat_omega_form(chart4) + chart4.volume())
 
 
-def test_fubini_study_jpsi_matrix_runs_no_rref(monkeypatch):
-    pair = CATALOG["fubini_study_cp2"]().pair()
+def _count_rref(monkeypatch):
     calls = []
     rref = linalg.rref
 
@@ -432,6 +434,88 @@ def test_fubini_study_jpsi_matrix_runs_no_rref(monkeypatch):
         return rref(*args)
 
     monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def test_fubini_study_jpsi_matrix_runs_no_rref(monkeypatch):
+    pair = CATALOG["fubini_study_cp2"]().pair()
+    calls = _count_rref(monkeypatch)
     jpsi = pair.jpsi_matrix()
     assert not calls
     _check_j_squared(pair.chart, jpsi)
+
+
+def test_symplectic_eta_n_runs_no_rref(monkeypatch):
+    j1 = CATALOG["t4_nonintegrable"]().j1
+    calls = _count_rref(monkeypatch)
+    res = eta_N_extract(j1)
+    assert not calls
+    assert not res.n3.is_zero()
+
+
+CLOSED_SCENES = ("fubini_study_cp2", "flat_kahler_c2", "hyperkahler_t4",
+                 "type00_perturbed", "generalized_cy_t4", "t4_translation_poisson")
+
+
+def test_closed_spinor_splits_as_zero_without_a_solve(monkeypatch):
+    """d(phi) = 0 gives eta = N = 0 and m + C(m, 3) zero coefficients, and
+    builds no frame product and no Clifford system."""
+    structures = [CATALOG[name]().j1 for name in CLOSED_SCENES]
+    calls = _count_rref(monkeypatch)
+    for j1 in structures:
+        res = eta_N_extract(j1)
+        m = j1.chart.dim
+        assert len(res.coeffs) == m + math.comb(m, 3)
+        assert all(c.is_zero() for c in res.coeffs)
+        assert res.eta.is_zero() and res.n3.is_zero() and res.n03.is_zero()
+    assert not calls
+
+
+def test_degenerate_omega_keeps_a_typed_failure(chart4):
+    """exp(b + i w) with Pf(w) = 0: a non-closed b cannot split, a closed
+    one splits as zero."""
+    w = chart4.form({(0, 1): 1})
+    with pytest.raises(DecompositionFailed):
+        eta_N_extract(SymplecticGCS(chart4, chart4.form({(0, 3): "x3"}), w))
+    res = eta_N_extract(SymplecticGCS(chart4, chart4.form({(0, 3): 1}), w))
+    assert len(res.coeffs) == 4 + 4 and all(c.is_zero() for c in res.coeffs)
+    assert res.eta.is_zero() and res.n3.is_zero()
+
+
+def _symplectic_structures():
+    """exp(b + i w) on flat charts of dims 2, 4 and 6: the catalogue's,
+    selftest draws (seed 1 has cos coefficients), a non-closed b with
+    non-constant w, and two with 3x3 minors of w."""
+    out = [make().j1 for make in CATALOG.values()]
+    out = [j1 for j1 in out if isinstance(j1, SymplecticGCS)]
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        out += [_nonintegrable_pair(rng).j1 for _ in range(4)]
+    c2, c4, c6 = Chart.flat(1), Chart.flat(2), Chart.flat(3)
+    out.append(SymplecticGCS(c2, c2.form({(0, 1): "x1*x2"}),
+                             c2.form({(0, 1): "1 + x1^2"})))
+    out.append(SymplecticGCS(c4, c4.form({(0, 1): "x3", (1, 2): "x1*x4"}),
+                             c4.form({(0, 1): 1, (2, 3): "x1"})))
+    out.append(SymplecticGCS(c6, c6.form({(0, 1): "x3", (2, 5): "x4"}),
+                             c6.form({(0, 1): 1, (2, 3): 1, (4, 5): 1})))
+    out.append(SymplecticGCS(c6, c6.form({(0, 3): "x5*x2", (1, 4): "x6"}),
+                             c6.form({(0, 1): 1, (2, 3): "1 + x1^2", (4, 5): 1,
+                                      (0, 5): "x2"})))
+    return out
+
+
+def test_symplectic_closed_form_matches_the_clifford_solve():
+    """`EtaN.coeffs` of exp(b + i w), read in closed form, equals the
+    row-reduced Clifford system's solution entry by entry."""
+    structures = _symplectic_structures()
+    assert any("cos" in str(j1.b) for j1 in structures)
+    nonzero = []
+    for j1 in structures:
+        res = eta_N_extract(j1)
+        phi = j1.spinor()
+        sol = _clifford_coeffs(phi, phi.ext_d(), j1.conj_annihilator())
+        assert len(res.coeffs) == len(sol)
+        assert all(a == b for a, b in zip(res.coeffs, sol))
+        if not res.n3.is_zero():
+            nonzero.append(j1.chart.dim)
+    assert len(nonzero) >= 3 and {4, 6} <= set(nonzero)
