@@ -37,7 +37,6 @@ class CurvatureReport:
     q: Form
     gr: ScalarExpr
     eta: GenVec
-    n3: object
     flags: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -116,7 +115,7 @@ def gric_gr(pair: GKPair, en=None, rho_val=None) -> CurvatureReport:
     flags["gric_proportional_to_omega"] = lam is not None
     if lam is not None:
         flags["einstein_constant"] = lam
-    return CurvatureReport(rho_val, gric, q_form, gr, en.eta, en.n3, flags)
+    return CurvatureReport(rho_val, gric, q_form, gr, en.eta, flags)
 
 
 def _top_ratio(top: Form, ref: Form) -> ScalarExpr:

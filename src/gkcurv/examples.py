@@ -148,8 +148,10 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
     """Poisson deformation of a Kahler scene by a torus action.
 
     fields: commuting real vector fields V_i with i_{V_i} omega = d mu_i and
-    omega(V_i, V_j) = 0; lam: antisymmetric rational matrix (upper triangle
-    used).  J1 is moved by exp(beta), beta = sum_{i<j} lam_ij V_i ^ V_j, as
+    omega(V_i, V_j) = 0; lam: antisymmetric matrix (upper triangle used) of
+    rationals or of chart scalars constant in the coordinates (a chart's
+    parameters may enter them); an entry that varies raises SceneError.
+    J1 is moved by exp(beta), beta = sum_{i<j} lam_ij V_i ^ V_j, as
     `MovedGCS(base.j1, pieces)`: the pieces commute and square to zero, so
     exp(beta) is the product of their factors.  b moves by
     -sum lam_ij dmu_i ^ dmu_j.  Raises NotBivector for a covector part.
@@ -168,8 +170,11 @@ def torus_poisson_deform(base: ExampleScene, fields, moments, lam) -> ExampleSce
         for j in range(i + 1, m):
             if not interior(chart, fields[j].v, iv).is_zero():
                 raise SceneError("omega(V_i, V_j) must vanish")
-            lij = Fraction(lam[i][j])
-            if lij == 0:
+            lij = lam[i][j]
+            lij = chart._as_scalar(lij if isinstance(lij, ScalarExpr) else Fraction(lij))
+            if any(not lij.partial(k).is_zero() for k in range(chart.dim)):
+                raise SceneError(f"lam[{i}][{j}] varies with a coordinate")
+            if lij.is_zero():
                 continue
             pieces.append((lij, fields[i], fields[j]))
             bshift = bshift - dmus[i].wedge(dmus[j]).scale(lij)

@@ -155,20 +155,51 @@ def clifford_act(e: GenVec, form: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 
+def _move(dim, a, idx):
+    """E_a . dx^idx as (index, sign), or None where it is 0: a < dim
+    contracts d/dx_a, else wedges dx_(a-dim) in front."""
+    k = a - dim
+    if k < 0:
+        if a not in idx:
+            return None
+        pos = idx.index(a)
+        return idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1
+    if k in idx:
+        return None
+    pos = bisect.bisect(idx, k)
+    return idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1
+
+
 def _basis_act(chart, a, form: Form) -> Form:
-    """E_a . form by index moves: a < dim contracts d/dx_a, else wedges
-    dx_(a-dim) in front. Distinct input indices give distinct outputs, so
-    the result keeps the input's key order and no coefficient is summed."""
+    """E_a . form by index moves (`_move`). Distinct input indices give
+    distinct outputs, so the result keeps the input's key order and no
+    coefficient is summed."""
     out = {}
-    k = a - chart.dim
     for idx, c in form.terms.items():
-        if k < 0 and a in idx:
-            pos = idx.index(a)
-            out[idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
-        elif k >= 0 and k not in idx:
-            pos = bisect.bisect(idx, k)
-            out[idx[:pos] + (k,) + idx[pos:]] = -c if pos % 2 else c
+        if (r := _move(chart.dim, a, idx)) is not None:
+            out[r[0]] = c if r[1] > 0 else -c
     return Form(chart, out)
+
+
+def basis_terms(dim, key, idx):
+    """E_key . dx^idx as (index, factor) pairs, for one basis section
+    (a,) or the Chevalley product of three: E_a E_b E_d minus the one
+    pairing term, factor +-1/2.  This is `PolyVec.spin_act` on one index,
+    for sums that need no key order."""
+    terms, out, sign = [], idx, 1
+    for a in reversed(key):
+        if (r := _move(dim, a, out)) is None:
+            break
+        out, sign = r[0], sign * r[1]
+    else:
+        terms.append((out, sign))
+    if len(key) == 3:
+        a, b, d = key
+        half = ((a, -1) if d - b == dim else (b, 1) if d - a == dim
+                else (d, -1) if b - a == dim else None)
+        if half and (r := _move(dim, half[0], idx)) is not None:
+            terms.append((r[0], Fraction(half[1] * r[1], 2)))
+    return terms
 
 
 class PolyVec:
@@ -283,20 +314,27 @@ class PolyVec:
 
 
 def genvec_wedge(*vecs) -> PolyVec:
-    """Wedge of 2 or 3 sections into a coordinate PolyVec.
+    """Wedge of 2 or 3 sections into a coordinate PolyVec (`wedge_terms`)."""
+    out = PolyVec(vecs[0].chart, len(vecs))
+    out.coef = wedge_terms([e.column() for e in vecs])
+    return out
 
-    Expands the product over the nonzero components of each section, then
-    lists the index tuples in increasing order."""
-    chart = vecs[0].chart
-    out = PolyVec(chart, len(vecs))
-    nonzero = [[(a, c) for a, c in enumerate(e.column()) if not c.is_zero()]
-               for e in vecs]
+
+def wedge_terms(cols) -> dict:
+    """{index: coefficient} of the wedge of sections given by their
+    component columns, over any ring (scalars, or numerators over one
+    denominator): expands the product over the nonzero components of each,
+    then lists the index tuples in increasing order."""
+    acc = {}
+    nonzero = [[(a, c) for a, c in enumerate(col) if not c.is_zero()]
+               for col in cols]
     for comps in itertools.product(*nonzero):
         idx, cs = zip(*comps)
-        if len(set(idx)) == len(idx):
-            out._accum(idx, math.prod(cs[1:], start=cs[0]))
-    out.coef = dict(sorted(out.coef.items()))
-    return out
+        order, sign = _sort_index(idx)
+        if order is not None:
+            c = math.prod(cs[1:], start=cs[0])
+            _acc(acc, order, c if sign > 0 else -c)
+    return dict(sorted(acc.items()))
 
 
 def keyed_sum(nvars, contribs) -> dict:

@@ -14,22 +14,32 @@ one and of three conjugate frame vectors with phi (`EtaN.coeffs`).  For
 exp(b + i omega) they come in closed form from dZ and the minors of omega
 (Jacobi's complementary-minor identity; `_symplectic_coeffs`); every other
 structure row-reduces that Clifford system (`_clifford_coeffs`).  Both
-routes share the assembly of eta and N, its residual check and its
-realness check.
+routes share one assembly (`_obstruction`): the triples go over one common
+denominator D, an lcm read off their factor lists, and n03's numerators are
+products of theirs with the frame's, in `wedge_sum`'s key order; N's are
+x + u^-1 conj(x) where conj(D) = u D for a term u, else they go over
+lcm(D, conj D).  The residual check eta.phi + N.phi = d(phi) is
+cross-multiplied at each form index and N's realness is read off its
+numerators, so neither takes a gcd.  eta is canonical at once; n03 and N
+are normalized key by key only when read (`EtaN`), which `gric_gr` never
+does and `integrability` does not need.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, ad_b, clifford_act, genvec_wedge,
-                     keyed_sum, wedge_sum)
+from .genalg import (GenVec, PolyVec, ad_b, basis_terms, clifford_act,
+                     genvec_wedge, wedge_terms)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
                      mat_sub, mat_vec, solve_exact)
-from .scalars import QQi, Point
+from .scalars import (QQi, Point, TrigPoly, _acc, _cancel, _coprime_parts,
+                      _leading, _merge, _p_div_exact, _power_product, _times_term,
+                      _unit_free, _unit_normalize)
 
 
 class GCStruct:
@@ -311,17 +321,35 @@ class EtaN:
     `coeffs` lists the c of d(phi) = (sum c_i ebar_i + sum c_ijk ebar_i
     ebar_j ebar_k) . phi over the conjugate frame ebar of length m: the m
     singles c_i, then the C(m, 3) triples c_ijk in `itertools.combinations`
-    order.
+    order.  eta is canonical at once.  n03 and n3 (that is N) are held as
+    numerators over one denominator each, and become canonical PolyVecs on
+    first read, each key normalized once against that denominator's
+    factors; `gric_gr` reads neither, `integrability` only their zero-ness.
     """
 
-    __slots__ = ("eta", "eta01", "n3", "n03", "coeffs")
+    __slots__ = ("eta", "eta01", "coeffs", "_parts", "_read")
 
-    def __init__(self, eta, eta01, n3, n03, coeffs):
+    def __init__(self, eta, eta01, coeffs, n03, n3):
         self.eta = eta
         self.eta01 = eta01
-        self.n3 = n3
-        self.n03 = n03
         self.coeffs = coeffs
+        self._parts = {"n03": n03, "n3": n3}  # ({key: num}, den, den's factors)
+        self._read = {}
+
+    def _polyvec(self, name):
+        if name not in self._read:
+            nums, den, facs = self._parts[name]
+            out = self._read[name] = PolyVec(self.eta.chart, 3)
+            out.coef = {k: _cancel(den.nvars, x, den, facs) for k, x in nums.items()}
+        return self._read[name]
+
+    @property
+    def n03(self) -> PolyVec:
+        return self._polyvec("n03")
+
+    @property
+    def n3(self) -> PolyVec:
+        return self._polyvec("n3")
 
 
 def _clifford_coeffs(phi: Form, dphi: Form, ebar):
@@ -392,6 +420,85 @@ def _symplectic_coeffs(J: SymplecticGCS, dphi: Form):
     return sol
 
 
+def _over_one_den(m, xs):
+    """(numerators, D, D's factors) of the scalars xs over D, the lcm of
+    their denominators read off their factor lists (`_merge`); each
+    numerator is num * (D/den), an exact quotient."""
+    facs = ()
+    for x in xs:
+        if x.facs and x.facs != facs:
+            facs = tuple((f, max(e1, e2)) for f, e1, e2 in _merge(facs, x.facs))
+    den = _power_product(m, facs)
+    nums = [x.num if x.is_zero() or x.den == den
+            else x.num * TrigPoly(m, _p_div_exact(den.terms, x.den.terms))
+            for x in xs]
+    return nums, den, facs
+
+
+def _conj_unit(d: TrigPoly):
+    """The term u = (key, c) with conj(d) = u * d, or None."""
+    cd, dt = d.conj().terms, d.terms
+    la, lb = _leading(cd), _leading(dt)
+    u = tuple(map(operator.sub, la, lb)), cd[la] * dt[lb].inverse()
+    return u if _times_term(dt, *u) == cd else None
+
+
+def _obstruction(chart, ebar, triples, coeffs):
+    """n03 = sum c_ijk ebar_i ^ ebar_j ^ ebar_k and N = n03 + conj(n03) as
+    ({key: numerator}, den, den's factors), in `wedge_sum`'s key order, and
+    the term u with conj(N's den) = u * N's den (None if there is none).
+
+    n03's den is D E^3, D and E the lcms of the c_ijk's and of the frame's
+    denominators; its numerators are products of theirs.  Where conj(den)
+    = u den for a term u, N's numerators are x + u^-1 conj(x) over den;
+    else they go over lcm(den, conj den)."""
+    m = chart.nvars
+    cs, _, fc = _over_one_den(m, coeffs)
+    cols, _, fe = _over_one_den(m, [x for e in ebar for x in e.column()])
+    width = 2 * chart.dim
+    cols = [cols[k:k + width] for k in range(0, len(cols), width)]
+    nums = {}
+    for (i, j, k), c in zip(triples, cs):
+        if c.terms:
+            for idx, w in wedge_terms((cols[i], cols[j], cols[k])).items():
+                _acc(nums, idx, c * w)
+    facs = tuple((f, e1 + e2) for f, e1, e2 in
+                 _merge(fc, tuple((f, 3 * e) for f, e in fe)))
+    den = _power_product(m, facs)
+    u = _conj_unit(den)
+    if u is not None:
+        inv = tuple(-k for k in u[0]), u[1].inverse()
+        n3 = ((key, x + TrigPoly(m, _times_term(x.conj().terms, *inv)))
+              for key, x in nums.items())
+        n3den, n3facs = den, facs
+    else:
+        cd = den.conj().terms
+        base = _merge(facs, tuple((_unit_free(f.conj()), e) for f, e in facs))
+        r1, r2 = _coprime_parts(m, base, den, _unit_normalize({}, cd, m)[1])
+        n3 = ((key, x * r2 + _unit_normalize(x.conj().terms, cd, m)[0] * r1)
+              for key, x in nums.items())
+        n3den, n3facs = den * r2, tuple((f, max(e1, e2)) for f, e1, e2 in base)
+        u = _conj_unit(n3den)
+    n3 = {key: y for key, y in n3 if not y.is_zero()}
+    return (nums, den, facs), (n3, n3den, n3facs), u
+
+
+def _act_nums(dim, gens, phi):
+    """Numerators of sum x E_key . phi over the (key, x) in gens, for phi
+    given as {index: numerator}: the x are summed per (image, source)
+    index (`basis_terms`) before one product with phi's numerator."""
+    by_src = {}
+    for key, x in gens:
+        for src in phi:
+            for out, f in basis_terms(dim, key, src):
+                _acc(by_src, (out, src), x if f == 1 else -x if f == -1
+                     else x.scale(QQi(f)))
+    acc = {}
+    for (out, src), s in by_src.items():
+        _acc(acc, out, s * phi[src])
+    return acc
+
+
 def eta_N_extract(J: GCStruct) -> EtaN:
     """Solve d(phi) = (sum c_i ebar_i + sum c_ijk ebar_i ebar_j ebar_k) . phi
     for the coefficient list `EtaN.coeffs`, then assemble eta = 2 Re(eta01)
@@ -399,41 +506,53 @@ def eta_N_extract(J: GCStruct) -> EtaN:
 
     dphi = 0 returns zeros at once.  A `SymplecticGCS` reads the list in
     closed form (`_symplectic_coeffs`); every other structure row-reduces
-    the Clifford system (`_clifford_coeffs`).  Both routes share the
-    assembly and its two checks: eta.phi + N.phi must reproduce d(phi), and
-    eta and N must be real, else DecompositionFailed.
+    the Clifford system (`_clifford_coeffs`).  Both routes share one
+    assembly: n03 and N are built as numerators over one denominator each
+    (`_obstruction`) and normalized only when read (`EtaN`).  Its two checks
+    take no gcd: eta.phi + N.phi = d(phi) is cross-multiplied at each form
+    index, with eta, N and phi each over one denominator, and N is real
+    when conj(y) = u y for each numerator y over a den with conj(den) =
+    u den.  Either failing, or a non-real eta, raises DecompositionFailed.
     """
     chart = J.chart
     phi = J.spinor()
     dphi = phi.ext_d()
-    m = chart.dim
-    triples = list(itertools.combinations(range(m), 3))
+    dim, m = chart.dim, chart.nvars
+    triples = list(itertools.combinations(range(dim), 3))
     if dphi.is_zero():
         zero_eta = GenVec.zero(chart)
-        return EtaN(zero_eta, zero_eta, PolyVec(chart, 3), PolyVec(chart, 3),
-                    [chart.zero_s()] * (m + len(triples)))
+        none = ({}, TrigPoly.const(m, 1), ())
+        return EtaN(zero_eta, zero_eta, [chart.zero_s()] * (dim + len(triples)),
+                    none, none)
     ebar = J.conj_annihilator()
     if isinstance(J, SymplecticGCS):
         sol = _symplectic_coeffs(J, dphi)
     else:
         sol = _clifford_coeffs(phi, dphi, ebar)
     eta01 = GenVec.zero(chart)
-    for i in range(m):
+    for i in range(dim):
         eta01 = eta01 + ebar[i].scale(sol[i])
     eta = eta01 + eta01.conj()
-    n03 = wedge_sum(chart, 3, ((c, ebar[i], ebar[j], ebar[k])
-                               for (i, j, k), c in zip(triples, sol[m:])))
-    n3 = PolyVec(chart, 3, keyed_sum(chart.nvars, itertools.chain(
-        ((idx, c.num, c.den) for idx, c in n03.coef.items()),
-        ((idx, c.num.conj(), c.den.conj()) for idx, c in n03.coef.items()))))
-    check = clifford_act(eta, phi) + n3.spin_act(phi)
-    if not (check - dphi).is_zero():
-        raise DecompositionFailed("residual in the (eta, N) splitting")
-    if not eta.is_real() or not n3.is_real():
+    n03, n3, u = _obstruction(chart, ebar, triples, sol[dim:])
+    nums, lden = n3[0], n3[1]
+    # eta.phi = T/(H F) and N.phi = S/(L F) against d(phi) = p/q, index by index
+    xs, h, _ = _over_one_den(m, eta.column())
+    fs, f, _ = _over_one_den(m, list(phi.terms.values()))
+    fs = dict(zip(phi.terms, fs))
+    t = _act_nums(dim, [((a,), x) for a, x in enumerate(xs) if x.terms], fs)
+    s = _act_nums(dim, nums.items(), fs)
+    hlf, zero = h * lden * f, TrigPoly(m)
+    for idx in {*t, *s, *dphi.terms}:
+        p = dphi.terms.get(idx, chart.zero_s())
+        if p.num * hlf != p.den * (t.get(idx, zero) * lden + s.get(idx, zero) * h):
+            raise DecompositionFailed("residual in the (eta, N) splitting")
+    if not eta.is_real() or u is None or any(
+            y.conj().terms != _times_term(y.terms, *u) for y in nums.values()):
         raise DecompositionFailed("splitting is not real")
-    return EtaN(eta, eta01, n3, n03, sol)
+    return EtaN(eta, eta01, sol, n03, n3)
 
 
 def integrability(J: GCStruct) -> bool:
-    """True iff the Lambda^3 obstruction vanishes identically."""
-    return eta_N_extract(J).n3.is_zero()
+    """True iff the Lambda^3 obstruction vanishes identically: N's
+    numerators are read, and no key of N is normalized."""
+    return not eta_N_extract(J)._parts["n3"][0]

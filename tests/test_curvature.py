@@ -25,7 +25,7 @@ from gkcurv.gkpair import (GKPair, compatibility_check, frame_bivector,
 from gkcurv.linalg import mat_vec
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import Point, QQi, ScalarExpr, ipow
-from gkcurv.spinor import ComplexVolumeGCS, SymplecticGCS
+from gkcurv.spinor import ComplexVolumeGCS, SymplecticGCS, eta_N_extract
 from gkcurv.transport import transport_b
 
 from conftest import chart_flat
@@ -468,9 +468,10 @@ def test_every_trigpoly_key_is_a_flat_exponent_tuple():
                                  [0, (0, Fraction(1, 2)), 0])
     built += list(moved.terms.values())
     for name in ("t4_nonintegrable", "fubini_study_cp1"):
-        rep = gric_gr(CATALOG[name]().pair())
+        pair = CATALOG[name]().pair()
+        rep = gric_gr(pair)
         built += [rep.rho, rep.gr, *rep.gric.terms.values(), *rep.q.terms.values(),
-                  *rep.eta.column(), *rep.n3.coef.values()]
+                  *rep.eta.column(), *eta_N_extract(pair.j1).n3.coef.values()]
     keys = [(k, x.nvars) for x in built for p in (x.num, x.den) for k in p.terms]
     for k, m in keys:
         assert type(k) is tuple and len(k) == 2 * m and all(type(e) is int for e in k)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.forms import _perm_sign
-from gkcurv.genalg import (GenVec, PolyVec, _basis_act, ad_b, clifford_act,
-                           dorfman, gen_lie_J, genvec_wedge, interior,
-                           keyed_sum, pair_tt, wedge_sum)
-from gkcurv.scalars import ScalarExpr
+from gkcurv.genalg import (GenVec, PolyVec, _basis_act, ad_b, basis_terms,
+                           clifford_act, dorfman, gen_lie_J, genvec_wedge,
+                           interior, keyed_sum, pair_tt, wedge_sum)
+from gkcurv.scalars import ScalarExpr, _acc
 
 from conftest import chart_flat, random_form, random_scalar
 
@@ -306,6 +306,26 @@ def test_basis_act_matches_clifford_act(n):
             got = _basis_act(chart, k, a)
             ref = clifford_act(GenVec.basis(chart, k), a)
             assert list(got.terms.items()) == list(ref.terms.items())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_basis_terms_match_spin_act(n):
+    """E_key . form summed from `basis_terms` index by index equals the
+    spin action of the basis section (grade 1) or trivector (grade 3)."""
+    chart = chart_flat(n)
+    rng = random.Random(61 + n)
+    keys = [(a,) for a in range(2 * chart.dim)]
+    keys += list(itertools.combinations(range(2 * chart.dim), 3))
+    for _ in range(3):
+        form = random_form(rng, chart, max_terms=4)
+        for key in keys:
+            got = {}
+            for idx, c in form.terms.items():
+                for out, f in basis_terms(chart.dim, key, idx):
+                    _acc(got, out, c * f)
+            ref = (clifford_act(GenVec.basis(chart, key[0]), form) if len(key) == 1
+                   else PolyVec(chart, 3, {key: 1}).spin_act(form))
+            assert got == ref.terms, key
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from gkcurv import linalg, scalars
+from gkcurv.curvature import NilpotentPath, gric_gr
 from gkcurv.errors import (DecompositionFailed, DegenerateOmega, NotBivector,
-                           ZeroSpinor)
-from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
-                             flat_volume_forms, torus_poisson_deform,
+                           SceneError, ZeroSpinor)
+from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
+                             flat_omega_form, flat_volume_forms,
+                             hyperkahler_type00, torus_poisson_deform,
                              type00_perturbed)
 from gkcurv.forms import Chart
 from gkcurv.genalg import (GenVec, PolyVec, _basis_act, clifford_act,
                            genvec_wedge, pair_tt)
 from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
-from gkcurv.scalars import Point, QQi
+from gkcurv.scalars import Point, QQi, ScalarExpr
 from gkcurv.selftest import _nonintegrable_pair
 from gkcurv.spinor import (ComplexVolumeGCS, MovedGCS, SymplecticGCS,
-                           _clifford_coeffs, _eval_form, _hat_matrix,
+                           _clifford_coeffs, _conj_unit, _eval_form, _hat_matrix,
                            _jmat_from_frame, eta_N_extract, integrability, pfaffian_inverse,
                            type_number)
 
@@ -203,6 +205,18 @@ def test_beta_deform_rejects_covector_components():
                              [[0, 1], [-1, 0]])
 
 
+def test_poisson_lambda_takes_constant_chart_scalars():
+    """lam = chart.const(1/3) moves cp2_three_lines as Fraction(1, 3) does:
+    the same J1 matrix, spinor and b; an entry that varies is refused."""
+    chart = Chart.flat(2)
+    a, b = (cp2_three_lines(lam) for lam in (Fraction(1, 3), chart.const(Fraction(1, 3))))
+    assert a.j1.j_matrix() == b.j1.j_matrix()
+    assert a.j1.spinor() == b.j1.spinor()
+    assert a.b == b.b
+    with pytest.raises(SceneError, match="varies with a coordinate"):
+        cp2_three_lines(chart.coord_s(0))
+
+
 def test_beta_zero_is_base(chart4):
     base = ComplexVolumeGCS(chart4, flat_volume_forms(chart4))
     J = MovedGCS(base, [])
@@ -323,35 +337,76 @@ def test_eta_n_beta_weights(chart4):
     assert res.eta == (jv1 - jv2).scale(lam) or res.eta == (jv2 - jv1).scale(lam)
 
 
-def test_obstruction_assembly_matches_sequential_sums():
-    """n03 and n3 of the keyed sums equal the PolyVec sums term by term, key
-    order included, on polynomial and trig-rational (D, D^2) coefficients."""
+def _t_chart_pair():
+    """A `NilpotentPath` pair on flat T^4 whose moved J1 has N != 0."""
+    pair = flat_kahler(2, periodic=True).pair()
+    frame = pair.epm_frame()
+    return NilpotentPath(pair, [(ScalarExpr.cos(4, (1, 0, 0, 0)), frame.eplus[0],
+                                 frame.eminus[1])]).pair_at()
+
+
+def _assembly_routes(chart4):
+    """(name, structure) over every route into the (eta, N) assembly."""
     rng = random.Random(1)
-    pairs = [CATALOG["t4_nonintegrable"]().pair()]
-    pairs += [_nonintegrable_pair(rng) for _ in range(4)]
-    trig_dens = 0
-    for pair in pairs:
-        res = eta_N_extract(pair.j1)
-        ebar = pair.j1.conj_annihilator()
+    cosines = [hyperkahler_type00(chart4, f, g, i1, i2)[0] for f, g, i1, i2 in (
+        (chart4.sc("2*cos(x3)"), chart4.sc("-2*cos(x3)"), 0, 2),
+        (chart4.sc("cos(x2)"), chart4.sc("cos(x2)"), 1, 0))]
+    routes = [("t4_nonintegrable", CATALOG["t4_nonintegrable"]().j1),
+              ("cp2_three_lines", CATALOG["cp2_three_lines"]().j1),
+              ("transport_b", _transported_nonintegrable().j1),
+              ("t_chart", _t_chart_pair().j1),
+              # frame and spinor over a denominator 1 + x4^2
+              ("rational_frame", SymplecticGCS(
+                  chart4, chart4.form({(0, 1): "x3/(1 + x4^2)"}), flat_omega_form(chart4))),
+              # a non-closed complex volume form: D is not real up to a unit
+              ("complex_den", ComplexVolumeGCS(chart4, [
+                  chart4.form({(0,): 1, (1,): "i"}),
+                  chart4.form({(2,): 1, (3,): "i/(1 + i*x1)"})]))]
+    routes += [(f"cos_{k}", j1) for k, j1 in enumerate(cosines)]
+    routes += [(f"draw_{k}", _nonintegrable_pair(rng).j1) for k in range(4)]
+    return routes
+
+
+def test_obstruction_assembly_matches_sequential_sums(chart4):
+    """n03, N, eta and the coefficients of the one-denominator assembly equal
+    the old sequential sums (PolyVec and GenVec sums of normalized terms, and
+    the row-reduced Clifford system) on every route, key order included, and
+    the oracle values pass the old residual check.  The stored denominator
+    of n03 is real up to a unit u != 1 on the cos draws, and has no such u
+    on the complex one (the lcm(D, conj D) route)."""
+    for name, J in _assembly_routes(chart4):
+        res = eta_N_extract(J)
+        phi = J.spinor()
+        ebar = J.conj_annihilator()
         m = len(ebar)
-        n03 = PolyVec(pair.chart, 3)
+        assert res.coeffs == _clifford_coeffs(phi, phi.ext_d(), ebar), name
+        eta01 = GenVec.zero(J.chart)
+        for e, c in zip(ebar, res.coeffs):
+            eta01 = eta01 + e.scale(c)
+        n03 = PolyVec(J.chart, 3)
         for (i, j, k), c in zip(itertools.combinations(range(m), 3), res.coeffs[m:]):
             if not c.is_zero():
                 n03 = n03 + genvec_wedge(ebar[i], ebar[j], ebar[k]).scale(c)
         n3 = n03 + n03.conj()
-        assert list(res.n03.coef.items()) == list(n03.coef.items())
-        assert list(res.n3.coef.items()) == list(n3.coef.items())
-        trig_dens += any(any(any(k[c.nvars:]) for k in c.den.terms)
-                         for c in n03.coef.values())
-    assert trig_dens >= 2
+        assert res.eta == eta01 + eta01.conj(), name
+        assert list(res.n03.coef.items()) == list(n03.coef.items()), name
+        assert list(res.n3.coef.items()) == list(n3.coef.items()), name
+        assert clifford_act(res.eta, phi) + n3.spin_act(phi) == phi.ext_d(), name
+        assert integrability(J) == (name == "cp2_three_lines"), name
+        den = res._parts["n03"][1]
+        if name.startswith("cos_"):
+            assert den.conj() != den and _conj_unit(den) is not None, name
+        if name == "complex_den":
+            assert _conj_unit(den) is None and res.n3.coef
 
 
 # gcd calls (`_gcd_cofactors`, behind every reduction and `poly_gcd`) of
 # eta_N_extract(j1) plus n3.spin_act(psi) on t4_nonintegrable (the gcd keeps no
-# state between calls): 259 with the closed-form coefficients of exp(b + i w),
-# 274 with the row-reduced Clifford system, 680 when every partial product and
-# sum was normalized
-T4_NONINTEGRABLE_GCD_CALLS = 259
+# state between calls): 73 with n03 and N over one denominator each, normalized
+# on read (25 in the extraction, 48 when N is read), 259 with the closed-form
+# coefficients of exp(b + i w) and keyed sums, 274 with the row-reduced
+# Clifford system, 680 when every partial product and sum was normalized
+T4_NONINTEGRABLE_GCD_CALLS = 73
 
 
 def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
@@ -371,6 +426,34 @@ def test_obstruction_gcd_count_stays_at_one_normalization_per_key(monkeypatch):
     assert not res.n3.is_zero()
     assert res.n3.spin_act(psi).is_zero()
     assert 0 < len(calls) <= T4_NONINTEGRABLE_GCD_CALLS
+
+
+@pytest.mark.parametrize("name", ["t4_nonintegrable", "cp2_three_lines"])
+def test_gric_gr_and_integrability_normalize_no_obstruction_key(name, monkeypatch):
+    """Neither gric_gr nor integrability reads n03 or N, so no key of theirs
+    is normalized: gric_gr takes as many gcds whether or not they were read
+    before, and integrability as many as the extraction alone."""
+    calls = []
+    gcd = scalars._gcd_cofactors
+
+    def spy(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    def count(fn, *args):
+        del calls[:]
+        fn(*args)
+        return len(calls)
+
+    monkeypatch.setattr(scalars, "_gcd_cofactors", spy)
+    pairs = [CATALOG[name]().pair() for _ in range(2)]
+    ens = [eta_N_extract(pair.j1) for pair in pairs]
+    read = count(lambda: (ens[1].n03, ens[1].n3))
+    assert (read > 0) == (name == "t4_nonintegrable")
+    assert count(gric_gr, pairs[0], ens[0]) == count(gric_gr, pairs[1], ens[1])
+    assert not ens[0]._read
+    j1s = [CATALOG[name]().j1 for _ in range(2)]
+    assert count(integrability, j1s[0]) == count(eta_N_extract, j1s[1])
 
 
 def _pfaffian_inverse_cases():
