@@ -521,9 +521,9 @@ def eta_N_extract(J: GCStruct) -> EtaN:
     triples = list(itertools.combinations(range(dim), 3))
     if dphi.is_zero():
         zero_eta = GenVec.zero(chart)
-        none = ({}, TrigPoly.const(m, 1), ())
+        empty = ({}, TrigPoly.const(m, 1), ())
         return EtaN(zero_eta, zero_eta, [chart.zero_s()] * (dim + len(triples)),
-                    none, none)
+                    empty, empty)
     ebar = J.conj_annihilator()
     if isinstance(J, SymplecticGCS):
         sol = _symplectic_coeffs(J, dphi)
