@@ -6,8 +6,10 @@ spin representation (interior product plus wedge).  Bi- and tri-vectors are
 antisymmetric coefficient arrays over the 4n coordinate basis
 (d/dx1..d/dx2n, dx1..dx2n); their spin action uses the canonical
 antisymmetrized embedding into the Clifford algebra, so mixed-index arrays
-are handled consistently.  Moving a whole structure by spin-group factors
-is `spinor.MovedGCS`; `ad_b` here only moves single sections.
+are handled consistently (one kernel, `basis_terms`).  Keyed sums of
+products go over one denominator (`products_over_one_den`).  Moving a whole
+structure by spin-group factors is `spinor.MovedGCS`; `ad_b` here only moves
+single sections.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from fractions import Fraction
 from .errors import ChartMismatch
 from .forms import Chart, Form, _sort_index
 from .linalg import mat_commutator, mat_vec
-from .scalars import ScalarExpr, _acc
+from .scalars import (QQi, ScalarExpr, TrigPoly, _acc, _cancel, _merge,
+                      _p_div_exact, _power_product)
 
 
 class GenVec:
@@ -170,22 +173,12 @@ def _move(dim, a, idx):
     return idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1
 
 
-def _basis_act(chart, a, form: Form) -> Form:
-    """E_a . form by index moves (`_move`). Distinct input indices give
-    distinct outputs, so the result keeps the input's key order and no
-    coefficient is summed."""
-    out = {}
-    for idx, c in form.terms.items():
-        if (r := _move(chart.dim, a, idx)) is not None:
-            out[r[0]] = c if r[1] > 0 else -c
-    return Form(chart, out)
-
-
 def basis_terms(dim, key, idx):
-    """E_key . dx^idx as (index, factor) pairs, for one basis section
-    (a,) or the Chevalley product of three: E_a E_b E_d minus the one
-    pairing term, factor +-1/2.  This is `PolyVec.spin_act` on one index,
-    for sums that need no key order."""
+    """E_key . dx^idx as (index, factor) pairs, for one basis section (a,)
+    or the Chevalley product of two or three: the product E_a E_b [E_d]
+    (`_move`), factor +-1, then minus the one pairing term, factor +-1/2,
+    whose index is idx itself for two.  This is `PolyVec.spin_act` on one
+    index."""
     terms, out, sign = [], idx, 1
     for a in reversed(key):
         if (r := _move(dim, a, out)) is None:
@@ -193,7 +186,9 @@ def basis_terms(dim, key, idx):
         out, sign = r[0], sign * r[1]
     else:
         terms.append((out, sign))
-    if len(key) == 3:
+    if len(key) == 2 and key[1] - key[0] == dim:
+        terms.append((idx, Fraction(-1, 2)))
+    elif len(key) == 3:
         a, b, d = key
         half = ((a, -1) if d - b == dim else (b, 1) if d - a == dim
                 else (d, -1) if b - a == dim else None)
@@ -248,32 +243,20 @@ class PolyVec:
         - <E_b, E_c> E_a + <E_a, E_c> E_b - <E_a, E_b> E_c.
 
         <E_x, E_y> is 1/2 when y = x + dim (d/dx_k with dx_k) and 0 otherwise;
-        index tuples are increasing, so at most one pairing is nonzero.  The
-        pieces c * E_idx . form are summed once per output index."""
-        chart = self.chart
-        dim = chart.dim
-        half = Fraction(1, 2)
-        pieces = []
-        if self.grade == 2:
-            for (a, b), c in self.coef.items():
-                piece = _basis_act(chart, a, _basis_act(chart, b, form))
-                if b - a == dim:
-                    piece = piece - form.scale(half)
-                pieces.append((c, piece))
-        else:
-            for (a, b, d), c in self.coef.items():
-                piece = _basis_act(chart, d, form)
-                piece = _basis_act(chart, a, _basis_act(chart, b, piece))
-                if d - b == dim:
-                    piece = piece - _basis_act(chart, a, form).scale(half)
-                elif d - a == dim:
-                    piece = piece + _basis_act(chart, b, form).scale(half)
-                elif b - a == dim:
-                    piece = piece - _basis_act(chart, d, form).scale(half)
-                pieces.append((c, piece))
-        return Form(chart, keyed_sum(chart.nvars, (
-            (idx, v.num * c.num, v.den * c.den)
-            for c, piece in pieces for idx, v in piece.terms.items())))
+        index tuples are increasing, so at most one pairing is nonzero.  Each
+        key's piece E_key . form sums its `basis_terms`, the products and then
+        the pairing terms, each in the form's order; the c * piece are summed
+        over one denominator (`keyed_sum`)."""
+        dim = self.chart.dim
+        terms = []
+        for key, c in self.coef.items():
+            moves = [(out, f, v) for idx, v in form.terms.items()
+                     for out, f in basis_terms(dim, key, idx)]
+            piece = {}
+            for out, f, v in sorted(moves, key=lambda t: abs(t[1]) < 1):
+                _acc(piece, out, v if f == 1 else -v if f == -1 else v * QQi(f))
+            terms += [(idx, c, w) for idx, w in piece.items()]
+        return Form(self.chart, keyed_sum(self.chart.nvars, terms))
 
     def ad(self, e: GenVec) -> GenVec:
         """Adjoint action [self, e] for grade 2 (so(T+T*) element)."""
@@ -337,38 +320,54 @@ def wedge_terms(cols) -> dict:
     return dict(sorted(acc.items()))
 
 
-def keyed_sum(nvars, contribs) -> dict:
-    """Sum (key, num, den) fractions, reduced or not, into {key: ScalarExpr}
-    with the key order of adding them one at a time: a key whose sum reaches
-    0 is dropped and re-enters at the end.  Numerators over an equal
-    denominator add with no gcd; a new denominator first normalizes the
-    running sum, then adds over the lcm.  Each key is normalized once, last.
-    """
-    acc = {}  # key -> (num, den, reduced)
-    for key, num, den in contribs:
-        run = acc.get(key)
-        if run is None:
-            run = (num, den, False)
-        elif run[1] == den:
-            run = (run[0] + num, den, False)
-        else:
-            s = ScalarExpr(nvars, *run) + ScalarExpr(nvars, num, den)
-            run = (s.num, s.den, True)
-        if run[0].is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = run
-    return {key: ScalarExpr(nvars, n, d, _normalized=reduced)
-            for key, (n, d, reduced) in acc.items()}
+def _over_one_den(m, xs):
+    """(numerators, D, D's factors) of the scalars xs over D, the lcm of
+    their denominators read off their factor lists (`_merge`); each
+    numerator is num * (D/den), an exact quotient."""
+    facs = ()
+    for x in xs:
+        if x.facs and x.facs != facs:
+            facs = tuple((f, max(e1, e2)) for f, e1, e2 in _merge(facs, x.facs))
+    den = _power_product(m, facs)
+    nums = [x.num if x.is_zero() or x.den == den
+            else x.num * TrigPoly(m, _p_div_exact(den.terms, x.den.terms))
+            for x in xs]
+    return nums, den, facs
+
+
+def products_over_one_den(m, terms):
+    """({key: numerator}, D, D's factors) of the sums of x * y over the
+    (key, x, y) scalar terms, D = lcm(x dens) * lcm(y dens) (`_over_one_den`).
+    The numerators are summed with `_acc`, so a key whose sum reaches 0 is
+    dropped and re-enters at the end, the key order of adding term by term;
+    no gcd of expanded polynomials is taken."""
+    keys, xs, ys = zip(*terms) if terms else ((), (), ())
+    xs, _, fx = _over_one_den(m, xs)
+    ys, _, fy = _over_one_den(m, ys)
+    facs = tuple((f, e1 + e2) for f, e1, e2 in _merge(fx, fy))
+    nums = {}
+    for key, x, y in zip(keys, xs, ys):
+        _acc(nums, key, x * y)
+    return nums, _power_product(m, facs), facs
+
+
+def keyed_sum(m, terms) -> dict:
+    """Sum x * y over the (key, x, y) scalar terms into {key: ScalarExpr},
+    in the key order of adding term by term: numerators over one
+    denominator D (`products_over_one_den`), then each key's normalized
+    once against D's factors (`_cancel`)."""
+    nums, den, facs = products_over_one_den(m, terms)
+    return {key: _cancel(m, x, den, facs) for key, x in nums.items()}
 
 
 def wedge_sum(chart, grade, terms) -> PolyVec:
-    """Sum of c * (x ^ y [^ z]) over (c, x, y[, z]) terms. Each coefficient
-    is summed once, in the key order that adding term by term gives."""
+    """Sum of c * (x ^ y [^ z]) over (c, x, y[, z]) terms, as (idx, c, w)
+    products over one denominator (`keyed_sum`): each coefficient is
+    normalized once, in the key order that adding term by term gives."""
     terms = [(chart._as_scalar(c), vecs) for c, *vecs in terms]
-    return PolyVec(chart, grade, keyed_sum(chart.nvars, (
-        (idx, w.num * c.num, w.den * c.den) for c, vecs in terms
-        if not c.is_zero() for idx, w in genvec_wedge(*vecs).coef.items())))
+    return PolyVec(chart, grade, keyed_sum(chart.nvars, [
+        (idx, c, w) for c, vecs in terms
+        if not c.is_zero() for idx, w in genvec_wedge(*vecs).coef.items()]))
 
 
 # ---------------------------------------------------------------------------

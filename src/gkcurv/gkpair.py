@@ -23,7 +23,7 @@ from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, NotRealStructure)
 from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
-                     dorfman, keyed_sum, pair_tt, wedge_sum)
+                     dorfman, pair_tt, products_over_one_den, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
                      mat_mul, mat_sub, mat_trace, mat_vec, rref)
 from .scalars import QQi, Point, ScalarExpr, ipow
@@ -250,9 +250,9 @@ def _dual_frame(pair: GKPair, es, free, s: QQi):
     spaces.  The eigenbundles of J1 and of J_psi are isotropic, so 2<d, .>
     also vanishes there for d in conj E, and since 2<d, x> = d.xi(x.v) +
     d.v(x.xi), d_i has d_i.xi = row[:dim] and d_i.v = row[dim:] for
-    row f_i of Pi.  The identity is checked exactly, each pairing summed
-    over its denominators by `keyed_sum`, and raises DimensionMismatch
-    when it fails.
+    row f_i of Pi.  The identity is checked exactly and with no gcd: the
+    pairings' numerators over one denominator D (`products_over_one_den`)
+    must be D on the diagonal and 0 off it; else DimensionMismatch.
     """
     chart = pair.chart
     dim = chart.dim
@@ -264,12 +264,11 @@ def _dual_frame(pair: GKPair, es, free, s: QQi):
         row = [(x + y * -s) * quarter
                for x, y in zip(a, mat_mul([a], jpsi)[0])]
         duals.append(GenVec(chart, row[dim:], row[:dim]))
-    got = keyed_sum(chart.nvars, (
-        ((k, j), x.num * y.num, x.den * y.den)
-        for k, d in enumerate(duals) for j, e in enumerate(es)
+    got, den, _ = products_over_one_den(chart.nvars, [
+        ((k, j), x, y) for k, d in enumerate(duals) for j, e in enumerate(es)
         for x, y in zip(d.xi + d.v, e.v + e.xi)
-        if not (x.is_zero() or y.is_zero())))
-    if got != {(k, k): one for k in range(len(es))}:
+        if not (x.is_zero() or y.is_zero())])
+    if got != {(k, k): den for k in range(len(es))}:
         raise DimensionMismatch("dual frame fails 2<d_i, e_j> = delta_ij: "
                                 "J1's matrix disagrees with its frame")
     return duals

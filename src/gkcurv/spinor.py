@@ -33,12 +33,12 @@ import operator
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      NotRealStructure, ZeroSpinor)
 from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, ad_b, basis_terms, clifford_act,
-                     genvec_wedge, wedge_terms)
+from .genalg import (GenVec, PolyVec, _over_one_den, ad_b, basis_terms,
+                     clifford_act, genvec_wedge, wedge_terms)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
                      mat_sub, mat_vec, solve_exact)
 from .scalars import (QQi, Point, TrigPoly, _acc, _cancel, _coprime_parts,
-                      _leading, _merge, _p_div_exact, _power_product, _times_term,
+                      _leading, _merge, _power_product, _times_term,
                       _unit_free, _unit_normalize)
 
 
@@ -327,11 +327,10 @@ class EtaN:
     factors; `gric_gr` reads neither, `integrability` only their zero-ness.
     """
 
-    __slots__ = ("eta", "eta01", "coeffs", "_parts", "_read")
+    __slots__ = ("eta", "coeffs", "_parts", "_read")
 
-    def __init__(self, eta, eta01, coeffs, n03, n3):
+    def __init__(self, eta, coeffs, n03, n3):
         self.eta = eta
-        self.eta01 = eta01
         self.coeffs = coeffs
         self._parts = {"n03": n03, "n3": n3}  # ({key: num}, den, den's factors)
         self._read = {}
@@ -420,21 +419,6 @@ def _symplectic_coeffs(J: SymplecticGCS, dphi: Form):
     return sol
 
 
-def _over_one_den(m, xs):
-    """(numerators, D, D's factors) of the scalars xs over D, the lcm of
-    their denominators read off their factor lists (`_merge`); each
-    numerator is num * (D/den), an exact quotient."""
-    facs = ()
-    for x in xs:
-        if x.facs and x.facs != facs:
-            facs = tuple((f, max(e1, e2)) for f, e1, e2 in _merge(facs, x.facs))
-    den = _power_product(m, facs)
-    nums = [x.num if x.is_zero() or x.den == den
-            else x.num * TrigPoly(m, _p_div_exact(den.terms, x.den.terms))
-            for x in xs]
-    return nums, den, facs
-
-
 def _conj_unit(d: TrigPoly):
     """The term u = (key, c) with conj(d) = u * d, or None."""
     cd, dt = d.conj().terms, d.terms
@@ -520,9 +504,8 @@ def eta_N_extract(J: GCStruct) -> EtaN:
     dim, m = chart.dim, chart.nvars
     triples = list(itertools.combinations(range(dim), 3))
     if dphi.is_zero():
-        zero_eta = GenVec.zero(chart)
         empty = ({}, TrigPoly.const(m, 1), ())
-        return EtaN(zero_eta, zero_eta, [chart.zero_s()] * (dim + len(triples)),
+        return EtaN(GenVec.zero(chart), [chart.zero_s()] * (dim + len(triples)),
                     empty, empty)
     ebar = J.conj_annihilator()
     if isinstance(J, SymplecticGCS):
@@ -549,7 +532,7 @@ def eta_N_extract(J: GCStruct) -> EtaN:
     if not eta.is_real() or u is None or any(
             y.conj().terms != _times_term(y.terms, *u) for y in nums.values()):
         raise DecompositionFailed("splitting is not real")
-    return EtaN(eta, eta01, sol, n03, n3)
+    return EtaN(eta, sol, n03, n3)
 
 
 def integrability(J: GCStruct) -> bool:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv.forms import Chart
-from gkcurv.genalg import GenVec, pair_tt
+from gkcurv.forms import Chart, Form
+from gkcurv.genalg import GenVec, _move, pair_tt
 from gkcurv.linalg import mat_inverse
 from gkcurv.scalars import QQi, ScalarExpr
 
@@ -79,3 +79,14 @@ def pairing_inverse_duals(chart, es):
             d = d + ebars[k].scale(pinv[i][k])
         duals.append(d)
     return duals
+
+
+def _basis_act(chart, a, form):
+    """Oracle for one basis section's Clifford action, E_a . form, by index
+    moves (`genalg._move`). Distinct input indices give distinct outputs,
+    so the result keeps the input's key order and no coefficient is summed."""
+    out = {}
+    for idx, c in form.terms.items():
+        if (r := _move(chart.dim, a, idx)) is not None:
+            out[r[0]] = c if r[1] > 0 else -c
+    return Form(chart, out)

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.forms import _perm_sign
-from gkcurv.genalg import (GenVec, PolyVec, _basis_act, ad_b, basis_terms,
-                           clifford_act, dorfman, gen_lie_J, genvec_wedge,
-                           interior, keyed_sum, pair_tt, wedge_sum)
+from gkcurv.genalg import (GenVec, PolyVec, ad_b, basis_terms, clifford_act,
+                           dorfman, gen_lie_J, genvec_wedge, interior, keyed_sum,
+                           pair_tt, wedge_sum)
 from gkcurv.scalars import ScalarExpr, _acc
 
-from conftest import chart_flat, random_form, random_scalar
+from conftest import _basis_act, chart_flat, random_form, random_scalar
 
 
 def random_genvec(rng, chart, trig=True, mono=True):
@@ -311,11 +311,13 @@ def test_basis_act_matches_clifford_act(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_basis_terms_match_spin_act(n):
     """E_key . form summed from `basis_terms` index by index equals the
-    spin action of the basis section (grade 1) or trivector (grade 3)."""
+    spin action of the basis section (grade 1), bivector (grade 2, the
+    pairing term included where b - a = dim) or trivector (grade 3)."""
     chart = chart_flat(n)
     rng = random.Random(61 + n)
     keys = [(a,) for a in range(2 * chart.dim)]
-    keys += list(itertools.combinations(range(2 * chart.dim), 3))
+    keys += [key for grade in (2, 3)
+             for key in itertools.combinations(range(2 * chart.dim), grade)]
     for _ in range(3):
         form = random_form(rng, chart, max_terms=4)
         for key in keys:
@@ -324,7 +326,7 @@ def test_basis_terms_match_spin_act(n):
                 for out, f in basis_terms(chart.dim, key, idx):
                     _acc(got, out, c * f)
             ref = (clifford_act(GenVec.basis(chart, key[0]), form) if len(key) == 1
-                   else PolyVec(chart, 3, {key: 1}).spin_act(form))
+                   else PolyVec(chart, len(key), {key: 1}).spin_act(form))
             assert got == ref.terms, key
 
 
@@ -417,12 +419,12 @@ def test_wedge_sum_matches_sequential_sum(chart4):
 # ---------------------------------------------------------------------------
 
 
-def _sequential_sum(nvars, contribs):
-    """Each contribution normalized, then added to its key's running sum."""
+def _sequential_sum(contribs):
+    """Each product x * y normalized, then added to its key's running sum."""
     out = {}
-    for key, num, den in contribs:
+    for key, x, y in contribs:
         s = out.get(key)
-        s = ScalarExpr(nvars, num, den) if s is None else s + ScalarExpr(nvars, num, den)
+        s = x * y if s is None else s + x * y
         if s.is_zero():
             out.pop(key, None)
         else:
@@ -432,17 +434,18 @@ def _sequential_sum(nvars, contribs):
 
 def test_keyed_sum_drops_a_cancelled_key_and_appends_it_again(chart4):
     f, g = chart4.sc("x1/(1 + x2^2)"), chart4.sc("cos(x1)/(2 + sin(x2))")
-    contribs = [("a", f.num, f.den), ("b", g.num, g.den), ("a", -f.num, f.den),
-                ("c", f.num * g.num, f.den * g.den), ("a", g.num, g.den)]
+    one = chart4.one_s()
+    contribs = [("a", f, one), ("b", g, one), ("a", -f, one), ("c", f, g),
+                ("a", one, g)]
     got = keyed_sum(4, contribs)
     assert list(got) == ["b", "c", "a"]
     assert got == {"a": g, "b": g, "c": f * g}
-    assert list(got.items()) == list(_sequential_sum(4, contribs).items())
+    assert list(got.items()) == list(_sequential_sum(contribs).items())
 
 
 def test_keyed_sum_matches_sequential_sums(chart4):
-    """Unreduced products over equal, nested (D, D^2) and coprime
-    denominators; some contributions cancel a key's running sum."""
+    """Products over equal, nested (D, D^2) and coprime denominators; some
+    contributions cancel a key's running sum."""
     rng = random.Random(11)
     pool = [chart4.sc(t) for t in ("x1/(2 + cos(x2))", "(x1 - 1)/(2 + cos(x2))",
                                    "sin(x1)/(2 + cos(x2))^2", "x2/(1 + x1^2)",
@@ -456,10 +459,10 @@ def test_keyed_sum_matches_sequential_sums(chart4):
             if key in running and rng.random() < 0.2:
                 f, g = -running[key], ScalarExpr.one(4)
                 cancelled += 1
-            contribs.append((key, f.num * g.num, f.den * g.den))
+            contribs.append((key, f, g))
             running[key] = running.get(key, ScalarExpr.zero(4)) + f * g
         got = keyed_sum(4, contribs)
-        assert list(got.items()) == list(_sequential_sum(4, contribs).items())
+        assert list(got.items()) == list(_sequential_sum(contribs).items())
         assert got == {k: v for k, v in running.items() if not v.is_zero()}
     assert cancelled >= 10
 

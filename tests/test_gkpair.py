@@ -5,7 +5,7 @@ import pytest
 
 from gkcurv.errors import DimensionMismatch
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
-                             hyperkahler_t4)
+                             fubini_study_chart, hyperkahler_t4)
 from gkcurv.genalg import GenVec, PolyVec, genvec_wedge, pair_tt
 from gkcurv.gkpair import (GKPair, _jacobi_min_eigenvalue, compatibility_check,
                            ddbar_pm, epm_split, hamiltonian_element, jdot_matrix,
@@ -185,12 +185,11 @@ def test_spinor_volume_is_2i_to_the_n_pfaffian(name):
         assert not pair.b.is_zero()
 
 
-def test_frame_gcs_with_a_negated_matrix_raises():
-    """A FrameGCS whose supplied matrix is the negated J1 passes the dims
-    check, since the meets are taken in its frame, but its projector rows
-    pair to 0 with the frame, so epm_split raises instead of returning
-    wrong duals."""
-    scene = flat_kahler(2)
+def _frame_gcs_duals_or_refusal(scene):
+    """A FrameGCS copy of scene.j1 gives the duals of the scene's own pair;
+    with its supplied matrix negated it passes the dims check, since the
+    meets are taken in its frame, but its projector rows pair to 0 with the
+    frame, so epm_split raises instead of returning wrong duals."""
     j1 = scene.j1
     good = FrameGCS(scene.chart, j1.spinor(), j1.annihilator(), j1.j_matrix())
     pair = GKPair(good, scene.b, scene.omega)
@@ -199,6 +198,21 @@ def test_frame_gcs_with_a_negated_matrix_raises():
                    [[-x for x in row] for row in j1.j_matrix()])
     with pytest.raises(DimensionMismatch, match="2<d_i, e_j> = delta_ij"):
         epm_split(GKPair(bad, scene.b, scene.omega))
+
+
+def test_frame_gcs_with_a_negated_matrix_raises():
+    """On flat T^4, where every pairing is over the denominator 1."""
+    _frame_gcs_duals_or_refusal(flat_kahler(2))
+
+
+def test_frame_gcs_with_a_negated_matrix_raises_over_a_rational_den():
+    """On Fubini-Study CP^2 the frame and duals have denominators, so the
+    cross-multiplied check must compare the numerators with their common
+    denominator D = (1 + |z|^2)^2, not with 1."""
+    scene = fubini_study_chart(2)
+    dens = {x.den for d in scene.pair().epm_frame().duals for x in d.column()}
+    assert any(not den.is_const() for den in dens)
+    _frame_gcs_duals_or_refusal(scene)
 
 
 def _degenerate_pair():

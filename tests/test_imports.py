@@ -89,22 +89,57 @@ def _words(folders=("src", "tests", "perfbench")):
         for word in re.findall(r"\w+", path.read_text()))
 
 
-# the paper's public entry points that no engine code calls
-ENTRY_POINTS = {"type00_gric", "transport_b", "transport_affine"}
+def _span_targets():
+    """`SPAN_TARGETS` of perfbench/spans.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.SPAN_TARGETS
+
+
+def _code_refs(node):
+    """Names that the code under node refers to: names read, attribute
+    names and imported names.  Strings, comments and definitions do not
+    count."""
+    refs = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
+# public entry points that no engine code calls; `calibrate`, `gr_complex`
+# and `type00_check` are named only in a docstring, a report key or a task op
+ENTRY_POINTS = {"type00_gric", "transport_b", "transport_affine", "calibrate",
+                "gr_complex", "type00_check"}
 
 
 def test_no_dead_module_level_names():
-    """A module-level def, class or assignment in src/gkcurv/ must be named
-    once more, outside its definition, in src/ or perfbench/: src/ holds the
-    engine, and a helper that only tests call belongs in tests/.  The only
-    exceptions are the ENTRY_POINTS, which must exist."""
-    words = _words(("src", "perfbench"))
-    names = {path.name: _module_level_names(ast.parse(path.read_text()))
-             for path in sorted(SRC.glob("*.py"))}
-    dead = [f"{file}:{name}" for file, defined in names.items()
-            for name in defined if words[name] < 2 and name not in ENTRY_POINTS]
+    """A module-level def, class or assignment in src/gkcurv/ must be
+    referred to by code outside its own definition, in src/ or perfbench/
+    (`_code_refs`, plus the attribute paths of the benchmark's
+    `SPAN_TARGETS`): src/ holds the engine, and a helper that only tests
+    call belongs in tests/.  A docstring, a comment or a dict key naming it
+    does not count.  The only exceptions are the ENTRY_POINTS, which must
+    exist."""
+    trees = {path: ast.parse(path.read_text()) for folder in (SRC, ROOT / "perfbench")
+             for path in sorted(folder.rglob("*.py"))}
+    refs = sum((_code_refs(tree) for tree in trees.values()), collections.Counter())
+    refs.update(part for _, attr in _span_targets() for part in attr.split("."))
+    defined, dead = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            own = _code_refs(node)
+            for name in _module_level_names(ast.Module(body=[node], type_ignores=[])):
+                defined.add(name)
+                if refs[name] <= own[name] and name not in ENTRY_POINTS:
+                    dead.append(f"{path.name}:{name}")
     assert dead == []
-    assert ENTRY_POINTS <= {name for defined in names.values() for name in defined}
+    assert ENTRY_POINTS <= defined
 
 
 def test_no_dead_methods():
@@ -190,14 +225,12 @@ def test_span_targets_resolve():
     """Every (module, attribute) that the benchmark's tracer wraps
     (`SPAN_TARGETS` in perfbench/spans.py, loaded by path) exists in gkcurv,
     so a rename fails here and not in a traced benchmark run."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    targets = _span_targets()
     missing = []
-    for module, attr in spans.SPAN_TARGETS:
+    for module, attr in targets:
         target = importlib.import_module(f"gkcurv.{module}")
         for part in attr.split("."):
             target = getattr(target, part, None)
         if not callable(target):
             missing.append(f"{module}.{attr}")
-    assert len(spans.SPAN_TARGETS) > 10 and missing == []
+    assert len(targets) > 10 and missing == []

@@ -1403,7 +1403,7 @@ def _operations(chart, pool):
         contribs = []
         for _ in range(8):
             f, g = rng.choice(pool), rng.choice(pool)
-            contribs.append((rng.choice("ab"), f.num * g.num, f.den * g.den))
+            contribs.append((rng.choice("ab"), f, g))
         yield "keyed_sum", contribs, lambda c=contribs: keyed_sum(chart.nvars, c)
         vecs = [GenVec.from_column(chart, [rng.choice(pool) for _ in range(2 * chart.dim)])
                 for _ in range(3)]

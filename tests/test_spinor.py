@@ -14,8 +14,7 @@ from gkcurv.examples import (CATALOG, cp2_three_lines, flat_kahler,
                              hyperkahler_type00, torus_poisson_deform,
                              type00_perturbed)
 from gkcurv.forms import Chart
-from gkcurv.genalg import (GenVec, PolyVec, _basis_act, clifford_act,
-                           genvec_wedge, pair_tt)
+from gkcurv.genalg import GenVec, PolyVec, clifford_act, genvec_wedge, pair_tt
 from gkcurv.linalg import mat_identity, mat_inverse, mat_mul, mat_vec, rref
 from gkcurv.scalars import Point, QQi, ScalarExpr
 from gkcurv.selftest import _nonintegrable_pair
@@ -24,6 +23,7 @@ from gkcurv.spinor import (ComplexVolumeGCS, MovedGCS, SymplecticGCS,
                            _jmat_from_frame, eta_N_extract, integrability, pfaffian_inverse,
                            type_number)
 
+from conftest import _basis_act
 from test_curvature import _moved_flat_t2, _transported_nonintegrable
 
 
