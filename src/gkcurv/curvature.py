@@ -14,7 +14,6 @@ moment-map identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
@@ -22,22 +21,25 @@ from .errors import (EvaluationPole, ExtractionResidue, NotExactlyIntegrable,
 from .forms import Chart, Form
 from .genalg import GenVec, clifford_act, gen_lie_J, interior
 from .gkpair import GKPair, frame_bivector, hamiltonian_element, jdot_matrix
-from .linalg import mat_mul, mat_trace, mat_vec
+from .linalg import mat_mul, mat_trace_product, mat_vec
 from .scalars import (QQI_ZERO, QQi, ScalarExpr, TrigPoly, _acc, ipow, zi_mul,
                       zi_split)
 from .spinor import FrameGCS, MovedGCS, eta_N_extract, pfaffian_inverse
 
 
-@dataclass
 class CurvatureReport:
     """Ricci-type data of a pair, with derived diagnostic flags."""
 
-    rho: ScalarExpr
-    gric: Form
-    q: Form
-    gr: ScalarExpr
-    eta: GenVec
-    flags: dict = field(default_factory=dict)
+    __slots__ = ("rho", "gric", "q", "gr", "eta", "flags")
+
+    def __init__(self, rho: ScalarExpr, gric: Form, q: Form, gr: ScalarExpr,
+                 eta: GenVec, flags: dict = None):
+        self.rho = rho
+        self.gric = gric
+        self.q = q
+        self.gr = gr
+        self.eta = eta
+        self.flags = {} if flags is None else flags
 
     def to_dict(self):
         chart = self.gric.chart
@@ -196,7 +198,6 @@ def type00_gric(chart: Chart, B: Form, w1: Form, w2: Form) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TorusIntegral:
     """Value mean * (2 pi)^power of a torus integral.
 
@@ -205,9 +206,18 @@ class TorusIntegral:
     series otherwise.
     """
 
-    mean: QQi
-    power: int
-    error_bound: Fraction = Fraction(0)
+    __slots__ = ("mean", "power", "error_bound")
+
+    def __init__(self, mean: QQi, power: int, error_bound: Fraction = Fraction(0)):
+        self.mean = mean
+        self.power = power
+        self.error_bound = error_bound
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusIntegral):
+            return NotImplemented
+        return (self.mean, self.power, self.error_bound) == \
+            (other.mean, other.power, other.error_bound)
 
     def is_zero(self):
         return self.mean.is_zero() and self.error_bound == 0
@@ -351,7 +361,7 @@ class NilpotentPath:
         and their conjugates do not make a real path.  On flat T^2 with
         c = cos x1, J at t = 1/100 has J[0][0] = -i(cos 3x1 + 3 cos x1)/62500,
         so a moved pair must never serve as a base point."""
-        chart = replace(self.chart, params=("t",))
+        chart = self.chart.with_params(("t",))
         t = chart.coord_s(self.chart.dim)
         j1 = self.pair.j1
         base = FrameGCS(chart, _pad(chart, j1.spinor()),
@@ -403,7 +413,7 @@ MOMENT_FORM_CONSTANT = QQi(Fraction(-1, 4))
 
 def moment_form(pair: GKPair, jdot1, jdot2) -> TorusIntegral:
     """Calibrated deformation 2-form on matrix-field tangents."""
-    tr = mat_trace(mat_mul(pair.j1.j_matrix(), mat_mul(jdot1, jdot2)))
+    tr = mat_trace_product(mat_mul(pair.j1.j_matrix(), jdot1), jdot2)
     return scalar_torus_mean_certified(
         pair.chart, tr * pair.spinor_volume() *
         (ipow(-pair.chart.n) * QQi(-1) * MOMENT_FORM_CONSTANT))

@@ -9,7 +9,6 @@ expectations the test suite enforces. A type-(0,0) scene, a pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotBivector, SceneError
@@ -20,15 +19,18 @@ from .scalars import QQi, ScalarExpr
 from .spinor import ComplexVolumeGCS, GCStruct, MovedGCS, SymplecticGCS
 
 
-@dataclass
 class ExampleScene:
-    name: str
-    chart: Chart
-    j1: GCStruct
-    b: Form
-    omega: Form
-    tasks: list = field(default_factory=list)
-    expected: dict = field(default_factory=dict)
+    __slots__ = ("name", "chart", "j1", "b", "omega", "tasks", "expected")
+
+    def __init__(self, name: str, chart: Chart, j1: GCStruct, b: Form,
+                 omega: Form, tasks: list = None, expected: dict = None):
+        self.name = name
+        self.chart = chart
+        self.j1 = j1
+        self.b = b
+        self.omega = omega
+        self.tasks = [] if tasks is None else tasks
+        self.expected = {} if expected is None else expected
 
     def pair(self) -> GKPair:
         return GKPair(self.j1, self.b, self.omega)

@@ -8,7 +8,6 @@ dx1^...^dx2n used as reference for top-form ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatch, FieldClosureError
@@ -17,19 +16,35 @@ from .parsing import parse_scalar
 from .scalars import QQi, ScalarExpr, TrigPoly, _acc, ipow
 
 
-@dataclass(frozen=True)
 class Chart:
     """Coordinate chart of real dimension 2n; its scalars also carry the
-    trailing parameters (a path's time t), which d and integrals do not see."""
+    trailing parameters (a path's time t), which d and integrals do not see.
+    Charts are values: equal and hashed over (n, coords, periodic, params)."""
 
-    n: int
-    coords: tuple
-    periodic: tuple
-    params: tuple = ()
+    __slots__ = ("n", "coords", "periodic", "params")
 
-    def __post_init__(self):
-        if len(self.coords) != 2 * self.n or len(self.periodic) != 2 * self.n:
+    def __init__(self, n: int, coords: tuple, periodic: tuple, params: tuple = ()):
+        if len(coords) != 2 * n or len(periodic) != 2 * n:
             raise ValueError("chart needs 2n coordinate names and periodic flags")
+        self.n = n
+        self.coords = coords
+        self.periodic = periodic
+        self.params = params
+
+    def _key(self):
+        return self.n, self.coords, self.periodic, self.params
+
+    def __eq__(self, other):
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def with_params(self, params) -> "Chart":
+        """This chart with its trailing parameters replaced by `params`."""
+        return Chart(self.n, self.coords, self.periodic, params)
 
     @classmethod
     def flat(cls, n, periodic=False) -> "Chart":

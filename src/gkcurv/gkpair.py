@@ -25,7 +25,7 @@ from .forms import Chart, Form
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
                      dorfman, pair_tt, products_over_one_den, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
-                     mat_mul, mat_sub, mat_trace, mat_vec, rref)
+                     mat_mul, mat_sub, mat_trace_product, mat_vec, rref)
 from .scalars import QQi, Point, ScalarExpr, ipow
 from .spinor import GCStruct, SymplecticGCS, _hat_matrix, pfaffian_inverse
 
@@ -449,7 +449,7 @@ def jdot_matrix(pair: GKPair, h: PolyVec):
 
 
 def trace_pairing(pair: GKPair, h1: PolyVec, h2: PolyVec) -> ScalarExpr:
-    """tr(J [h1,J] [h2,J]) as an exact function on the chart."""
-    j = pair.j1.j_matrix()
-    return mat_trace(mat_mul(j, mat_mul(jdot_matrix(pair, h1),
-                                        jdot_matrix(pair, h2))))
+    """tr(J [h1,J] [h2,J]) as an exact function on the chart, contracted
+    as sum_ik (J [h1,J])_ik [h2,J]_ki."""
+    return mat_trace_product(mat_mul(pair.j1.j_matrix(), jdot_matrix(pair, h1)),
+                             jdot_matrix(pair, h2))

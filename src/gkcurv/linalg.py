@@ -41,13 +41,6 @@ def mat_vec(a, v):
     return [_dot(row, v) for row in a]
 
 
-def sum_entries(xs):
-    s = xs[0]
-    for x in xs[1:]:
-        s = s + x
-    return s
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -60,8 +53,9 @@ def mat_identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_trace(a):
-    return sum_entries([a[i][i] for i in range(len(a))])
+def mat_trace_product(a, b):
+    """tr(a b) = sum_ik a_ik b_ki, without forming the product a b."""
+    return _dot([x for row in a for x in row], [x for col in zip(*b) for x in col])
 
 
 def mat_commutator(a, b):

@@ -192,9 +192,9 @@ def check_n_psi(seed, instances) -> dict:
     for _ in range(instances):
         pair = _nonintegrable_pair(rng)
         res = eta_N_extract(pair.j1)
-        if not res.n3.is_zero():
+        if res._parts["n3"][0]:
             nontrivial += 1
-        if not res.n3.spin_act(pair.psi()).is_zero():
+        if not res.n_kills(pair.psi()):
             return {"passed": False, "instances": count}
         count += 1
     return {"passed": nontrivial > 0, "instances": count,

@@ -324,7 +324,8 @@ class EtaN:
     order.  eta is canonical at once.  n03 and n3 (that is N) are held as
     numerators over one denominator each, and become canonical PolyVecs on
     first read, each key normalized once against that denominator's
-    factors; `gric_gr` reads neither, `integrability` only their zero-ness.
+    factors; `gric_gr` reads neither, `integrability` only their zero-ness,
+    and `n_kills` tests N . form = 0 on N's numerators.
     """
 
     __slots__ = ("eta", "coeffs", "_parts", "_read")
@@ -349,6 +350,14 @@ class EtaN:
     @property
     def n3(self) -> PolyVec:
         return self._polyvec("n3")
+
+    def n_kills(self, form: Form) -> bool:
+        """True iff N . form = 0: N's numerators act on form's, over one
+        denominator (`_act_nums`), and no key is normalized."""
+        chart = self.eta.chart
+        fs, _, _ = _over_one_den(chart.nvars, list(form.terms.values()))
+        return not _act_nums(chart.dim, self._parts["n3"][0].items(),
+                             dict(zip(form.terms, fs)))
 
 
 def _clifford_coeffs(phi: Form, dphi: Form, ebar):

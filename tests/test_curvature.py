@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -411,7 +410,7 @@ def test_non_real_metric_and_symplectic_data_raise_not_real():
         SymplecticGCS(chart, chart.zero_form(), flat_omega_form(chart).scale(QQi(0, 1)))
 
 
-T_CHART = dataclasses.replace(chart_flat(1, periodic=True), params=("t",))
+T_CHART = chart_flat(1, periodic=True).with_params(("t",))
 
 
 @pytest.mark.parametrize("text", ["(x1 + cos(x2))/(3 + sin(x1))",

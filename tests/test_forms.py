@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkcurv.errors import ChartMismatch, FieldClosureError, SingularMap
+from gkcurv.forms import Chart
 from gkcurv.linalg import rational_inverse
 from gkcurv.scalars import QQi
 
@@ -173,6 +174,39 @@ def test_pullback_errors(chart2):
 def test_chart_mismatch(chart2, chart4):
     with pytest.raises(ChartMismatch):
         chart2.dx(0).wedge(chart4.dx(0))
+
+
+def test_chart_is_a_value():
+    """Charts built apart from the same data compare and hash equal; a
+    field that differs makes them differ, and forms on equal charts mix."""
+    a = Chart(1, ("x1", "x2"), (True, False))
+    b = Chart(1, ("x1", "x2"), (True, False), ())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a.dx(0) + b.dx(1) == a.form({(0,): 1, (1,): 1})
+    for other in (Chart(1, ("x1", "y"), (True, False)),
+                  Chart(1, ("x1", "x2"), (True, True)),
+                  Chart(1, ("x1", "x2"), (True, False), ("t",)),
+                  Chart.flat(2)):
+        assert a != other
+    assert a != ("x1", "x2")
+
+
+def test_chart_with_params_returns_a_new_chart():
+    chart = Chart.flat(1, periodic=True)
+    moved = chart.with_params(("t",))
+    assert moved.params == ("t",) and moved.nvars == 3
+    assert (moved.n, moved.coords, moved.periodic) == (chart.n, chart.coords, chart.periodic)
+    assert chart.params == () and chart.nvars == 2
+    assert moved != chart and moved.with_params(()) == chart
+
+
+@pytest.mark.parametrize("coords, periodic", [(("x1",), (False, False)),
+                                              (("x1", "x2"), (False,)),
+                                              (("x1", "x2", "x3"), (False,) * 3)])
+def test_chart_rejects_bad_lengths(coords, periodic):
+    with pytest.raises(ValueError, match="2n coordinate names"):
+        Chart(1, coords, periodic)
 
 
 def _random_invertible(rng, n):

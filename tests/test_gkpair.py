@@ -340,6 +340,32 @@ def test_random_compat_bivector_properties():
     assert not _anticommutes_with_j(pair, bad)
 
 
+def _triple_trace(j, a, b):
+    """tr(J A B) through both full products: the oracle of the contraction."""
+    p = mat_mul(j, mat_mul(a, b))
+    s = p[0][0]
+    for k in range(1, len(p)):
+        s = s + p[k][k]
+    return s
+
+
+def test_trace_pairing_equals_the_triple_product():
+    """The one-contraction trace equals tr(J [h1,J] [h2,J]) with both
+    products formed, exactly, on flat and rational-coefficient pairs."""
+    rng = random.Random(35)
+    nonzero = 0
+    for name, draws in [("flat_kahler_c2", 4), ("fubini_study_cp2", 1)]:
+        pair = CATALOG[name]().pair()
+        for _ in range(draws):
+            h1 = random_compat_bivector(pair, rng)
+            h2 = random_compat_bivector(pair, rng)
+            got = trace_pairing(pair, h1, h2)
+            assert got == _triple_trace(pair.j1.j_matrix(), jdot_matrix(pair, h1),
+                                        jdot_matrix(pair, h2)), name
+            nonzero += not got.is_zero()
+    assert nonzero == 5
+
+
 def test_trace_pairing_antisymmetric_imaginary_part():
     """tr(J Jdot1 Jdot2) has the symmetry used by the deformation 2-form."""
     pair = flat_kahler(2).pair()

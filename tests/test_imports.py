@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 
 from gkcurv import linalg
 from gkcurv.scalars import QQi
@@ -234,3 +236,16 @@ def test_span_targets_resolve():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert len(targets) > 10 and missing == []
+
+
+def test_import_loads_no_introspection_modules():
+    """Importing the engine adds none of dataclasses, inspect, dis or
+    tokenize to sys.modules: every cold process pays for what it imports.
+    Modules loaded before the import (by `site`) do not count."""
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import gkcurv.curvature, gkcurv.examples, gkcurv.selftest; "
+            "print(' '.join(sorted(set(sys.modules) - before)))" % str(SRC.parent))
+    added = set(subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                               capture_output=True, text=True).stdout.split())
+    assert "gkcurv.selftest" in added
+    assert added & {"dataclasses", "inspect", "dis", "tokenize"} == set()

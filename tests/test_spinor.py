@@ -400,6 +400,23 @@ def test_obstruction_assembly_matches_sequential_sums(chart4):
             assert _conj_unit(den) is None and res.n3.coef
 
 
+def test_n_kills_agrees_with_spin_act():
+    """`EtaN.n_kills`, read on N's numerators, agrees with
+    `n3.spin_act(form).is_zero()` on the obstruction family's draws: N . psi
+    = 0, and N . phi != 0 on each (N != 0 there, and N . phi is a part of
+    d(phi)).  An integrable structure's N = 0 kills every form."""
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        for _ in range(5):
+            pair = _nonintegrable_pair(rng)
+            res = eta_N_extract(pair.j1)
+            for form, want in ((pair.psi(), True), (pair.j1.spinor(), False)):
+                assert res.n_kills(form) == res.n3.spin_act(form).is_zero() == want
+    j1 = CATALOG["cp2_three_lines"]().j1
+    res = eta_N_extract(j1)
+    assert res.n3.is_zero() and res.n_kills(j1.spinor())
+
+
 # gcd calls (`_gcd_cofactors`, behind every reduction and `poly_gcd`) of
 # eta_N_extract(j1) plus n3.spin_act(psi) on t4_nonintegrable (the gcd keeps no
 # state between calls): 73 with n03 and N over one denominator each, normalized
