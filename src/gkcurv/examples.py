@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotBivector, SceneError
-from .forms import Chart, Form
+from .forms import Chart, Form, keyed_sum
 from .genalg import GenVec, interior
 from .gkpair import GKPair
 from .scalars import QQi, ScalarExpr
@@ -75,18 +75,23 @@ def _one_plus_norm_sq(chart) -> ScalarExpr:
 
 
 def fubini_study_omega(chart) -> Form:
-    """i ddbar log(1 + |z|^2) on the affine chart, in real coordinates."""
+    """i ddbar log(1 + |z|^2) on the affine chart, in real coordinates: the
+    sum of i g_jk / s^2 dz_j ^ conj(dz_k), s = 1 + |z|^2 and g_jk =
+    s delta_jk - conj(z_j) z_k, as one keyed sum (`keyed_sum`), so each
+    coefficient is normalized once."""
     n = chart.n
     s = _one_plus_norm_sq(chart)
     dz = flat_volume_forms(chart)
     z = [chart.coord_s(2 * k) + chart.i_s() * chart.coord_s(2 * k + 1)
          for k in range(n)]
-    out = chart.zero_form()
+    inv = chart.one_s() / (s * s)
+    terms = []
     for j in range(n):
         for k in range(n):
-            g = (s if j == k else chart.zero_s()) - z[j].conj() * z[k]
-            out = out + dz[j].wedge(dz[k].conj()).scale(g / (s * s) * QQi(0, 1))
-    return out
+            g = ((s if j == k else chart.zero_s()) - z[j].conj() * z[k]) * QQi(0, 1)
+            terms += [(key, g * c, inv)
+                      for key, c in dz[j].wedge(dz[k].conj()).terms.items()]
+    return Form(chart, keyed_sum(chart.nvars, terms))
 
 
 def fubini_study_chart(n: int) -> ExampleScene:

@@ -4,6 +4,16 @@ Forms are sparse maps from strictly increasing coordinate multi-indices to
 exact scalars; mixed-degree polyforms are first class because spinors
 exp(b + i*omega) are.  The chart fixes the coordinate volume form
 dx1^...^dx2n used as reference for top-form ratios.
+
+`Form.wedge` and `Form.ext_d` sum over one denominator: the terms of a key
+that several terms reach are numerators over the lcm of their
+coefficients' denominators, read off the factor lists, and each such key
+is normalized once, so a key that sums to 0 takes no gcd.  A key that one
+term reaches takes that term's scalar product or derivative, and so does
+every key when no coefficient has a denominator, since scalars over 1 add
+as their numerators do.  Keys come in the order of adding term by term.
+The keyed sums of products that the modules above use (`keyed_sum`) live
+here and not in `scalars`, whose compile sets a cold process's peak memory.
 """
 
 from __future__ import annotations
@@ -13,7 +23,8 @@ from fractions import Fraction
 from .errors import ChartMismatch, FieldClosureError
 from .linalg import rational_inverse
 from .parsing import parse_scalar
-from .scalars import QQi, ScalarExpr, TrigPoly, _acc, ipow
+from .scalars import (QQi, ScalarExpr, TrigPoly, _acc, _cancel, _merge,
+                      _p_div_exact, _power_product, ipow)
 
 
 class Chart:
@@ -134,15 +145,96 @@ def _sort_index(idx):
 
 
 def _merge_sign(a, b):
-    """Merge disjoint increasing tuples; returns (merged, sign)."""
-    inv = 0
-    j = 0
+    """Merge increasing tuples: (merged, sign), or (None, 0) when they share
+    an index."""
+    inv = j = 0
     for x in a:
         while j < len(b) and b[j] < x:
             j += 1
+        if j < len(b) and b[j] == x:
+            return None, 0
         inv += j
-    merged = tuple(sorted(a + b))
-    return merged, (-1) ** (inv % 2)
+    return tuple(sorted(a + b)), -1 if inv & 1 else 1
+
+
+def _over_one_den(m, xs):
+    """(numerators, D, D's factors) of the scalars xs over D, the lcm of
+    their denominators read off their factor lists (`_merge`); each
+    numerator is num * (D/den), an exact quotient."""
+    facs = ()
+    for x in xs:
+        if x.facs and x.facs != facs:
+            facs = tuple((f, max(e1, e2)) for f, e1, e2 in _merge(facs, x.facs))
+    den = _power_product(m, facs)
+    nums = [x.num if x.is_zero() or x.den == den
+            else x.num * TrigPoly(m, _p_div_exact(den.terms, x.den.terms))
+            for x in xs]
+    return nums, den, facs
+
+
+def products_over_one_den(m, terms):
+    """({key: numerator}, D, D's factors) of the sums of x * y over the
+    (key, x, y) scalar terms, D = lcm(x dens) * lcm(y dens) (`_over_one_den`).
+    The numerators are summed with `_acc`, so a key whose sum reaches 0 is
+    dropped and re-enters at the end, the key order of adding term by term;
+    no gcd of expanded polynomials is taken."""
+    keys, xs, ys = zip(*terms) if terms else ((), (), ())
+    xs, _, fx = _over_one_den(m, xs)
+    ys, _, fy = _over_one_den(m, ys)
+    facs = tuple((f, e1 + e2) for f, e1, e2 in _merge(fx, fy))
+    nums = {}
+    for key, x, y in zip(keys, xs, ys):
+        _acc(nums, key, x * y)
+    return nums, _power_product(m, facs), facs
+
+
+def keyed_sum(m, terms) -> dict:
+    """Sum x * y over the (key, x, y) scalar terms into {key: ScalarExpr},
+    in the key order of adding term by term: numerators over one
+    denominator D (`products_over_one_den`), then each key's normalized
+    once against D's factors (`_cancel`)."""
+    nums, den, facs = products_over_one_den(m, terms)
+    return {key: _cancel(m, x, den, facs) for key, x in nums.items()}
+
+
+def _moves(p: TrigPoly, k) -> bool:
+    """Whether x_k appears in p; a canonical scalar depends on x_k iff it
+    appears in its num or den."""
+    m = p.nvars
+    return any(key[k] or key[m + k] for key in p.terms)
+
+
+def _repeated(parts, *terms) -> set:
+    """The keys that more than one of the (key, ...) parts reach; none when
+    no coefficient in the terms dicts has a denominator, since scalars over
+    1 add as their numerators do."""
+    seen, many = set(), set()
+    if any(c.facs for t in terms for c in t.values()):
+        for part in parts:
+            (many if part[0] in seen else seen).add(part[0])
+    return many
+
+
+def _lifted(m, terms, idxs):
+    """({index: numerator}, D, D's factors) of the coefficients at idxs
+    over their one denominator D (`_over_one_den`)."""
+    idxs = list(dict.fromkeys(idxs))
+    nums, den, facs = _over_one_den(m, [terms[i] for i in idxs])
+    return dict(zip(idxs, nums)), den, facs
+
+
+def _summed(m, parts, den=None, facs=()) -> dict:
+    """{key: coefficient} of the (key, sign, value) parts added in order
+    (`_acc`): a value is a scalar or, where its key is shared, a numerator
+    over den, with den's factor list facs; each numerator sum is normalized
+    once (`_cancel`)."""
+    out = {}
+    for key, sign, v in parts:
+        _acc(out, key, v if sign > 0 else -v)
+    if den is None:
+        return out
+    return {key: _cancel(m, v, den, facs) if isinstance(v, TrigPoly) else v
+            for key, v in out.items()}
 
 
 class Form:
@@ -214,29 +306,60 @@ class Form:
     # -- graded operations ---------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
+        """self ^ other.  A key that one product reaches takes that product
+        of scalars; the products of a key that several reach are summed as
+        numerators over one denominator, lcm(self's dens) * lcm(other's
+        dens) (`_over_one_den`), and normalized once (`_cancel`)."""
         self._check(other)
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                if set(i1) & set(i2):
-                    continue
-                idx, sign = _merge_sign(i1, i2)
-                c = c1 * c2
-                _acc(out, idx, c if sign > 0 else -c)
-        return Form(self.chart, out)
+        a, b = self.terms, other.terms
+        prods = [(key, sign, i1, i2) for i1 in a for i2 in b
+                 for key, sign in (_merge_sign(i1, i2),) if key is not None]
+        m = self.chart.nvars
+        many = _repeated(prods, a, b)
+        if not many:
+            return Form(self.chart, _summed(m, [
+                (key, sign, a[i] * b[j]) for key, sign, i, j in prods]))
+        xs, dx, fx = _lifted(m, a, [i for key, _, i, _ in prods if key in many])
+        ys, dy, fy = _lifted(m, b, [j for key, _, _, j in prods if key in many])
+        return Form(self.chart, _summed(m, [
+            (key, sign, xs[i] * ys[j] if key in many else a[i] * b[j])
+            for key, sign, i, j in prods],
+            dx * dy, tuple((f, e1 + e2) for f, e1, e2 in _merge(fx, fy))))
 
     def ext_d(self) -> "Form":
-        acc = {}
-        for idx, c in self.terms.items():
-            for k in range(self.chart.dim):
-                if k in idx:
-                    continue
-                dc = c.partial(k)
-                if dc.is_zero():
-                    continue
-                new, sign = _merge_sign((k,), idx)
-                _acc(acc, new, dc if sign > 0 else -dc)
-        return Form(self.chart, acc)
+        """d self.  A key that one d_k c reaches takes `ScalarExpr.partial`;
+        the coefficients of keys that several reach go over one
+        denominator D = prod f^e (`_over_one_den`), and with P the product
+        of the f that move in a coordinate (a factor in a path parameter
+        alone does not), d_k(N/D) = (d_k N P - N S_k)/(D P), S_k = sum
+        e d_k f P/f.  Each such key's numerators are summed and normalized
+        once (`_cancel`), so a key that sums to 0 takes no gcd."""
+        chart, a = self.chart, self.terms
+        m, dim = chart.nvars, chart.dim
+        parts = [(*_merge_sign((k,), idx), idx, k) for idx, c in a.items()
+                 for k in range(dim)
+                 if k not in idx and (_moves(c.num, k) or _moves(c.den, k))]
+        many = _repeated(parts, a)
+        if not many:
+            return Form(chart, _summed(m, [
+                (key, sign, a[i].partial(k)) for key, sign, i, k in parts]))
+        ns, den, facs = _lifted(m, a, [i for key, _, i, _ in parts if key in many])
+        moves = [any(_moves(f, k) for k in range(dim)) for f, _ in facs]
+        moving = [(f, e) for (f, e), mv in zip(facs, moves) if mv]
+        p = _power_product(m, [(f, 1) for f, _ in moving])
+        s = {}
+        for k in {k for key, _, _, k in parts if key in many}:
+            s[k] = TrigPoly.zero(m)
+            for j, (f, e) in enumerate(moving):
+                if _moves(f, k):
+                    others = [(g, 1) for g, _ in moving[:j] + moving[j + 1:]]
+                    s[k] = s[k] + _power_product(
+                        m, [(f.partial(k).scale(QQi(e)), 1), *others])
+        return Form(chart, _summed(m, [
+            (key, sign, ns[i].partial(k) * p - ns[i] * s[k] if key in many
+             else a[i].partial(k)) for key, sign, i, k in parts],
+            den * p, tuple((f, e + 1 if mv else e)
+                           for (f, e), mv in zip(facs, moves))))
 
     def sigma(self) -> "Form":
         """Clifford involution: sign + on degrees 0,1 mod 4, - on 2,3 mod 4."""

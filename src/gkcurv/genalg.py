@@ -7,7 +7,7 @@ antisymmetric coefficient arrays over the 4n coordinate basis
 (d/dx1..d/dx2n, dx1..dx2n); their spin action uses the canonical
 antisymmetrized embedding into the Clifford algebra, so mixed-index arrays
 are handled consistently (one kernel, `basis_terms`).  Keyed sums of
-products go over one denominator (`products_over_one_den`).  Moving a whole
+products go over one denominator (`forms.keyed_sum`).  Moving a whole
 structure by spin-group factors is `spinor.MovedGCS`; `ad_b` here only moves
 single sections.
 """
@@ -20,10 +20,9 @@ import math
 from fractions import Fraction
 
 from .errors import ChartMismatch
-from .forms import Chart, Form, _sort_index
+from .forms import Chart, Form, _sort_index, keyed_sum
 from .linalg import mat_commutator, mat_vec
-from .scalars import (QQi, ScalarExpr, TrigPoly, _acc, _cancel, _merge,
-                      _p_div_exact, _power_product)
+from .scalars import QQi, ScalarExpr, _acc
 
 
 class GenVec:
@@ -318,46 +317,6 @@ def wedge_terms(cols) -> dict:
             c = math.prod(cs[1:], start=cs[0])
             _acc(acc, order, c if sign > 0 else -c)
     return dict(sorted(acc.items()))
-
-
-def _over_one_den(m, xs):
-    """(numerators, D, D's factors) of the scalars xs over D, the lcm of
-    their denominators read off their factor lists (`_merge`); each
-    numerator is num * (D/den), an exact quotient."""
-    facs = ()
-    for x in xs:
-        if x.facs and x.facs != facs:
-            facs = tuple((f, max(e1, e2)) for f, e1, e2 in _merge(facs, x.facs))
-    den = _power_product(m, facs)
-    nums = [x.num if x.is_zero() or x.den == den
-            else x.num * TrigPoly(m, _p_div_exact(den.terms, x.den.terms))
-            for x in xs]
-    return nums, den, facs
-
-
-def products_over_one_den(m, terms):
-    """({key: numerator}, D, D's factors) of the sums of x * y over the
-    (key, x, y) scalar terms, D = lcm(x dens) * lcm(y dens) (`_over_one_den`).
-    The numerators are summed with `_acc`, so a key whose sum reaches 0 is
-    dropped and re-enters at the end, the key order of adding term by term;
-    no gcd of expanded polynomials is taken."""
-    keys, xs, ys = zip(*terms) if terms else ((), (), ())
-    xs, _, fx = _over_one_den(m, xs)
-    ys, _, fy = _over_one_den(m, ys)
-    facs = tuple((f, e1 + e2) for f, e1, e2 in _merge(fx, fy))
-    nums = {}
-    for key, x, y in zip(keys, xs, ys):
-        _acc(nums, key, x * y)
-    return nums, _power_product(m, facs), facs
-
-
-def keyed_sum(m, terms) -> dict:
-    """Sum x * y over the (key, x, y) scalar terms into {key: ScalarExpr},
-    in the key order of adding term by term: numerators over one
-    denominator D (`products_over_one_den`), then each key's normalized
-    once against D's factors (`_cancel`)."""
-    nums, den, facs = products_over_one_den(m, terms)
-    return {key: _cancel(m, x, den, facs) for key, x in nums.items()}
 
 
 def wedge_sum(chart, grade, terms) -> PolyVec:

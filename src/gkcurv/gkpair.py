@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .errors import (ChartMismatch, DegenerateOmega, DimensionMismatch,
                      NotClosed, NotRealStructure)
-from .forms import Chart, Form
+from .forms import Chart, Form, products_over_one_den
 from .genalg import (GenVec, PolyVec, ad_b, clifford_act, derivative_along,
-                     dorfman, pair_tt, products_over_one_den, wedge_sum)
+                     dorfman, pair_tt, wedge_sum)
 from .linalg import (kernel_basis, mat_add, mat_commutator, mat_is_zero,
                      mat_mul, mat_sub, mat_trace_product, mat_vec, rref)
 from .scalars import QQi, Point, ScalarExpr, ipow

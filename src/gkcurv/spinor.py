@@ -32,9 +32,9 @@ import operator
 
 from .errors import (DecompositionFailed, DegenerateOmega, ImpureSpinor,
                      NotRealStructure, ZeroSpinor)
-from .forms import Chart, Form
-from .genalg import (GenVec, PolyVec, _over_one_den, ad_b, basis_terms,
-                     clifford_act, genvec_wedge, wedge_terms)
+from .forms import Chart, Form, _over_one_den
+from .genalg import (GenVec, PolyVec, ad_b, basis_terms, clifford_act,
+                     genvec_wedge, wedge_terms)
 from .linalg import (kernel_basis, mat_add, mat_identity, mat_inverse, mat_mul,
                      mat_sub, mat_vec, solve_exact)
 from .scalars import (QQi, Point, TrigPoly, _acc, _cancel, _coprime_parts,

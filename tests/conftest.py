@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv.forms import Chart, Form
+from gkcurv.forms import Chart, Form, _sort_index
 from gkcurv.genalg import GenVec, _move, pair_tt
 from gkcurv.linalg import mat_inverse
-from gkcurv.scalars import QQi, ScalarExpr
+from gkcurv.scalars import QQi, ScalarExpr, _acc
 
 
 chart_flat = Chart.flat
@@ -90,3 +90,31 @@ def _basis_act(chart, a, form):
         if (r := _move(chart.dim, a, idx)) is not None:
             out[r[0]] = c if r[1] > 0 else -c
     return Form(chart, out)
+
+
+def wedge_by_terms(a, b):
+    """Oracle for `Form.wedge`: each product of scalars added in turn."""
+    out = {}
+    for i1, c1 in a.terms.items():
+        for i2, c2 in b.terms.items():
+            idx, sign = _sort_index(i1 + i2)
+            if idx is None:
+                continue
+            c = c1 * c2
+            _acc(out, idx, c if sign > 0 else -c)
+    return Form(a.chart, out)
+
+
+def ext_d_by_terms(a):
+    """Oracle for `Form.ext_d`: each `ScalarExpr.partial` added in turn."""
+    out = {}
+    for idx, c in a.terms.items():
+        for k in range(a.chart.dim):
+            if k in idx:
+                continue
+            dc = c.partial(k)
+            if dc.is_zero():
+                continue
+            new, sign = _sort_index((k, *idx))
+            _acc(out, new, dc if sign > 0 else -dc)
+    return Form(a.chart, out)

@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkcurv.curvature import NilpotentPath, _u, rho
 from gkcurv.errors import ChartMismatch, FieldClosureError, SingularMap
+from gkcurv.examples import CATALOG, flat_kahler, fubini_study_omega
 from gkcurv.forms import Chart
+from gkcurv.genalg import interior
 from gkcurv.linalg import rational_inverse
-from gkcurv.scalars import QQi
+from gkcurv.scalars import QQi, ScalarExpr
+from gkcurv.spinor import eta_N_extract
 
-from conftest import random_form
+from conftest import ext_d_by_terms, random_form, wedge_by_terms
 
 
 def test_wedge_antisymmetry(chart2):
@@ -64,6 +70,109 @@ def test_d_graded_leibniz(chart4):
         rhs = a.ext_d().wedge(b) + (a.wedge(b.ext_d()) if k % 2 == 0
                                     else -(a.wedge(b.ext_d())))
         assert lhs == rhs
+
+
+def _oracle_pools():
+    """(chart, coefficients) to draw forms from: on the flat chart, scalars
+    over 1 with polynomial and trig numerators next to Fubini-Study's
+    coefficients over s^2 and multiples of them; on a t-chart, as
+    torus_moment builds them, coefficients over f1, over f1*f2 and over
+    (1 + t)*f1, whose factor 1 + t moves in the path parameter alone."""
+    flat = Chart.flat(2)
+    over_one = ["x1*x2", "cos(x1) + x3", "i*x4^2 - 1", "sin(x1 - x2)", "2"]
+    omega = list(fubini_study_omega(flat).terms.values())
+    fs = [c * flat.sc(n) for c in omega[:3] for n in ("x1", "cos(x2) + 1")]
+    tchart = Chart.flat(2, periodic=True).with_params(("t",))
+    f1, f2 = "(2 + t*cos(x1))", "(3 + sin(x2) + t*cos(x3))"
+    tdens = [f1, f"({f1}*{f2})", f"((1 + t)*{f1})"]
+    tnums = ["x1", "cos(x2) + t", "sin(x1 + x4)", "i*t*x3"]
+    return [(flat, [flat.sc(t) for t in over_one] + omega + fs),
+            (tchart, [tchart.sc(t) for t in over_one]
+             + [tchart.sc(f"{n}/{d}") for n in tnums for d in tdens])]
+
+
+ORACLE_POOLS = _oracle_pools()
+
+
+@st.composite
+def _oracle_forms(draw, pool):
+    chart, coeffs = pool
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        idx = draw(st.permutations(range(chart.dim)))[:draw(st.integers(0, 3))]
+        terms[tuple(sorted(idx))] = draw(st.sampled_from(coeffs))
+    return chart.form(terms)
+
+
+def _same(got, want):
+    assert list(got.terms) == list(want.terms)
+    assert [(c.num, c.den) for c in got.terms.values()] == [
+        (c.num, c.den) for c in want.terms.values()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ORACLE_POOLS).flatmap(
+    lambda pool: st.tuples(_oracle_forms(pool), _oracle_forms(pool))))
+def test_wedge_and_d_match_the_term_by_term_oracles(forms):
+    """Shared keys over one denominator give the canonical num and den, in
+    the key order, of adding scalar terms one by one."""
+    a, b = forms
+    _same(a.ext_d(), ext_d_by_terms(a))
+    _same(a.wedge(b), wedge_by_terms(a, b))
+    _same(b.wedge(a), wedge_by_terms(b, a))
+
+
+def _path_alpha():
+    """alpha = xi + i_X (b - i omega) of a nilpotent path on flat T^4, the
+    1-form with P - iQ = d alpha, on its t-chart."""
+    pair = flat_kahler(2, periodic=True).pair()
+    frame = pair.epm_frame()
+    pieces = [(ScalarExpr.cos(4, (1, 0, 0, 0)), frame.eplus[0], frame.eminus[0])]
+    path = NilpotentPath(pair, pieces).pair_at()
+    u = _u(path, eta_N_extract(path.j1), rho(path))
+    zbar = path.b - path.omega.scale(QQi(0, 1))
+    return path, u.covector_form() + interior(path.chart, u.v, zbar)
+
+
+def _identity_cases():
+    """(a, b) pairs with da != 0 and a ^ b != 0 of degree below the top."""
+    scene = CATALOG["cp2_three_lines"]()
+    chart, omega = scene.chart, scene.omega
+    x = [chart.coord_s(k) for k in range(chart.dim)]
+    s = sum((c * c for c in x), chart.one_s())
+    mu = [-(x[0] * x[0] + x[1] * x[1]) / s, -(x[2] * x[2] + x[3] * x[3]) / s]
+    dmu = [chart.func(m).ext_d() for m in mu]
+    path, alpha = _path_alpha()
+    t = path.chart
+    return {
+        "fubini_study_omega": (omega.scale(x[0]), dmu[0].scale(x[2])),
+        "three_lines_b": (scene.b.scale(x[1]), chart.func(mu[0])),
+        "three_lines_dmu": (dmu[1].scale(mu[0]), omega.scale(x[3])),
+        "t_chart_alpha": (alpha.scale(t.sc("cos(x3) + x4")),
+                          path.omega.scale(t.sc("sin(x2)"))),
+    }
+
+
+IDENTITY_CASES = _identity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+def test_d_squared_vanishes_on_scene_forms(name):
+    a, _ = IDENTITY_CASES[name]
+    da = a.ext_d()
+    assert not da.is_zero()
+    assert da.ext_d().is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+def test_d_is_a_graded_derivation_on_scene_forms(name):
+    """d(a ^ b) = da ^ b + (-1)^p a ^ db for a homogeneous of degree p."""
+    a, b = IDENTITY_CASES[name]
+    p = len(next(iter(a.terms)))
+    ab = a.wedge(b)
+    assert not ab.is_zero() and not a.ext_d().is_zero()
+    sign = 1 if p % 2 == 0 else -1
+    assert ab.ext_d() == a.ext_d().wedge(b) + a.wedge(b.ext_d()).scale(sign)
 
 
 def test_sigma_signs(chart4):

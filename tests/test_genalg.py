@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from gkcurv.forms import _perm_sign
+from gkcurv.forms import _perm_sign, keyed_sum
 from gkcurv.genalg import (GenVec, PolyVec, ad_b, basis_terms, clifford_act,
-                           dorfman, gen_lie_J, genvec_wedge, interior, keyed_sum,
-                           pair_tt, wedge_sum)
+                           dorfman, gen_lie_J, genvec_wedge, interior, pair_tt,
+                           wedge_sum)
 from gkcurv.scalars import ScalarExpr, _acc
 
 from conftest import _basis_act, chart_flat, random_form, random_scalar

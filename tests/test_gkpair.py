@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkcurv import scalars
 from gkcurv.errors import DimensionMismatch
 from gkcurv.examples import (CATALOG, flat_kahler, flat_omega_form,
                              fubini_study_chart, hyperkahler_t4)
@@ -17,6 +18,23 @@ from gkcurv.spinor import FrameGCS, SymplecticGCS
 
 from conftest import chart_flat, pairing_inverse_duals
 from test_curvature import toric_cp2
+
+
+@pytest.mark.parametrize("name", ["fubini_study_cp2", "cp2_three_lines"])
+def test_closedness_checks_take_no_gcd_and_no_division(name, monkeypatch):
+    """GKPair checks db = 0 and d omega = 0: each key sums to a zero
+    numerator over one denominator and is not normalized (40 gcds and 8
+    exact divisions for the two scenes when d added scalar terms one by
+    one)."""
+    scene = CATALOG[name]()
+    calls = []
+    for fn in ("_gcd_cofactors", "_p_div_exact"):
+        real = getattr(scalars, fn)
+        monkeypatch.setattr(scalars, fn, lambda a, b, fn=fn, real=real:
+                            calls.append(fn) or real(a, b))
+    GKPair(scene.j1, scene.b, scene.omega)
+    assert calls == []
+    assert all(c.facs for c in scene.omega.terms.values())
 
 
 def test_flat_kahler_compatibility():

@@ -16,8 +16,8 @@ from gkcurv import scalars
 from gkcurv.curvature import gric_gr
 from gkcurv.errors import DivisionByZero, EvaluationPole, FieldClosureError
 from gkcurv.examples import CATALOG
-from gkcurv.forms import Chart
-from gkcurv.genalg import GenVec, keyed_sum, wedge_sum
+from gkcurv.forms import Chart, keyed_sum
+from gkcurv.genalg import GenVec, wedge_sum
 from gkcurv.parsing import parse_scalar
 from gkcurv.scalars import (Point, QQi, ScalarExpr, TrigPoly, _cross_reduce,
                             _p_div_exact, _p_mul, poly_gcd)
@@ -31,30 +31,34 @@ NAMES = ("x1", "x2", "x3", "x4")
 # _divide_out tried the exact division of a numerator by a factor first,
 # (40, 45) when rho took <psi, conj psi> as a Mukai product, (34, 39) when
 # gr took the powers omega^(n-1) and omega^n by repeated wedges, (32, 37)
-# when gric_gr stripped exp(-(b - i omega)) off the whole polyform Theta
-FS_CP2_PROOF_TRUE_CALLS = (20, 25)
+# when gric_gr stripped exp(-(b - i omega)) off the whole polyform Theta,
+# (20, 25) when Form.wedge and Form.ext_d added scalar terms one by one
+FS_CP2_PROOF_TRUE_CALLS = (12, 17)
 # _p_div_exact calls while fubini_study_cp2 is built and its gric_gr runs: the
 # gcd's own exact-division attempts and _divide_out's trial divisions; 197
 # when _cross_reduce divided both operands by the gcd again, 83 with expanded
 # denominators, 28 before _divide_out tried an exact division ahead of a gcd,
 # 94 when rho took <psi, conj psi> as a Mukai product, 87 when gr took the
 # powers of omega by repeated wedges, 81 when gric_gr stripped
-# exp(-(b - i omega)) off the whole polyform Theta
-FS_CP2_DIV_EXACT_CALLS = 49
+# exp(-(b - i omega)) off the whole polyform Theta, 49 when Form.wedge and
+# Form.ext_d added scalar terms one by one
+FS_CP2_DIV_EXACT_CALLS = 32
 # _p_mul calls over the same run; 295 when a product with a constant was a
 # general product and is_real cross-multiplied over a real denominator, 219
 # with expanded denominators (a factored one is multiplied out again where
 # it loses a factor, from smaller products), 245 when rho took
 # <psi, conj psi> as a Mukai product, 244 when gr took the powers of omega
 # by repeated wedges, 227 when gric_gr stripped exp(-(b - i omega)) off the
-# whole polyform Theta
-FS_CP2_P_MUL_CALLS = 142
+# whole polyform Theta, 142 when Form.wedge and Form.ext_d added scalar
+# terms one by one
+FS_CP2_P_MUL_CALLS = 98
 # _gcd_cofactors calls over the same run; 264 with expanded denominators, 124
 # when _divide_out took a gcd for every division, 109 when rho took
 # <psi, conj psi> as a Mukai product, 103 when gr took the powers of omega
 # by repeated wedges, 101 when gric_gr stripped exp(-(b - i omega)) off the
-# whole polyform Theta
-FS_CP2_GCD_CALLS = 81
+# whole polyform Theta, 81 when Form.wedge and Form.ext_d added scalar terms
+# one by one
+FS_CP2_GCD_CALLS = 28
 
 
 def S(text, names=NAMES):
@@ -656,11 +660,17 @@ def test_cross_reduce_on_the_fubini_study_cp2_curvature_inputs(monkeypatch):
     # with factored denominators and trial divisions Fubini-Study reduces
     # less; the E+- frames add reductions of several factors, and so does
     # the pairing-inverse oracle of their duals, which the frames no longer
-    # take
+    # take; so do the quotients g_jk / s^2 of the Fubini-Study metric,
+    # which `fubini_study_omega` no longer takes one by one
     for name in ("cp2_three_lines", "fubini_study_cp2"):
         fr = CATALOG[name]().pair().epm_frame()
         pairing_inverse_duals(fr.chart, fr.eplus)
         pairing_inverse_duals(fr.chart, fr.eminus)
+    chart = Chart.flat(2)
+    s = sum((chart.coord_s(k) ** 2 for k in range(4)), chart.one_s())
+    z = [chart.sc("x1 + i*x2"), chart.sc("x3 + i*x4")]
+    for j, k in itertools.product(range(2), repeat=2):
+        ((s if j == k else chart.zero_s()) - z[j].conj() * z[k]) / (s * s)
     monkeypatch.undo()
     nontrivial = sum(_reduces_as_dividing_twice(*call) for call in calls)
     assert nontrivial >= 50 and len(calls) > nontrivial
